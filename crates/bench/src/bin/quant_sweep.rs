@@ -1,8 +1,8 @@
 //! The 16-bit fixed-point fast path, measured end to end: i16 vs f32
-//! GEMM microkernels on the hot-path shape, then a strategy × network ×
+//! A·Bᵀ GEMM microkernels on the hot-path shape, then a strategy × network ×
 //! precision sweep where each trained model is deployed under both
-//! [`Precision::I16`] (calibrated symmetric scales, i16 register-blocked
-//! GEMM) and [`Precision::F32`] (the full-precision reference), comparing
+//! [`Precision::I16`] (calibrated symmetric scales, the i16 A·Bᵀ GEMM)
+//! and [`Precision::F32`] (the full-precision reference), comparing
 //! top-1 accuracy, evaluation latency, NoC traffic width and simulated
 //! single-pass cycles.
 //!
@@ -29,8 +29,8 @@ use lts_tensor::{init, matmul, qmatmul, Shape};
 /// Hot-path microbench GEMM dimension (matches `benches/hotpath.rs`).
 const N: usize = 256;
 
-/// i16 vs f32 uplift the blocked A·Bᵀ kernels (the quantized Linear
-/// forward hot path) must deliver on the microbench shape.
+/// i16 vs f32 uplift the blocked A·Bᵀ kernels (the quantized forward
+/// hot path) must deliver on the microbench shape.
 const MIN_UPLIFT: f64 = 1.5;
 
 fn main() {
@@ -55,39 +55,22 @@ fn main() {
     // samples to ride out scheduler jitter, even under LTS_BENCH_ITERS=1
     // smoke runs.
     let iters = iters_from_env(20).max(10);
-    report.push(time("gemm_f32_256_t1", 3, iters, || {
-        matmul::matmul_into(afv, bfv, &mut cf, N, N, N);
-    }));
-    report.push(time("gemm_i16_256_t1", 3, iters, || {
-        qmatmul::matmul_i16_into(&aq, &bq, &mut cq, N, N, N);
-    }));
     report.push(time("gemm_a_bt_f32_256_t1", 3, iters, || {
         matmul::matmul_a_bt_into(afv, bfv, &mut cf, N, N, N);
     }));
     report.push(time("gemm_a_bt_i16_256_t1", 3, iters, || {
         qmatmul::matmul_a_bt_i16_into(&aq, &bq, &mut cq, N, N, N);
     }));
-    let up_gemm = uplift(&report, "gemm_f32_256_t1", "gemm_i16_256_t1");
     let up_bt = uplift(&report, "gemm_a_bt_f32_256_t1", "gemm_a_bt_i16_256_t1");
     let macs = (N * N * N) as f64;
-    for (name, up) in [("gemm_256", up_gemm), ("gemm_a_bt_256", up_bt)] {
-        lts_obs::gauge_set(&format!("quant.{name}_macs_per_cycle_uplift"), up);
-        report.note(format!("{name}: i16/f32 MACs-per-cycle uplift {up:.2}x"));
-    }
+    lts_obs::gauge_set("quant.gemm_a_bt_256_macs_per_cycle_uplift", up_bt);
+    report.note(format!("gemm_a_bt_256: i16/f32 MACs-per-cycle uplift {up_bt:.2}x"));
     report.note(format!(
         "MACs/cycle caveat: both kernels timed single-threaded on one CPU of the same host \
          at the same frequency, so the wall-time ratio IS the MACs/cycle ratio; absolute \
          cycle counts are not measurable from safe Rust ({:.0}M MACs per iteration)",
         macs / 1e6
     ));
-    report.note(
-        "A*B finding: safe-Rust autovectorization at baseline SSE2 lowers the i16 dot via \
-         punpcklwd widening, spending pmaddwd as a 4-MAC widening multiply instead of the \
-         8-MAC fused form, so i16 A*B lands at parity with the near-ceiling f32 A*B kernel; \
-         the blocked A*B^T pair (the quantized Linear forward hot path) realizes the i16 win \
-         because eight concurrent i32 accumulator chains fill the pipeline that the scalar \
-         f32 dot leaves stalled",
-    );
     if !cfg!(debug_assertions) {
         assert!(
             up_bt >= MIN_UPLIFT,

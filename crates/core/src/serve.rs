@@ -543,9 +543,11 @@ pub struct ServingReport {
     pub shed_rate: f64,
     /// Deadline misses over offered requests.
     pub miss_rate: f64,
-    /// Worst NoC saturation observed across the run: the larger of the
-    /// entry-burst [`lts_noc::SimReport::blocked_share`] and the
-    /// per-layer blocked share of the active profiles.
+    /// Worst NoC saturation observed across the run, in mean blocked
+    /// flits per cycle: the larger of the entry-burst
+    /// [`lts_noc::SimReport::blocked_share`] and the per-layer blocked
+    /// flits per cycle of the active profiles. Unbounded above, not a
+    /// share: a congested burst reads well over 1.
     pub noc_saturation: f64,
     /// Every dispatched batch, in order.
     pub batches: Vec<BatchRecord>,
@@ -597,7 +599,8 @@ struct ServiceProfile {
     min_occupancy: f64,
     /// Kill set in effect (for entry-burst simulations).
     fault: FaultModel,
-    /// Worst per-layer blocked share of the profile's evaluation.
+    /// Worst per-layer blocked flits per communication cycle of the
+    /// profile's evaluation.
     saturation: f64,
 }
 

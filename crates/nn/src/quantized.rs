@@ -6,9 +6,10 @@
 //! activations, from which a per-tensor symmetric scale
 //! ([`lts_tensor::quant::QuantParams`]) is chosen. Weights are scaled
 //! from their own min/max. At inference time, `Conv2d`/`Linear` forward
-//! passes run entirely in i16 (quantize input → i16 `im2col` → i16 GEMM
-//! with i32 accumulators → dequantize with `in_scale · w_scale`, add the
-//! f32 bias), while pooling, activations, flatten, and the loss stay in
+//! passes run entirely in i16 (quantize input → i16 `im2row` → i16 A·Bᵀ
+//! GEMM with i32 accumulators, which skips the zero runs of the weight
+//! rows → dequantize with `in_scale · w_scale`, add the f32 bias), while
+//! pooling, activations, flatten, and the loss stay in
 //! f32 — the *dequantize-at-boundary* convention, matching the paper's
 //! chip where the 16-bit MAC arrays do the heavy lifting and per-value
 //! NoC traffic is 2 bytes (Table I/II).
@@ -26,8 +27,8 @@ use crate::descriptor::{Dims, LayerKind};
 use crate::layer::Layer;
 use crate::network::Network;
 use crate::{NnError, Result};
-use lts_tensor::im2col::{im2col_i16_into, ConvGeometry};
-use lts_tensor::qmatmul::{matmul_a_bt_i16_into, matmul_i16_into};
+use lts_tensor::im2col::{im2row_i16_into, ConvGeometry};
+use lts_tensor::qmatmul::matmul_a_bt_i16_into;
 use lts_tensor::quant::QuantParams;
 use lts_tensor::{ops, par, Shape, Tensor};
 
@@ -47,7 +48,7 @@ pub struct QuantConv2d {
     w_params: QuantParams,
     in_params: QuantParams,
     qin: Vec<i16>,
-    cols: Vec<i16>,
+    unrolled: Vec<i16>,
     prod: Vec<i32>,
 }
 
@@ -91,7 +92,7 @@ impl QuantConv2d {
         let wrow = icg * self.kernel * self.kernel;
         let mut out = Tensor::zeros(Shape::d4(batch, out_c, oh, ow));
         self.qin.resize(icg * h * w, 0);
-        self.cols.resize(row * positions, 0);
+        self.unrolled.resize(row * positions, 0);
         self.prod.resize(ocg * positions, 0);
         let (inp, rescale) = (self.in_params, self.in_params.scale() * self.w_params.scale());
         let src = input.as_slice();
@@ -100,9 +101,11 @@ impl QuantConv2d {
             for g in 0..self.groups {
                 let start = (n * c + g * icg) * h * w;
                 inp.quantize_into(&src[start..start + icg * h * w], &mut self.qin);
-                im2col_i16_into(&self.qin, &geom, &mut self.cols);
+                im2row_i16_into(&self.qin, &geom, &mut self.unrolled);
+                // prod[oc, pos] = Σ_r Wq[oc, r] · unrolled[pos, r]: the weight
+                // rows are A, so their SS_Mask zero blocks are skipped.
                 let wmat = &self.wq[g * ocg * wrow..(g + 1) * ocg * wrow];
-                matmul_i16_into(wmat, &self.cols, &mut self.prod, ocg, row, positions);
+                matmul_a_bt_i16_into(wmat, &self.unrolled, &mut self.prod, ocg, row, positions);
                 for oc in 0..ocg {
                     let abs_oc = g * ocg + oc;
                     let base = ((n * out_c) + abs_oc) * positions;
@@ -270,7 +273,7 @@ impl QuantizedNetwork {
                         w_params,
                         in_params,
                         qin: Vec::new(),
-                        cols: Vec::new(),
+                        unrolled: Vec::new(),
                         prod: Vec::new(),
                     }))
                 }
@@ -541,6 +544,80 @@ mod tests {
         for threads in [1, 2, 5] {
             let par = quantized_parallel_accuracy(&qnet, &x, &labels, 4, threads).unwrap();
             assert_eq!(serial, par, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn quantized_conv_products_equal_a_direct_i32_convolution() {
+        // A grouped, strided, padded, non-square layer masked like SS_Mask:
+        // every weight row zeroes one of its two 4-channel blocks (36
+        // taps, long enough for the kernel to skip) and the last row is
+        // all zero. Unit scales and zero bias make the f32 output the i32
+        // products exactly.
+        let (in_c, h, w, out_c, kernel, stride, pad, groups) = (16, 7, 6, 6, 3, 2, 1, 2);
+        let (icg, ocg, taps) = (in_c / groups, out_c / groups, kernel * kernel);
+        let wq: Vec<i16> = (0..out_c * icg * taps)
+            .map(|i| {
+                let (oc, ic) = (i / (icg * taps), i / taps % icg);
+                if (oc + ic / 4) % 2 == 0 || oc == out_c - 1 {
+                    0
+                } else {
+                    (i * 37 % 41) as i16 - 20
+                }
+            })
+            .collect();
+        assert!(wq.iter().filter(|&&x| x == 0).count() > wq.len() / 2);
+        let unit = QuantParams::from_min_max(-32767.0, 32767.0);
+        assert_eq!(unit.scale(), 1.0);
+        let mut conv = QuantConv2d {
+            name: "conv".into(),
+            in_dims: (in_c, h, w),
+            out_c,
+            kernel,
+            stride,
+            pad,
+            groups,
+            wq: wq.clone(),
+            bias: vec![0.0; out_c],
+            w_params: unit,
+            in_params: unit,
+            qin: Vec::new(),
+            unrolled: Vec::new(),
+            prod: Vec::new(),
+        };
+        let batch = 2;
+        let x: Vec<i32> = (0..batch * in_c * h * w).map(|i| (i * 53 % 61) as i32 - 30).collect();
+        let input =
+            Tensor::from_vec(Shape::d4(batch, in_c, h, w), x.iter().map(|&v| v as f32).collect())
+                .unwrap();
+        let out = conv.forward(&input).unwrap();
+        let (oh, ow) = ((h + 2 * pad - kernel) / stride + 1, (w + 2 * pad - kernel) / stride + 1);
+        assert_eq!(out.shape().dims(), &[batch, out_c, oh, ow]);
+        for n in 0..batch {
+            for oc in 0..out_c {
+                let g = oc / ocg;
+                for (oy, ox) in (0..oh).flat_map(|oy| (0..ow).map(move |ox| (oy, ox))) {
+                    let mut acc = 0i32;
+                    for ic in 0..icg {
+                        for (ky, kx) in
+                            (0..kernel).flat_map(|ky| (0..kernel).map(move |kx| (ky, kx)))
+                        {
+                            let (sy, sx) = (
+                                (oy * stride + ky) as isize - pad as isize,
+                                (ox * stride + kx) as isize - pad as isize,
+                            );
+                            if sy < 0 || sx < 0 || sy >= h as isize || sx >= w as isize {
+                                continue;
+                            }
+                            let xi =
+                                ((n * in_c + g * icg + ic) * h + sy as usize) * w + sx as usize;
+                            acc += wq[(oc * icg + ic) * taps + ky * kernel + kx] as i32 * x[xi];
+                        }
+                    }
+                    let got = out.as_slice()[((n * out_c + oc) * oh + oy) * ow + ox];
+                    assert_eq!(got, acc as f32, "n {n} oc {oc} at ({oy}, {ox})");
+                }
+            }
         }
     }
 

@@ -72,8 +72,10 @@ pub struct SimReport {
     /// Per-message latency (completion − injection), message order matches
     /// the input trace.
     pub message_latencies: Vec<u64>,
-    /// Cycles in which at least one ready flit lost arbitration or stalled
-    /// on credits — the congestion/blocking measure.
+    /// Flit-cycles spent blocked: every cycle, each ready flit that lost
+    /// arbitration or stalled on credits adds one — the congestion
+    /// measure. Several flits can block in one cycle, so this can exceed
+    /// the makespan.
     pub blocked_flit_cycles: u64,
     /// Low-level event counts for the energy model.
     pub events: EventCounts,
@@ -124,11 +126,11 @@ impl SimReport {
         self.flits_delivered as f64 / self.makespan as f64
     }
 
-    /// Share of the run's cycles in which at least one ready flit was
-    /// blocked (`blocked_flit_cycles / makespan`, `0` for an empty
-    /// trace) — the saturation signal serving and the sweeps report.
-    /// Near `0` the network is contention-free; toward `1` almost every
-    /// cycle stalled somebody.
+    /// Mean number of blocked flits per cycle (`blocked_flit_cycles /
+    /// makespan`, `0` for an empty trace) — the saturation signal serving
+    /// and the sweeps report. Not a share in [0, 1]: `0` means the
+    /// network was contention-free, and a congested burst that keeps
+    /// many flits waiting at once reads well above `1`.
     pub fn blocked_share(&self) -> f64 {
         if self.makespan == 0 {
             return 0.0;
@@ -230,6 +232,19 @@ mod tests {
         assert_eq!(r.max_link_flits(), 4);
         assert!((r.link_imbalance() - 4.0 / 3.0).abs() < 1e-9);
         assert_eq!(r.blocked_share(), 0.05);
+    }
+
+    #[test]
+    fn blocked_share_exceeds_one_under_a_congested_burst() {
+        // Fifteen cores burst into node 0 at once: many flits wait at the
+        // hot links every cycle, so the mean blocked flits per cycle is
+        // above 1 — a count, not a share of cycles.
+        let mut sim = crate::Simulator::new(crate::NocConfig::paper_16core()).unwrap();
+        let burst: Vec<crate::traffic::Message> =
+            (1..16).map(|src| crate::traffic::Message::new(src, 0, 640, 0)).collect();
+        let r = sim.run(&burst).unwrap();
+        assert!(r.blocked_flit_cycles > r.makespan, "{r:?}");
+        assert!(r.blocked_share() > 1.0, "blocked share {}", r.blocked_share());
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Property-based tests for the tensor crate.
 
-use lts_tensor::im2col::{col2im, im2col, ConvGeometry};
+use lts_tensor::im2col::{col2im, im2col, im2col_into, im2row_i16_into, ConvGeometry};
 use lts_tensor::matmul::{matmul, matmul_a_bt, matmul_at_b, transpose};
-use lts_tensor::qmatmul::{matmul_a_bt_i16_into, matmul_i16_into, reference};
+use lts_tensor::qmatmul::{matmul_a_bt_i16_into, reference};
 use lts_tensor::{ops, stats, Fixed16, QuantParams, Shape, Tensor};
 use proptest::prelude::*;
 
@@ -212,26 +212,89 @@ proptest! {
     }
 
     #[test]
-    fn i16_blocked_kernels_bit_identical_to_naive_oracles(
+    fn i16_kernel_bit_identical_to_naive_oracle(
         m in 1usize..5, k in 1usize..260, n in 1usize..70,
         pool in i16_strategy(5 * 260 + 260 * 70)
     ) {
-        // k sweeps across the KC = 128 panel boundary, n across the NR = 32
-        // pack tile / NR_DOT = 8 dot group plus their scalar tails, with
-        // full-range i16 operands so accumulator wrap-around is exercised.
-        // Wrapping i32 accumulation is associative, so the blocked kernels
-        // must equal the naive serial oracles *exactly*, bit for bit.
+        // n sweeps across the NR_DOT = 8 dot group and its scalar tail,
+        // with full-range i16 operands so accumulator wrap-around is
+        // exercised. Wrapping i32
+        // accumulation is associative, so the blocked kernel must equal
+        // the naive serial oracle *exactly*, bit for bit.
         let a = &pool[..m * k];
-        let b = &pool[5 * 260..5 * 260 + k * n];
-        let (mut c, mut cr) = (vec![1i32; m * n], vec![2i32; m * n]);
-        matmul_i16_into(a, b, &mut c, m, k, n);
-        reference::matmul_i16_into_ref(a, b, &mut cr, m, k, n);
-        prop_assert_eq!(&c, &cr, "matmul_i16 {}x{}x{}", m, k, n);
-
         let bt = &pool[5 * 260..5 * 260 + n * k];
+        let (mut c, mut cr) = (vec![1i32; m * n], vec![2i32; m * n]);
         matmul_a_bt_i16_into(a, bt, &mut c, m, k, n);
         reference::matmul_a_bt_i16_into_ref(a, bt, &mut cr, m, k, n);
         prop_assert_eq!(&c, &cr, "a_bt_i16 {}x{}x{}", m, k, n);
+    }
+
+    #[test]
+    fn i16_kernel_skips_zero_blocks_bit_identically(
+        dims in (1usize..40, 1usize..400, 1usize..80),
+        pattern in (1usize..90, 1usize..90, 0usize..180),
+        zero_rows in 0u64..u64::MAX,
+        pool in i16_strategy(40 * 400 + 400 * 80)
+    ) {
+        let ((m, k, n), (run, gap, phase)) = (dims, pattern);
+        // A's rows alternate nonzero runs and zero gaps of random lengths
+        // (the merge threshold is 32 taps, so gaps fall on both sides of
+        // it), shifted per row so runs start and end anywhere; some rows
+        // are all zero. n crosses the NR_DOT group; operands are
+        // full-range so sums wrap.
+        let mut a = pool[..m * k].to_vec();
+        for (i, row) in a.chunks_exact_mut(k).enumerate() {
+            let all_zero = (zero_rows >> (i % 64)) & 1 == 1 && i % 3 == 0;
+            for (p, x) in row.iter_mut().enumerate() {
+                if all_zero || (p + phase + 7 * i) % (run + gap) >= run {
+                    *x = 0;
+                }
+            }
+        }
+        let bt = &pool[40 * 400..40 * 400 + n * k];
+        let (mut c, mut cr) = (vec![1i32; m * n], vec![2i32; m * n]);
+        matmul_a_bt_i16_into(&a, bt, &mut c, m, k, n);
+        reference::matmul_a_bt_i16_into_ref(&a, bt, &mut cr, m, k, n);
+        prop_assert_eq!(&c, &cr, "a_bt_i16 {}x{}x{} run {} gap {}", m, k, n, run, gap);
+    }
+
+    #[test]
+    fn im2row_is_the_transpose_of_im2col(
+        image in (1usize..3, 1usize..4, 1usize..10, 1usize..10),
+        kernel in (1usize..7, 1usize..7, 1usize..4, 0usize..3),
+        pool in collection::vec(-300i16..300, 2 * 3 * 9 * 9)
+    ) {
+        let ((groups, icg, in_h, in_w), (kh, kw, stride, pad)) = (image, kernel);
+        // Strided, padded, non-square geometries, kernel widths on and
+        // off the unroll's specialised 3 and 5, each group's channel
+        // slice unrolled separately as the grouped convolution does.
+        let geom = ConvGeometry {
+            in_c: icg,
+            in_h,
+            in_w,
+            kh: 1 + (kh - 1) % (in_h + 2 * pad),
+            kw: 1 + (kw - 1) % (in_w + 2 * pad),
+            stride,
+            pad,
+        };
+        let (rows, cols) = (geom.col_rows(), geom.col_cols());
+        let image = &pool[..groups * icg * in_h * in_w];
+        for slice in image.chunks_exact(icg * in_h * in_w) {
+            let f: Vec<f32> = slice.iter().map(|&x| x as f32).collect();
+            let mut by_col = vec![9.0f32; rows * cols];
+            im2col_into(&f, &geom, &mut by_col);
+            let mut by_row = vec![9i16; rows * cols];
+            im2row_i16_into(slice, &geom, &mut by_row);
+            for r in 0..rows {
+                for pos in 0..cols {
+                    prop_assert_eq!(
+                        by_row[pos * rows + r] as f32,
+                        by_col[r * cols + pos],
+                        "{:?} tap {} position {}", geom, r, pos
+                    );
+                }
+            }
+        }
     }
 
     #[test]

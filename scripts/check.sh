@@ -16,6 +16,9 @@ cargo build --release --offline
 echo "==> cargo test"
 cargo test --offline --workspace -q
 
+echo "==> benchmark smoke (every workload, untraced and traced, at the smoke size)"
+cargo test --offline -q --manifest-path benchmark/Cargo.toml
+
 echo "==> cargo clippy (incl. the perf lint group, denied workspace-wide)"
 cargo clippy --offline --workspace --all-targets -- -D warnings -D clippy::perf
 
