@@ -66,15 +66,34 @@ impl ConvGeometry {
     pub fn col_cols(&self) -> usize {
         self.out_h() * self.out_w()
     }
+
+    /// The conditions under which [`ConvGeometry::out_h`] and
+    /// [`ConvGeometry::out_w`] panic, as a typed error.
+    fn validate(&self) -> Result<(), TensorError> {
+        if self.stride == 0 {
+            return Err(TensorError::InvalidArgument("conv stride must be positive".into()));
+        }
+        let (ph, pw) = (self.in_h + 2 * self.pad, self.in_w + 2 * self.pad);
+        if self.kh > ph || self.kw > pw {
+            return Err(TensorError::InvalidArgument(format!(
+                "kernel {}x{} exceeds padded input {ph}x{pw}",
+                self.kh, self.kw
+            )));
+        }
+        Ok(())
+    }
 }
 
 /// Unrolls one `[in_c, in_h, in_w]` image into its column matrix.
 ///
 /// # Errors
 ///
-/// Returns [`TensorError::RankMismatch`] if `image` is not rank 3 and
-/// [`TensorError::ShapeMismatch`] if its dimensions disagree with `geom`.
+/// Returns [`TensorError::InvalidArgument`] if `geom` has a zero stride or
+/// a kernel larger than the padded input, [`TensorError::RankMismatch`] if
+/// `image` is not rank 3 and [`TensorError::ShapeMismatch`] if its
+/// dimensions disagree with `geom`.
 pub fn im2col(image: &Tensor, geom: &ConvGeometry) -> Result<Tensor, TensorError> {
+    geom.validate()?;
     if image.shape().rank() != 3 {
         return Err(TensorError::RankMismatch { expected: 3, actual: image.shape().rank() });
     }
@@ -192,9 +211,11 @@ fn im2row<const KW: usize>(src: &[i16], geom: &ConvGeometry, dst: &mut [i16]) {
 ///
 /// # Errors
 ///
-/// Returns [`TensorError::ShapeMismatch`] if `cols` has the wrong shape for
-/// `geom`.
+/// Returns [`TensorError::InvalidArgument`] under the same geometry
+/// conditions as [`im2col`] and [`TensorError::ShapeMismatch`] if `cols`
+/// has the wrong shape for `geom`.
 pub fn col2im(cols: &Tensor, geom: &ConvGeometry) -> Result<Tensor, TensorError> {
+    geom.validate()?;
     let expect = Shape::d2(geom.col_rows(), geom.col_cols());
     if cols.shape() != &expect {
         return Err(TensorError::ShapeMismatch { left: cols.shape().clone(), right: expect });
@@ -317,5 +338,27 @@ mod tests {
         assert!(im2col(&img, &geom_3x3_k2()).is_err());
         let bad_cols = Tensor::zeros(Shape::d2(3, 3));
         assert!(col2im(&bad_cols, &geom_3x3_k2()).is_err());
+    }
+
+    #[test]
+    fn zero_stride_is_a_typed_error() {
+        let g = ConvGeometry { stride: 0, ..geom_3x3_k2() };
+        let img = Tensor::zeros(Shape::d3(1, 3, 3));
+        assert!(matches!(im2col(&img, &g), Err(TensorError::InvalidArgument(_))));
+        let cols = Tensor::zeros(Shape::d2(4, 4));
+        assert!(matches!(col2im(&cols, &g), Err(TensorError::InvalidArgument(_))));
+    }
+
+    #[test]
+    fn kernel_larger_than_padded_input_is_a_typed_error() {
+        // 3 + 2·0 < 4 rows; the width alone would fit.
+        let g = ConvGeometry { kh: 4, kw: 2, ..geom_3x3_k2() };
+        let img = Tensor::zeros(Shape::d3(1, 3, 3));
+        assert!(matches!(im2col(&img, &g), Err(TensorError::InvalidArgument(_))));
+        let cols = Tensor::zeros(Shape::d2(8, 2));
+        assert!(matches!(col2im(&cols, &g), Err(TensorError::InvalidArgument(_))));
+        // Padding that makes the kernel fit is accepted.
+        let padded = ConvGeometry { pad: 1, ..g };
+        assert!(im2col(&img, &padded).is_ok());
     }
 }

@@ -1,55 +1,46 @@
-//! Blocked, row-parallel single-precision matrix multiplication.
+//! Register-tile, row-parallel single-precision matrix multiplication.
 //!
-//! Training the paper's networks spends essentially all of its time here
-//! (convolutions are lowered to GEMM via [`crate::im2col`]), so the kernels
-//! use the cache-friendly i-k-j loop order with panel blocking over the
-//! shared dimension, and partition output rows across the execution engine
-//! ([`crate::par`]).
+//! Training the paper's networks spends most of its time here
+//! (convolutions are lowered to GEMM via [`crate::im2col`]). All three
+//! products — `A·B`, `Aᵀ·B` and `A·Bᵀ` — run one microkernel, `tile`,
+//! which keeps a `1 × W` strip of a C row in registers across a
+//! `KC`-deep panel of the shared dimension. Each output row is covered by
+//! 32-wide tiles, then at most one 16-wide and one 8-wide tile; the last
+//! ≤ 7 columns run an 8-wide tile over zero-padded B columns, so narrow
+//! outputs (the 4×4 maps of a third conv layer, n = 16) never leave
+//! registers. `A·Bᵀ` first packs each `KC × W` panel of Bᵀ into a stack
+//! array so the tile reads it row by row like `B`; output rows are
+//! partitioned across the execution engine ([`crate::par`]).
 //!
 //! # Determinism
 //!
-//! Every kernel accumulates each output element's terms in ascending order
-//! of the shared dimension, and row partitioning never splits an element's
-//! accumulation. Results are therefore bit-identical for any worker count,
-//! including 1 — the parallel kernels are drop-in replacements for their
-//! serial ancestors.
+//! Every kernel accumulates each output element's terms from `+0.0` in
+//! ascending order of the shared dimension; the accumulator round-trips
+//! through C in f32 between panels, and row partitioning never splits an
+//! element's accumulation. `A·B` and `Aᵀ·B` skip exact-zero A elements,
+//! `A·Bᵀ` does not — the rules of the [`reference`] kernels, which the
+//! results equal bit for bit for every input (`c + 0.0·x` is not always
+//! `c` in IEEE arithmetic: `-0.0` and non-finite `x`). Results are
+//! therefore bit-identical for any worker count, including 1.
 
 use crate::par;
 use crate::shape::Shape;
 use crate::tensor::{Tensor, TensorError};
 
-/// Rows of the shared-dimension panel kept hot in cache per pass.
+/// Rows of the shared-dimension panel kept hot in cache per pass by the
+/// [`reference`] kernels.
 const PANEL: usize = 64;
 
-/// Shared-dimension panel depth of the register-blocked A·B / Aᵀ·B
-/// kernels. A `KC × NR` tile of B (32 KB) is the L1 working set; deeper
-/// panels amortize the per-panel accumulator load/store further. Panel
-/// depth never changes results: the accumulator round-trips through C in
-/// f32, so each element's terms stay in ascending-`p` order regardless.
+/// Shared-dimension panel depth of the microkernel. A `KC × NR` tile of B
+/// (16 KB) is the L1 working set and the size of the `A·Bᵀ` pack buffer;
+/// deeper panels amortize the per-panel accumulator load/store further.
+/// Panel depth never changes results (see the module docs).
 const KC: usize = 128;
 
-/// Columns of the register-resident output tile (the microkernel width).
-///
-/// Together with [`MR`] this fixes the accumulator tile of the A·B and
-/// Aᵀ·B microkernels at `MR × NR` floats: wide enough to give the backend
-/// several independent accumulation chains, small enough to stay in SIMD
-/// registers without spilling.
+/// Width of the widest register tile: eight SSE registers of
+/// accumulators, enough independent chains to hide the add latency
+/// without spilling.
 const NR: usize = 32;
-
-/// Rows of the register-resident output tile (the microkernel height).
-///
-/// Each B tile load feeds `MR` output rows, so raising `MR` divides the
-/// dominant load stream; the `MR × NR` product is bounded by the register
-/// file (see [`NR`]).
-const MR: usize = 1;
-
-/// Dot products computed concurrently by the A·Bᵀ microkernel.
-///
-/// Each output element of `A · Bᵀ` is an independent dot product; computing
-/// one at a time leaves a single latency-bound add chain. Running `NR_DOT`
-/// dots side by side (one accumulator each, shared `A` element) fills the
-/// FPU pipeline without touching any element's accumulation order.
-const NR_DOT: usize = 8;
 
 /// Multiply-adds below which a product runs inline: for tiny operands the
 /// cost of spawning scoped workers exceeds the whole product.
@@ -179,141 +170,7 @@ pub fn matmul_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: u
     debug_assert_eq!(c.len(), m * n);
     let _probe = lts_obs::span("tensor.matmul");
     lts_obs::counter_add("tensor.macs_f32", (m * k * n) as u64);
-    if n == 0 {
-        return;
-    }
-    let kernel = |first_row: usize, stripe: &mut [f32]| {
-        stripe.fill(0.0);
-        let rows = stripe.len() / n;
-        // Panel over the shared dimension: within a panel the microkernel
-        // accumulates an NR-wide register tile of the C row across every p
-        // of the panel; each element still sums its terms in p-ascending
-        // order, so neither level of blocking perturbs results.
-        for p0 in (0..k).step_by(KC) {
-            let p1 = (p0 + KC).min(k);
-            axpy_panel_stripe(|i, p| a[i * k + p], b, stripe, first_row, rows, n, p0, p1);
-        }
-    };
-    if m * k * n < PAR_THRESHOLD {
-        kernel(0, c);
-    } else {
-        par::par_row_stripes(c, n, kernel);
-    }
-}
-
-/// Runs the register-blocked microkernel over every row of a stripe for one
-/// shared-dimension panel, pairing rows so each B tile load feeds two
-/// output rows (the row-major GEMMs are load-bound, not FLOP-bound).
-///
-/// `apanel(i, p)` abstracts the A access (`a[i*k + p]` for A·B,
-/// `a[p*m + i]` for Aᵀ·B) so both kernels share the microkernel. Pairing
-/// rows cannot perturb results: each element's terms are still added in
-/// ascending `p`, and rows never mix.
-#[inline]
-#[allow(clippy::too_many_arguments)] // one call frame below two GEMM kernels
-fn axpy_panel_stripe(
-    apanel: impl Fn(usize, usize) -> f32 + Copy,
-    b: &[f32],
-    stripe: &mut [f32],
-    first_row: usize,
-    rows: usize,
-    n: usize,
-    p0: usize,
-    p1: usize,
-) {
-    // j-tile outermost: one `PANEL × NR` tile of B (a few KB) is re-read
-    // for every row of the stripe and stays L1-resident, instead of
-    // streaming the whole `PANEL × n` panel once per row.
-    let mut j0 = 0;
-    while j0 + NR <= n {
-        let mut r = 0;
-        while r + MR <= rows {
-            axpy_panel_tile::<MR>(apanel, b, stripe, first_row, r, n, j0, p0, p1);
-            r += MR;
-        }
-        while r < rows {
-            axpy_panel_tile::<1>(apanel, b, stripe, first_row, r, n, j0, p0, p1);
-            r += 1;
-        }
-        j0 += NR;
-    }
-    if j0 < n {
-        for r in 0..rows {
-            let i = first_row + r;
-            axpy_row_tail(|p| apanel(i, p), b, &mut stripe[r * n + j0..r * n + n], n, j0, p0, p1);
-        }
-    }
-}
-
-/// Register-blocked update of one `M × NR` output tile over one
-/// shared-dimension panel: `c[r+mr][j0+jj] += Σ_{p in p0..p1}
-/// apanel(first_row + r + mr, p) · b[p*n + j0 + jj]`, terms added in
-/// ascending `p` for every element.
-///
-/// The `M × NR` accumulator tile lives in registers across the whole
-/// panel, so each C element is loaded and stored once per panel (instead
-/// of once per `p`) and each B tile load feeds `M` output rows — the
-/// row-major GEMMs are load-bound, not FLOP-bound. A zero A element skips
-/// its row's whole tile update for that `p` — exactly the skip the
-/// pre-tile kernels performed, preserved bit-for-bit because `c + 0.0·x`
-/// is *not* always `c` in IEEE arithmetic (`-0.0` and non-finite `x`).
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn axpy_panel_tile<const M: usize>(
-    apanel: impl Fn(usize, usize) -> f32 + Copy,
-    b: &[f32],
-    stripe: &mut [f32],
-    first_row: usize,
-    r: usize,
-    n: usize,
-    j0: usize,
-    p0: usize,
-    p1: usize,
-) {
-    let mut acc = [[0.0f32; NR]; M];
-    for (mr, accrow) in acc.iter_mut().enumerate() {
-        let row = (r + mr) * n + j0;
-        accrow.copy_from_slice(&stripe[row..row + NR]);
-    }
-    for p in p0..p1 {
-        let btile = &b[p * n + j0..p * n + j0 + NR];
-        for (mr, accrow) in acc.iter_mut().enumerate() {
-            let aval = apanel(first_row + r + mr, p);
-            if aval != 0.0 {
-                for jj in 0..NR {
-                    accrow[jj] += aval * btile[jj];
-                }
-            }
-        }
-    }
-    for (mr, accrow) in acc.iter().enumerate() {
-        let row = (r + mr) * n + j0;
-        stripe[row..row + NR].copy_from_slice(accrow);
-    }
-}
-
-/// Scalar update of one row's tail columns (`j0..n`) for one panel — the
-/// pre-tile kernel loop, byte-for-byte.
-#[inline]
-fn axpy_row_tail(
-    apanel: impl Fn(usize) -> f32,
-    b: &[f32],
-    ctail: &mut [f32],
-    n: usize,
-    j0: usize,
-    p0: usize,
-    p1: usize,
-) {
-    for p in p0..p1 {
-        let aval = apanel(p);
-        if aval == 0.0 {
-            continue;
-        }
-        let brow = &b[p * n..(p + 1) * n];
-        for (cj, &bj) in ctail.iter_mut().zip(&brow[j0..]) {
-            *cj += aval * bj;
-        }
-    }
+    Operands { a, sa: (k, 1), b, sb: (n, 1) }.gemm::<true>(c, m, k, n);
 }
 
 /// Flat-slice `C = Aᵀ · B` with `A: [k, m]`, `B: [k, n]`, `C: [m, n]`.
@@ -324,22 +181,7 @@ pub fn matmul_at_b_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize,
     debug_assert_eq!(c.len(), m * n);
     let _probe = lts_obs::span("tensor.matmul_at_b");
     lts_obs::counter_add("tensor.macs_f32", (m * k * n) as u64);
-    if n == 0 {
-        return;
-    }
-    let kernel = |first_row: usize, stripe: &mut [f32]| {
-        stripe.fill(0.0);
-        let rows = stripe.len() / n;
-        for p0 in (0..k).step_by(KC) {
-            let p1 = (p0 + KC).min(k);
-            axpy_panel_stripe(|i, p| a[p * m + i], b, stripe, first_row, rows, n, p0, p1);
-        }
-    };
-    if m * k * n < PAR_THRESHOLD {
-        kernel(0, c);
-    } else {
-        par::par_row_stripes(c, n, kernel);
-    }
+    Operands { a, sa: (1, m), b, sb: (n, 1) }.gemm::<true>(c, m, k, n);
 }
 
 /// Flat-slice `C = A · Bᵀ` with `A: [m, k]`, `B: [n, k]`, `C: [m, n]`.
@@ -350,56 +192,139 @@ pub fn matmul_a_bt_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize,
     debug_assert_eq!(c.len(), m * n);
     let _probe = lts_obs::span("tensor.matmul_a_bt");
     lts_obs::counter_add("tensor.macs_f32", (m * k * n) as u64);
-    if n == 0 {
-        return;
-    }
-    let kernel = |first_row: usize, stripe: &mut [f32]| {
-        let rows = stripe.len() / n;
-        // Panel over B's rows (output columns): each j-panel of B is reused
-        // across every row of the stripe. Dots are independent per element,
-        // so the microkernel runs NR_DOT of them side by side — one
-        // accumulator each — to break the single-dot latency chain. Each
-        // dot still sums in ascending shared-dimension order.
-        for j0 in (0..n).step_by(PANEL) {
-            let j1 = (j0 + PANEL).min(n);
-            for r in 0..rows {
-                let arow = &a[(first_row + r) * k..(first_row + r) * k + k];
-                let crow = &mut stripe[r * n..(r + 1) * n];
-                let mut j = j0;
-                while j + NR_DOT <= j1 {
-                    let mut acc = [0.0f32; NR_DOT];
-                    let bt: [&[f32]; NR_DOT] =
-                        std::array::from_fn(|jj| &b[(j + jj) * k..(j + jj) * k + k]);
-                    for (p, &x) in arow.iter().enumerate() {
-                        for jj in 0..NR_DOT {
-                            acc[jj] += x * bt[jj][p];
-                        }
-                    }
-                    crow[j..j + NR_DOT].copy_from_slice(&acc);
-                    j += NR_DOT;
+    Operands { a, sa: (k, 1), b, sb: (1, k) }.gemm::<false>(c, m, k, n);
+}
+
+/// The two operands of one product as strided views:
+/// `A(i, p) = a[i·sa.0 + p·sa.1]` and `B(p, j) = b[p·sb.0 + j·sb.1]`.
+#[derive(Clone, Copy)]
+struct Operands<'a> {
+    a: &'a [f32],
+    sa: (usize, usize),
+    b: &'a [f32],
+    sb: (usize, usize),
+}
+
+impl Operands<'_> {
+    /// Overwrites `C = A · B`, skipping exact-zero A elements when `SKIP`.
+    /// Stripes of C rows go to the execution engine; within a stripe the
+    /// shared dimension is cut into `KC` panels and each panel's columns
+    /// into 32-wide tiles, at most one 16- and one 8-wide tile, and an
+    /// 8-wide tile padded over the last ≤ 7 columns.
+    fn gemm<const SKIP: bool>(self, c: &mut [f32], m: usize, k: usize, n: usize) {
+        if n == 0 {
+            return;
+        }
+        let kernel = |first_row: usize, stripe: &mut [f32]| {
+            stripe.fill(0.0);
+            let mut pack = [0.0f32; KC * NR];
+            for p0 in (0..k).step_by(KC) {
+                let p = p0..(p0 + KC).min(k);
+                let mut j0 = 0;
+                while j0 + NR <= n {
+                    self.panel::<NR, SKIP>(&mut pack, stripe, n, first_row, p.clone(), j0..j0 + NR);
+                    j0 += NR;
                 }
-                for j in j..j1 {
-                    let brow = &b[j * k..(j + 1) * k];
-                    let mut acc = 0.0f32;
-                    for (&x, &y) in arow.iter().zip(brow) {
-                        acc += x * y;
-                    }
-                    crow[j] = acc;
+                if j0 + 16 <= n {
+                    self.panel::<16, SKIP>(&mut pack, stripe, n, first_row, p.clone(), j0..j0 + 16);
+                    j0 += 16;
+                }
+                while j0 < n {
+                    let j1 = (j0 + 8).min(n);
+                    self.panel::<8, SKIP>(&mut pack, stripe, n, first_row, p.clone(), j0..j1);
+                    j0 = j1;
                 }
             }
+        };
+        if m * k * n < PAR_THRESHOLD {
+            kernel(0, c);
+        } else {
+            par::par_row_stripes(c, n, kernel);
         }
-    };
-    if m * k * n < PAR_THRESHOLD {
-        kernel(0, c);
-    } else {
-        par::par_row_stripes(c, n, kernel);
     }
+
+    /// Adds the products over shared indices `p` to columns `j`
+    /// (`j.len() ≤ W`) of every row of a C stripe whose first row is
+    /// `first_row`.
+    ///
+    /// B is read in place when its rows are contiguous and the tile is
+    /// full. Otherwise (`A·Bᵀ`, or the last `< 8` columns) the panel is
+    /// first packed as `pack[q·W + jj] = B(p.start + q, j.start + jj)`,
+    /// zero past `j.end`: the padded lanes compute values that are never
+    /// stored, and lanes never mix, so the stored columns are exactly
+    /// what a `j.len()`-wide tile would give.
+    #[inline(always)]
+    fn panel<const W: usize, const SKIP: bool>(
+        self,
+        pack: &mut [f32; KC * NR],
+        stripe: &mut [f32],
+        n: usize,
+        first_row: usize,
+        p: std::ops::Range<usize>,
+        j: std::ops::Range<usize>,
+    ) {
+        let (sa, sb, kc, w) = (self.sa, self.sb, p.len(), j.len());
+        let (bt, ldb): (&[f32], usize) = if sb.1 == 1 && w == W {
+            (&self.b[p.start * sb.0 + j.start..], sb.0)
+        } else {
+            for jj in 0..W {
+                for q in 0..kc {
+                    pack[q * W + jj] = if jj < w {
+                        self.b[(p.start + q) * sb.0 + (j.start + jj) * sb.1]
+                    } else {
+                        0.0
+                    };
+                }
+            }
+            (&pack[..], W)
+        };
+        for (r, crow) in stripe.chunks_exact_mut(n).enumerate() {
+            let arow = &self.a[(first_row + r) * sa.0 + p.start * sa.1..];
+            if w == W {
+                tile::<W, SKIP>(arow, sa.1, bt, ldb, kc, &mut crow[j.clone()]);
+            } else {
+                let mut part = [0.0f32; W];
+                part[..w].copy_from_slice(&crow[j.clone()]);
+                tile::<W, SKIP>(arow, sa.1, bt, ldb, kc, &mut part);
+                crow[j.clone()].copy_from_slice(&part[..w]);
+            }
+        }
+    }
+}
+
+/// The microkernel: `c[jj] += Σ_{q < kc} a[q·lda] · b[q·ldb + jj]` for
+/// `jj < W`, terms added in ascending `q`. The `W` accumulators stay in
+/// registers across the panel, so C is loaded and stored once per panel
+/// and each A element once per tile. With `SKIP`, an exact-zero A element
+/// skips its whole update.
+#[inline(always)]
+fn tile<const W: usize, const SKIP: bool>(
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    ldb: usize,
+    kc: usize,
+    c: &mut [f32],
+) {
+    let mut acc = [0.0f32; W];
+    acc.copy_from_slice(&c[..W]);
+    for q in 0..kc {
+        let x = a[q * lda];
+        if SKIP && x == 0.0 {
+            continue;
+        }
+        let bq = &b[q * ldb..q * ldb + W];
+        for jj in 0..W {
+            acc[jj] += x * bq[jj];
+        }
+    }
+    c[..W].copy_from_slice(&acc);
 }
 
 pub mod reference {
     //! The pre-overhaul GEMM kernels, retained verbatim (serial form).
     //!
-    //! The register-blocked microkernels in the parent module are gated on
+    //! The register-tile microkernel in the parent module is gated on
     //! producing bit-identical results to these: the equivalence proptests
     //! assert exact equality on random shapes, and the `hotpath` benchmark
     //! times both on the same inputs so `BENCH_hotpath.json` records a
@@ -580,7 +505,7 @@ mod tests {
         // Shapes straddling both the panel and the register-tile widths,
         // with exact zeros in A (the zero-skip path) and awkward tails.
         for (mm, kk, nn) in
-            [(5, PANEL + 9, NR + 3), (3, 2 * PANEL + 1, 2 * NR), (7, 11, NR_DOT + 1), (2, 1, 1)]
+            [(5, PANEL + 9, NR + 3), (3, 2 * PANEL + 1, 2 * NR), (7, KC + 11, 75), (2, 1, 1)]
         {
             let gen = |len: usize, s: usize| -> Vec<f32> {
                 (0..len).map(|x| (((x * s + 5) % 13) as f32) - 6.0).collect()
@@ -600,5 +525,51 @@ mod tests {
             reference::matmul_a_bt_into_ref(&a, &bt, &mut cr, mm, kk, nn);
             assert_eq!(c, cr, "a_bt {mm}x{kk}x{nn}");
         }
+    }
+
+    #[test]
+    fn zero_skip_rule_holds_on_non_finite_inputs() {
+        // ±inf and NaN in B sit opposite exact zeros (±0) in A, in a full
+        // 32-wide tile, the 16- and 8-wide tiles and the padded remainder
+        // (n = 59 = 32 + 16 + 8 + 3). A·B and Aᵀ·B skip the zeros and stay
+        // finite; A·Bᵀ multiplies them through and yields NaN, exactly as
+        // the reference kernels do.
+        let (mm, kk, nn) = (3, KC + 5, 59);
+        let zero_at = |p: usize| p % 7 == 3;
+        let a: Vec<f32> = (0..mm * kk)
+            .map(|x| match (zero_at(x % kk), x % 2) {
+                (true, 0) => 0.0,
+                (true, _) => -0.0,
+                _ => ((x % 5) as f32) - 2.5,
+            })
+            .collect();
+        let special = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+        let b_at = |p: usize, j: usize| {
+            if zero_at(p) {
+                special[(p + j) % 3]
+            } else {
+                ((p * 3 + j) % 11) as f32 * 0.25
+            }
+        };
+        let b: Vec<f32> = (0..kk * nn).map(|x| b_at(x / nn, x % nn)).collect();
+        let bt: Vec<f32> = (0..nn * kk).map(|x| b_at(x % kk, x / kk)).collect();
+        let at: Vec<f32> = (0..kk * mm).map(|x| a[(x % mm) * kk + x / mm]).collect();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let (mut c, mut cr) = (vec![1.0f32; mm * nn], vec![2.0f32; mm * nn]);
+
+        matmul_into(&a, &b, &mut c, mm, kk, nn);
+        reference::matmul_into_ref(&a, &b, &mut cr, mm, kk, nn);
+        assert_eq!(bits(&c), bits(&cr), "matmul");
+        assert!(c.iter().all(|x| x.is_finite()), "A·B skips the zeros");
+
+        matmul_at_b_into(&at, &b, &mut c, mm, kk, nn);
+        reference::matmul_at_b_into_ref(&at, &b, &mut cr, mm, kk, nn);
+        assert_eq!(bits(&c), bits(&cr), "at_b");
+        assert!(c.iter().all(|x| x.is_finite()), "Aᵀ·B skips the zeros");
+
+        matmul_a_bt_into(&a, &bt, &mut c, mm, kk, nn);
+        reference::matmul_a_bt_into_ref(&a, &bt, &mut cr, mm, kk, nn);
+        assert_eq!(bits(&c), bits(&cr), "a_bt");
+        assert!(c.iter().all(|x| x.is_nan()), "A·Bᵀ multiplies the zeros through");
     }
 }

@@ -10,6 +10,13 @@ fn tensor_strategy(len: usize) -> impl Strategy<Value = Vec<f32>> {
     proptest::collection::vec(-8.0f32..8.0, len)
 }
 
+/// `v` with every `every`-th element replaced by an exact zero, the sign
+/// alternating, so the f32 kernels' zero-skip path runs.
+fn with_zeros(v: &[f32], every: usize) -> Vec<f32> {
+    let zero = |i: usize| if (i / every).is_multiple_of(2) { 0.0 } else { -0.0 };
+    v.iter().enumerate().map(|(i, &x)| if i.is_multiple_of(every) { zero(i) } else { x }).collect()
+}
+
 fn i16_strategy(len: usize) -> impl Strategy<Value = Vec<i16>> {
     proptest::collection::vec(i16::MIN..=i16::MAX, len)
 }
@@ -135,78 +142,81 @@ proptest! {
     }
 }
 
-// Wider shapes at fewer cases: these sweep the register-blocked
-// microkernel's tile boundaries (NR = 32 column tiles plus the scalar
-// column tail, KC = 128 shared-dimension panels), where the f32 pools get
-// large enough that 64 cases would dominate the suite's runtime.
+// Wider shapes at fewer cases: these sweep the register-tile microkernel's
+// boundaries — every mix of 32-, 16- and 8-wide column tiles plus a 1–7
+// column remainder, and KC = 128 shared-dimension panels — where the f32
+// pools get large enough that 64 cases would dominate the suite's runtime.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
     fn register_blocked_microkernel_matches_naive_across_tile_boundaries(
-        m in 1usize..5, k in 1usize..260, n in 1usize..70,
-        pool in tensor_strategy(5 * 260 + 260 * 70)
+        m in 1usize..5, k in 1usize..260, zero_every in 2usize..6,
+        pool in tensor_strategy(5 * 260 + 260 * 72)
     ) {
-        // n crosses the NR = 32 register-tile boundary (full tiles plus the
-        // scalar tail), k crosses the KC = 128 panel boundary (up to two
-        // full panels plus a remainder). The microkernel still accumulates
-        // every output element in ascending-p order, so results must stay
-        // bitwise equal to the naive triple loop.
-        let a = Tensor::from_vec(Shape::d2(m, k), pool[..m * k].to_vec()).unwrap();
-        let b = Tensor::from_vec(
-            Shape::d2(k, n),
-            pool[5 * 260..5 * 260 + k * n].to_vec(),
-        )
-        .unwrap();
-        let c = matmul(&a, &b).unwrap();
-        let (av, bv) = (a.as_slice(), b.as_slice());
-        for i in 0..m {
-            for j in 0..n {
-                let mut acc = 0.0f32;
-                for p in 0..k {
-                    acc += av[i * k + p] * bv[p * n + j];
+        // Every n in 1..=72 runs, so each case covers every tile mix; k
+        // crosses the KC = 128 panel boundary (up to two full panels plus
+        // a remainder). A carries exact zeros (the skip path). The
+        // microkernel still accumulates every output element in
+        // ascending-p order, so results must stay bitwise equal to the
+        // naive triple loop.
+        let av = with_zeros(&pool[..m * k], zero_every);
+        let a = Tensor::from_vec(Shape::d2(m, k), av.clone()).unwrap();
+        for n in 1..=72 {
+            let bv = &pool[5 * 260..5 * 260 + k * n];
+            let b = Tensor::from_vec(Shape::d2(k, n), bv.to_vec()).unwrap();
+            let c = matmul(&a, &b).unwrap();
+            for i in 0..m {
+                for j in 0..n {
+                    let mut acc = 0.0f32;
+                    for p in 0..k {
+                        acc += av[i * k + p] * bv[p * n + j];
+                    }
+                    prop_assert_eq!(c.as_slice()[i * n + j], acc, "n={} ({}, {})", n, i, j);
                 }
-                prop_assert_eq!(c.as_slice()[i * n + j], acc, "({}, {})", i, j);
             }
         }
     }
 
     #[test]
     fn transposed_microkernels_match_naive_p_ascending(
-        m in 1usize..5, k in 1usize..140, n in 1usize..40,
-        pool in tensor_strategy(5 * 140 + 140 * 40)
+        m in 1usize..5, k in 1usize..260, zero_every in 2usize..6,
+        pool in tensor_strategy(5 * 260 + 260 * 72)
     ) {
-        // Aᵀ·B reads A transposed, A·Bᵀ runs concurrent dot products; both
-        // keep each element's k-accumulation in ascending-p order and must
-        // match the naive transposed loops bitwise.
-        let left = &pool[..k * m];
-        let right = &pool[5 * 140..5 * 140 + k * n];
+        // Aᵀ·B reads A transposed, A·Bᵀ packs Bᵀ panels; both keep each
+        // element's k-accumulation in ascending-p order and must match the
+        // naive transposed loops bitwise for every n in 1..=72, with exact
+        // zeros in A.
+        let left = with_zeros(&pool[..k * m], zero_every);
+        for n in 1..=72 {
+            let right = &pool[5 * 260..5 * 260 + k * n];
 
-        // Aᵀ·B: A stored (k, m), B stored (k, n).
-        let a_t = Tensor::from_vec(Shape::d2(k, m), left.to_vec()).unwrap();
-        let b = Tensor::from_vec(Shape::d2(k, n), right.to_vec()).unwrap();
-        let c = matmul_at_b(&a_t, &b).unwrap();
-        for i in 0..m {
-            for j in 0..n {
-                let mut acc = 0.0f32;
-                for p in 0..k {
-                    acc += left[p * m + i] * right[p * n + j];
+            // Aᵀ·B: A stored (k, m), B stored (k, n).
+            let a_t = Tensor::from_vec(Shape::d2(k, m), left.clone()).unwrap();
+            let b = Tensor::from_vec(Shape::d2(k, n), right.to_vec()).unwrap();
+            let c = matmul_at_b(&a_t, &b).unwrap();
+            for i in 0..m {
+                for j in 0..n {
+                    let mut acc = 0.0f32;
+                    for p in 0..k {
+                        acc += left[p * m + i] * right[p * n + j];
+                    }
+                    prop_assert_eq!(c.as_slice()[i * n + j], acc, "at_b n={} ({}, {})", n, i, j);
                 }
-                prop_assert_eq!(c.as_slice()[i * n + j], acc, "at_b ({}, {})", i, j);
             }
-        }
 
-        // A·Bᵀ: A stored (m, k), B stored (n, k).
-        let a = Tensor::from_vec(Shape::d2(m, k), left[..m * k].to_vec()).unwrap();
-        let b_t = Tensor::from_vec(Shape::d2(n, k), right[..n * k].to_vec()).unwrap();
-        let c2 = matmul_a_bt(&a, &b_t).unwrap();
-        for i in 0..m {
-            for j in 0..n {
-                let mut acc = 0.0f32;
-                for p in 0..k {
-                    acc += left[i * k + p] * right[j * k + p];
+            // A·Bᵀ: A stored (m, k), B stored (n, k).
+            let a = Tensor::from_vec(Shape::d2(m, k), left.clone()).unwrap();
+            let b_t = Tensor::from_vec(Shape::d2(n, k), right.to_vec()).unwrap();
+            let c2 = matmul_a_bt(&a, &b_t).unwrap();
+            for i in 0..m {
+                for j in 0..n {
+                    let mut acc = 0.0f32;
+                    for p in 0..k {
+                        acc += left[i * k + p] * right[j * k + p];
+                    }
+                    prop_assert_eq!(c2.as_slice()[i * n + j], acc, "a_bt n={} ({}, {})", n, i, j);
                 }
-                prop_assert_eq!(c2.as_slice()[i * n + j], acc, "a_bt ({}, {})", i, j);
             }
         }
     }

@@ -69,7 +69,7 @@ LTS_EFFORT=quick LTS_BENCH_ITERS=1 LTS_BENCH_DIR="$MCMF_DIR" \
     LTS_BENCH_BASELINE="$MCMF_DIR/BENCH_mcm_fault.json" \
     cargo run --release --offline -p lts-bench --bin mcm_fault_sweep
 
-echo "==> quant smoke (i16 fast path: a_bt kernel uplift gate, accuracy within tolerance of f32, 2 bytes/value traffic)"
+echo "==> quant smoke (i16 fast path: a_bt kernel uplift recorded, accuracy within tolerance of f32, 2 bytes/value traffic)"
 # Self-baselined like the serving smoke: the sweep writes
 # BENCH_quant.json, compares it as its own baseline, then loads it back
 # to prove the report round-trips through BenchReport::load.
