@@ -14,7 +14,7 @@
 use lts_bench::timing::{iters_from_env, time, BenchReport};
 use lts_core::experiment::{table3_rows, EffortPreset};
 use lts_core::simcache;
-use lts_noc::traffic::{Message, TrafficTrace};
+use lts_noc::traffic::{all_to_all, Message, TrafficTrace};
 use lts_noc::{NocConfig, Simulator};
 use lts_tensor::matmul::{self, reference};
 use lts_tensor::par::{self, ExecConfig};
@@ -131,9 +131,22 @@ fn main() {
     );
 
     // NoC: full-scan reference stepper vs active-set + fast-forward on an
-    // identical sparse timed trace (bit-identical SimReports).
-    let trace = sparse_trace(16);
+    // identical sparse timed trace (bit-identical SimReports). The sparse
+    // pair mostly measures fast-forward; the congested all-to-all burst
+    // pair keeps every router busy, so it measures switch allocation: the
+    // per-output oracle scan against the one-pass allocator.
     let sim_iters = iters_from_env(10);
+    let burst = all_to_all(16, 2048);
+    report.push(time("noc_sim_burst_16c_before", 2, sim_iters, || {
+        let mut sim = Simulator::new(NocConfig::paper_16core()).expect("sim");
+        sim.run_reference(&burst.messages).expect("reference noc run");
+    }));
+    report.push(time("noc_sim_burst_16c_after", 2, sim_iters, || {
+        let mut sim = Simulator::new(NocConfig::paper_16core()).expect("sim");
+        sim.run(&burst.messages).expect("noc run");
+    }));
+    note_speedup(&mut report, "noc_sim_burst_16c");
+    let trace = sparse_trace(16);
     report.push(time("noc_sim_sparse_16c_before", 2, sim_iters, || {
         let mut sim = Simulator::new(NocConfig::paper_16core()).expect("sim");
         sim.run_reference(&trace.messages).expect("reference noc run");

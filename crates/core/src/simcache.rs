@@ -11,10 +11,25 @@
 //! module collapses each repeated triple to one simulation.
 //!
 //! The cache key is the FNV-1a 64-bit hash (the same content hash the
-//! snapshot format uses, [`lts_nn::saved::fnv1a64`]) over a canonical
-//! `serde_json` encoding of the triple. The full encoding is stored next
-//! to each cached report and compared byte-for-byte on lookup, so a hash
-//! collision degrades to a miss instead of returning a wrong report.
+//! snapshot format uses, [`lts_nn::saved::fnv1a64`]) over a binary
+//! encoding of the lookup, built by [`encode_key`]:
+//!
+//! 1. the `serde_json` encoding of the small `(config, fault)` header,
+//!    prefixed by its length;
+//! 2. the message count, then `src, dst, bytes, inject_cycle` of each
+//!    message, every field a fixed-width little-endian `u64`;
+//! 3. a tag byte — 0 for an unkeyed lookup, 1 for a keyed one — and,
+//!    for a keyed lookup, the context string's bytes, which run to the
+//!    end.
+//!
+//! Every part before the context has a width fixed by the bytes before
+//! it, so two different lookups never share an encoding: messages cannot
+//! trade fields, traces of different lengths cannot line up, and a keyed
+//! lookup with an empty context differs from an unkeyed one by its tag.
+//! The full encoding is stored next to each cached report and compared
+//! byte-for-byte on lookup, so a hash collision degrades to a miss
+//! instead of returning a wrong report. Key building and lookup run in a
+//! `core.simcache` span, so their cost shows as its own row in a trace.
 //!
 //! The cache is process-global and thread-safe. Set `LTS_SIM_CACHE=0` to
 //! disable it (every call then simulates); [`reset`] clears entries and
@@ -179,27 +194,56 @@ impl SharedCache {
         if !enabled() {
             return simulate(sim, usage);
         }
-        // A keyed lookup encodes a quad, an unkeyed one the plain triple:
-        // different JSON arity, so a keyed entry can never alias an
-        // unkeyed one even if the context string were empty.
-        let encoded = match context {
-            None => serde_json::to_string(&(config, fault, messages)),
-            Some(ctx) => serde_json::to_string(&(config, fault, messages, ctx)),
+        let (hash, encoding) = {
+            let _probe = lts_obs::span("core.simcache");
+            let Some(encoding) = encode_key(config, fault, messages, context) else {
+                return simulate(sim, usage);
+            };
+            let hash = lts_nn::saved::fnv1a64(&encoding);
+            if let Some(report) = self.locked(|c| c.lookup(hash, &encoding)) {
+                usage.cache_hits = usage.cache_hits.saturating_add(1);
+                return Ok(report);
+            }
+            (hash, encoding)
         };
-        let Ok(encoding) = encoded.map(String::into_bytes) else {
-            return simulate(sim, usage);
-        };
-        let hash = lts_nn::saved::fnv1a64(&encoding);
-        if let Some(report) = self.locked(|c| c.lookup(hash, &encoding)) {
-            usage.cache_hits = usage.cache_hits.saturating_add(1);
-            return Ok(report);
-        }
         // Simulate outside the lock: concurrent sweeps may duplicate a
         // miss, but they never serialize on each other's simulations.
         let report = simulate(sim, usage)?;
+        let _probe = lts_obs::span("core.simcache");
         self.locked(|c| c.insert(hash, encoding, &report));
         Ok(report)
     }
+}
+
+/// The cache-key encoding of one lookup (layout in the module docs), or
+/// `None` if the `(config, fault)` header fails to serialize.
+fn encode_key(
+    config: &NocConfig,
+    fault: &FaultModel,
+    messages: &[Message],
+    context: Option<&str>,
+) -> Option<Vec<u8>> {
+    let header = serde_json::to_string(&(config, fault)).ok()?;
+    let context = context.map(str::as_bytes);
+    let len = 8 + header.len() + 8 + 32 * messages.len() + 1 + context.map_or(0, <[u8]>::len);
+    let mut key = Vec::with_capacity(len);
+    key.extend_from_slice(&(header.len() as u64).to_le_bytes());
+    key.extend_from_slice(header.as_bytes());
+    key.extend_from_slice(&(messages.len() as u64).to_le_bytes());
+    for m in messages {
+        for v in [m.src as u64, m.dst as u64, m.bytes, m.inject_cycle] {
+            key.extend_from_slice(&v.to_le_bytes());
+        }
+    }
+    match context {
+        None => key.push(0),
+        Some(ctx) => {
+            key.push(1);
+            key.extend_from_slice(ctx);
+        }
+    }
+    debug_assert_eq!(key.len(), len);
+    Some(key)
 }
 
 static CACHE: SharedCache = SharedCache(Mutex::new(None));
@@ -223,10 +267,9 @@ pub fn stats() -> SimCacheStats {
 /// messages)` triple, and accounts the lookup into `usage`.
 ///
 /// On a hit the stored report is cloned back without stepping the
-/// simulator. On a miss (or when the cache is disabled, or the triple
-/// fails to encode — e.g. a non-finite fault rate, which JSON cannot
-/// represent) the simulation runs normally; successful reports are
-/// inserted, errors are never cached.
+/// simulator. On a miss (or when the cache is disabled, or the
+/// `(config, fault)` header fails to serialize) the simulation runs
+/// normally; successful reports are inserted, errors are never cached.
 ///
 /// # Errors
 ///
@@ -246,8 +289,8 @@ pub fn run_cached(
 /// seed and batch composition into the key: two sweeps at different
 /// rates or seeds replay physically identical entry bursts, and without
 /// the context they would alias even though the surrounding serving
-/// state differs. Keyed and unkeyed entries never alias each other (the
-/// encodings have different arity).
+/// state differs. Keyed and unkeyed entries never alias each other (their
+/// encodings carry different tag bytes), even with an empty context.
 ///
 /// # Errors
 ///
@@ -389,6 +432,64 @@ mod tests {
         let s = cache.locked(|c| c.stats());
         assert_eq!((s.hits, s.misses, s.entries), (1, 3, 3));
         assert_eq!((usage.sims, usage.cache_hits), (3, 1));
+    }
+
+    /// Runs each `(trace, context)` lookup through one fresh cache and
+    /// returns the final counters.
+    fn lookup_all(lookups: &[(&[Message], Option<&str>)]) -> SimCacheStats {
+        let cache = SharedCache::default();
+        let config = NocConfig::paper_16core();
+        let fault = FaultModel::none();
+        let mut sim = Simulator::with_faults(config, fault.clone()).unwrap();
+        let mut usage = SimUsage::default();
+        for &(t, ctx) in lookups {
+            cache.run_cached(&mut sim, &config, &fault, t, ctx, &mut usage).unwrap();
+        }
+        cache.locked(|c| c.stats())
+    }
+
+    fn key(messages: &[Message], context: Option<&str>) -> Vec<u8> {
+        encode_key(&NocConfig::paper_16core(), &FaultModel::none(), messages, context).unwrap()
+    }
+
+    #[test]
+    fn messages_with_swapped_fields_do_not_alias() {
+        let m = Message::new(2, 9, 300, 40);
+        let swapped = [
+            [m],
+            [Message::new(m.dst, m.src, m.bytes, m.inject_cycle)],
+            [Message::new(m.src, m.dst, m.inject_cycle, m.bytes)],
+        ];
+        let keys = swapped.map(|t| key(&t, None));
+        assert!(keys[0] != keys[1] && keys[0] != keys[2] && keys[1] != keys[2]);
+        let s = lookup_all(&swapped.each_ref().map(|t| (&t[..], None)));
+        assert_eq!((s.hits, s.misses, s.entries), (0, 3, 3));
+    }
+
+    #[test]
+    fn traces_of_different_lengths_do_not_alias() {
+        // b.src = 1 makes b's first byte equal the keyed tag, so after the
+        // message count, [a, b] unkeyed and [a] keyed by the rest of b's
+        // bytes (plus the unkeyed tag) encode byte for byte the same: only
+        // the count keeps them apart.
+        let (a, b) = (Message::new(0, 5, 256, 0), Message::new(1, 12, 1024, 40));
+        let long = key(&[a, b], None);
+        let rest = &long[long.len() - 32..];
+        let context = std::str::from_utf8(rest).unwrap();
+        let short = key(&[a], Some(context));
+        assert_eq!(long.len(), short.len());
+        let count = long.len() - 32 * 2 - 1 - 8;
+        assert_eq!(long[count + 8..], short[count + 8..]);
+        assert_ne!(long[count..count + 8], short[count..count + 8]);
+        let s = lookup_all(&[(&[a, b], None), (&[a], Some(context))]);
+        assert_eq!((s.hits, s.misses, s.entries), (0, 2, 2));
+    }
+
+    #[test]
+    fn keyed_lookup_with_empty_context_does_not_alias_unkeyed() {
+        assert_ne!(key(&trace(), None), key(&trace(), Some("")));
+        let s = lookup_all(&[(&trace(), None), (&trace(), Some(""))]);
+        assert_eq!((s.hits, s.misses, s.entries), (0, 2, 2));
     }
 
     #[test]

@@ -7,6 +7,25 @@
 //! back one per dequeued flit. Congestion appears as flits that are ready
 //! but lose arbitration or stall on credits, counted in
 //! [`SimReport::blocked_flit_cycles`].
+//!
+//! Each stepped cycle sweeps only the active set: sources with something
+//! due and routers with buffered flits, in ascending node order; idle gaps
+//! fast-forward to the next event. A visited router allocates all five
+//! outputs in one pass: it latches the routes of its ready fronts once,
+//! buckets them by output in ascending flat `(port, vc)` order, and for
+//! each output in port order runs VC allocation and the credit check, then
+//! takes winners by rotating from the output's round-robin pointer. The
+//! outputs of one router share only the input queues, so one re-latch rule
+//! keeps this equal to allocating the outputs one at a time: a winning
+//! tail that exposes an already-ready head latches that head at once and,
+//! if it routes to a later output, adds it to that output's bucket in
+//! sorted position. The buckets live on the [`Simulator`], so switch
+//! allocation touches no heap.
+//!
+//! The pre-overhaul stepper is kept as the oracle behind
+//! [`Simulator::run_reference`] and [`Simulator::run_recoverable_reference`]:
+//! it visits every source and router each stepped cycle and rescans all
+//! input VCs once per output. Property tests hold the two bit-identical.
 
 use crate::config::{NocConfig, NocError};
 use crate::fault::{edge_dead, plan_routes, FaultModel};
@@ -44,6 +63,31 @@ struct OpenPacket {
     message_index: usize,
     sent: u64,
     vc: usize,
+}
+
+/// Switch-allocation scratch for [`Simulator::switch_router`], sized at
+/// construction and reused by every router and cycle, so allocating a
+/// cycle's outputs touches no heap.
+#[derive(Debug, Clone, Default)]
+struct SwitchScratch {
+    /// `buckets[op]`: flat `ip * vcs + vc` indices of the ready fronts
+    /// routed to output `op`, ascending.
+    buckets: [Vec<usize>; PORTS],
+    /// The ready fronts of the output being allocated that hold a
+    /// downstream VC with credit, ascending.
+    movable: Vec<usize>,
+}
+
+impl SwitchScratch {
+    /// Scratch for routers with `vcs` virtual channels per port. An input
+    /// VC enters a given bucket at most once per router pass, so no bucket
+    /// holds more than `PORTS * vcs` entries and none ever reallocates.
+    fn new(vcs: usize) -> Self {
+        Self {
+            buckets: std::array::from_fn(|_| Vec::with_capacity(PORTS * vcs)),
+            movable: Vec::with_capacity(PORTS * vcs),
+        }
+    }
 }
 
 #[derive(Debug, Clone, Default)]
@@ -167,6 +211,8 @@ pub struct Simulator {
     /// Idle cycles skipped by fast-forward (for
     /// [`SimReport::cycles_fast_forwarded`]).
     cycles_fast_forwarded: u64,
+    /// Reused buffers of the one-pass switch allocator.
+    switch: SwitchScratch,
 }
 
 impl Simulator {
@@ -248,6 +294,7 @@ impl Simulator {
             inject_wake: BTreeMap::new(),
             cycles_simulated: 0,
             cycles_fast_forwarded: 0,
+            switch: SwitchScratch::new(config.vcs),
         })
     }
 
@@ -309,8 +356,9 @@ impl Simulator {
     /// [`Simulator::run`] — bit-identical reports, including the cycle
     /// counters — but every evaluated cycle scans all sources and all
     /// `nodes × PORTS` switch outputs unconditionally instead of sweeping
-    /// the active set. Kept as the benchmark baseline and the
-    /// property-test oracle for the active-set sweep.
+    /// the active set, rescanning every input VC for each output. Kept as
+    /// the benchmark baseline and the property-test oracle for the
+    /// active-set sweep and the one-pass switch allocator.
     ///
     /// # Errors
     ///
@@ -403,7 +451,8 @@ impl Simulator {
     /// were delivered. `full_scan` selects the retained pre-overhaul
     /// sweep (every source and every router, every evaluated cycle); the
     /// default active-set sweep skips sources with nothing due and
-    /// routers with no buffered flits, which are provably no-ops.
+    /// routers with no buffered flits, which are provably no-ops (see
+    /// [`Simulator::sweep_routers`]).
     fn drive(&mut self, total: usize, full_scan: bool) -> Result<usize, NocError> {
         let nodes = self.config.nodes();
         let fault_active = self.fault_active();
@@ -429,18 +478,9 @@ impl Simulator {
                 }
                 self.retire_or_keep_source(node);
             }
-            for node in 0..nodes {
-                if !full_scan && self.buffered[node] == 0 {
-                    continue;
-                }
-                for op in 0..PORTS {
-                    let (moved, completed) = self.switch_output(node, op);
-                    if moved {
-                        activity = true;
-                    }
-                    delivered += completed;
-                }
-            }
+            let (moved, completed) = self.sweep_routers(full_scan);
+            activity |= moved;
+            delivered += completed;
             self.cycles_simulated += 1;
             if activity {
                 self.cycle += 1;
@@ -880,8 +920,168 @@ impl Simulator {
         injected
     }
 
+    /// Runs switch allocation on every live router, in ascending node
+    /// order, and returns `(any flit moved, messages completed)`. The
+    /// active-set sweep skips routers with nothing buffered (provably
+    /// no-ops) and allocates each visited router in one
+    /// [`Simulator::switch_router`] pass; `full_scan` selects the retained
+    /// oracle, which visits every router and scans each output separately
+    /// with [`Simulator::switch_output`]. Dead routers (dynamic runs only;
+    /// every router is alive on a static run) never switch.
+    fn sweep_routers(&mut self, full_scan: bool) -> (bool, usize) {
+        let mut moved = false;
+        let mut completed = 0usize;
+        for node in 0..self.config.nodes() {
+            if self.died_at[node] <= self.cycle || (!full_scan && self.buffered[node] == 0) {
+                continue;
+            }
+            let (m, c) = if full_scan {
+                (0..PORTS).fold((false, 0), |(m, c), op| {
+                    let (mo, co) = self.switch_output(node, op);
+                    (m | mo, c + co)
+                })
+            } else {
+                self.switch_router(node)
+            };
+            moved |= m;
+            completed += c;
+        }
+        (moved, completed)
+    }
+
+    /// Latches the route of the front flit of `(node, ip, vc)` if that
+    /// flit has cleared the pipeline — a head computes its route once,
+    /// when it first reaches the front — and returns the route. `None`
+    /// when the VC is empty or its front is not ready this cycle.
+    fn latch_ready_front(&mut self, node: usize, ip: usize, vc: usize) -> Option<Direction> {
+        let input = &self.routers[node].inputs[ip][vc];
+        let tf = input.queue.front()?;
+        if tf.ready_at > self.cycle {
+            return None;
+        }
+        if input.route.is_some() {
+            return input.route;
+        }
+        let flit = tf.flit;
+        debug_assert!(flit.is_head, "non-head flit with no route state");
+        let dir = self.route_for(flit.yx, node, flit.dst);
+        let input = &mut self.routers[node].inputs[ip][vc];
+        input.route = Some(dir);
+        input.active = Some(flit);
+        Some(dir)
+    }
+
+    /// Whether the ready front of `(node, ip, vc)`, routed to output `op`,
+    /// may traverse this cycle: ejection needs nothing; a mesh output needs
+    /// a downstream VC — allocated here for a head, within the packet's
+    /// dimension-order VC class — with at least one credit.
+    fn can_move(&mut self, node: usize, op: usize, ip: usize, vc: usize) -> bool {
+        if op == LOCAL {
+            return true;
+        }
+        let out_vc = match self.routers[node].inputs[ip][vc].out_vc {
+            Some(v) => Some(v),
+            None => {
+                self.events.arbitrations += 1;
+                let yx = self.routers[node].inputs[ip][vc]
+                    .queue
+                    .front()
+                    .map(|tf| tf.flit.yx)
+                    .unwrap_or(false);
+                let free = self
+                    .config
+                    .vc_class(yx)
+                    .find(|&v| self.routers[node].outputs[op][v].holder.is_none());
+                if let Some(v) = free {
+                    self.routers[node].outputs[op][v].holder = Some((ip, vc));
+                    self.routers[node].inputs[ip][vc].out_vc = Some(v);
+                }
+                free
+            }
+        };
+        out_vc.is_some_and(|v| self.routers[node].outputs[op][v].credits > 0)
+    }
+
+    /// Runs switch allocation and traversal for every output of one router
+    /// in one pass. Returns `(any flit moved, messages completed)`.
+    ///
+    /// Bit-identical to calling [`Simulator::switch_output`] for each
+    /// output in port order, without its per-output rescans: the ready
+    /// fronts are latched once and bucketed by output in ascending flat
+    /// `(ip, vc)` order, and each output's winners are the first movable
+    /// fronts at or after its round-robin pointer, wrapping. Outputs of one
+    /// router share no state except the input queues, so the one coupling
+    /// is a winning tail exposing a head that is already ready: the
+    /// per-output scan would latch it at the next output and offer it to
+    /// every later one. The same rule applies here — the head latches at
+    /// once (only if a later output exists) and joins a later output's
+    /// bucket in sorted position.
+    fn switch_router(&mut self, node: usize) -> (bool, usize) {
+        let vcs = self.config.vcs;
+        let slots = PORTS * vcs;
+        let mut scratch = std::mem::take(&mut self.switch);
+        for bucket in &mut scratch.buckets {
+            bucket.clear();
+        }
+        for f in 0..slots {
+            if let Some(dir) = self.latch_ready_front(node, f / vcs, f % vcs) {
+                scratch.buckets[dir.index()].push(f);
+            }
+        }
+        let mut moved = false;
+        let mut completed = 0usize;
+        for op in 0..PORTS {
+            let (done, later) = scratch.buckets.split_at_mut(op + 1);
+            let ready = &done[op];
+            if ready.is_empty() {
+                continue;
+            }
+            scratch.movable.clear();
+            for &f in ready {
+                if self.can_move(node, op, f / vcs, f % vcs) {
+                    scratch.movable.push(f);
+                }
+            }
+            // Everything ready but not movable (or losing arbitration
+            // below, or stalled on a busy physical lane) counts as blocked.
+            let free_lanes = self.routers[node].free_lanes(op, self.cycle);
+            let winners = scratch.movable.len().min(free_lanes);
+            self.blocked_flit_cycles += (ready.len() - winners) as u64;
+            if winners == 0 {
+                continue;
+            }
+            moved = true;
+            let pointer = self.routers[node].rr_pointer[op];
+            let first = scratch.movable.partition_point(|&f| f < pointer);
+            for i in 0..winners {
+                let f = scratch.movable[(first + i) % scratch.movable.len()];
+                let (ip, vc) = (f / vcs, f % vcs);
+                self.events.arbitrations += 1;
+                completed += self.traverse(node, op, ip, vc);
+                self.routers[node].rr_pointer[op] = (f + 1) % slots;
+                // A tail left (its route cleared): re-latch the exposed head.
+                if op + 1 < PORTS && self.routers[node].inputs[ip][vc].route.is_none() {
+                    if let Some(dir) = self.latch_ready_front(node, ip, vc) {
+                        if dir.index() > op {
+                            let bucket = &mut later[dir.index() - op - 1];
+                            let at = bucket.partition_point(|&g| g < f);
+                            bucket.insert(at, f);
+                        }
+                    }
+                }
+            }
+        }
+        self.switch = scratch;
+        (moved, completed)
+    }
+
     /// Runs switch allocation and traversal for one output port of one
     /// router. Returns `(any flit moved, messages completed)`.
+    ///
+    /// The retained pre-overhaul scan behind [`Simulator::run_reference`]
+    /// and [`Simulator::run_recoverable_reference`]: it rescans every input
+    /// VC for each output and sorts the candidates into round-robin order.
+    /// [`Simulator::switch_router`] must match it bit for bit.
     fn switch_output(&mut self, node: usize, op: usize) -> (bool, usize) {
         let vcs = self.config.vcs;
         let op_dir = Direction::ALL[op];
@@ -890,19 +1090,7 @@ impl Simulator {
         let mut ready: Vec<(usize, usize)> = Vec::new();
         for ip in 0..PORTS {
             for vc in 0..vcs {
-                // Lazily compute the route when a head flit reaches the front.
-                let front = self.routers[node].inputs[ip][vc].queue.front().copied();
-                let Some(tf) = front else { continue };
-                if tf.ready_at > self.cycle {
-                    continue;
-                }
-                if self.routers[node].inputs[ip][vc].route.is_none() {
-                    debug_assert!(tf.flit.is_head, "non-head flit with no route state");
-                    let dir = self.route_for(tf.flit.yx, node, tf.flit.dst);
-                    self.routers[node].inputs[ip][vc].route = Some(dir);
-                    self.routers[node].inputs[ip][vc].active = Some(tf.flit);
-                }
-                if self.routers[node].inputs[ip][vc].route == Some(op_dir) {
+                if self.latch_ready_front(node, ip, vc) == Some(op_dir) {
                     ready.push((ip, vc));
                 }
             }
@@ -913,38 +1101,8 @@ impl Simulator {
         // 2. Filter by VC allocation + credits (ejection needs neither).
         let mut movable: Vec<(usize, usize)> = Vec::new();
         for &(ip, vc) in &ready {
-            if op == LOCAL {
+            if self.can_move(node, op, ip, vc) {
                 movable.push((ip, vc));
-                continue;
-            }
-            let out_vc = self.routers[node].inputs[ip][vc].out_vc;
-            let out_vc = match out_vc {
-                Some(v) => Some(v),
-                None => {
-                    // VC allocation for a head flit, within the packet's
-                    // dimension-order VC class.
-                    self.events.arbitrations += 1;
-                    let yx = self.routers[node].inputs[ip][vc]
-                        .queue
-                        .front()
-                        .map(|tf| tf.flit.yx)
-                        .unwrap_or(false);
-                    let free = self
-                        .config
-                        .vc_class(yx)
-                        .find(|&v| self.routers[node].outputs[op][v].holder.is_none());
-                    if let Some(v) = free {
-                        self.routers[node].outputs[op][v].holder = Some((ip, vc));
-                        self.routers[node].inputs[ip][vc].out_vc = Some(v);
-                    }
-                    self.routers[node].inputs[ip][vc].out_vc
-                }
-            };
-            match out_vc {
-                Some(v) if self.routers[node].outputs[op][v].credits > 0 => {
-                    movable.push((ip, vc));
-                }
-                _ => {}
             }
         }
         // Everything ready but not movable (or losing arbitration below,
@@ -1266,21 +1424,9 @@ impl Simulator {
                 }
                 self.retire_or_keep_source(node);
             }
-            for node in 0..nodes {
-                if self.died_at[node] <= self.cycle {
-                    continue;
-                }
-                if !full_scan && self.buffered[node] == 0 {
-                    continue;
-                }
-                for op in 0..PORTS {
-                    let (moved, completed) = self.switch_output(node, op);
-                    if moved {
-                        activity = true;
-                    }
-                    resolved += completed;
-                }
-            }
+            let (moved, completed) = self.sweep_routers(full_scan);
+            activity |= moved;
+            resolved += completed;
             self.cycles_simulated += 1;
             if activity {
                 self.cycle += 1;
@@ -1575,6 +1721,93 @@ mod tests {
 
     fn sim() -> Simulator {
         Simulator::new(NocConfig::paper_16core()).unwrap()
+    }
+
+    /// Node 5 of the 4x4 mesh with worm A's tail at the front of its west
+    /// input VC 0 (route latched to `a_route`, downstream VC 0 held) and a
+    /// ready single-flit packet B to `b_dst` queued behind it.
+    fn tail_then_head(a_route: Direction, b_dst: usize) -> Simulator {
+        let mut s = sim();
+        s.reset();
+        for _ in 0..2 {
+            s.messages.push(MessageState {
+                inject_cycle: 0,
+                remaining_flits: 1,
+                bytes: 8,
+                completed_at: None,
+            });
+        }
+        let flit = |message: u64, dst: usize, is_head: bool| Flit {
+            packet: message,
+            message,
+            dst,
+            is_head,
+            is_tail: true,
+            yx: false,
+            attempt: 0,
+            seq: 0,
+            poisoned: false,
+        };
+        let (node, west) = (5, Direction::West.index());
+        let a_dst = if a_route == Direction::Local { node } else { 6 };
+        let router = &mut s.routers[node];
+        let input = &mut router.inputs[west][0];
+        input.queue.push_back(TimedFlit { flit: flit(0, a_dst, false), ready_at: 0 });
+        input.queue.push_back(TimedFlit { flit: flit(1, b_dst, true), ready_at: 0 });
+        input.route = Some(a_route);
+        input.active = Some(flit(0, a_dst, true));
+        if a_route != Direction::Local {
+            input.out_vc = Some(0);
+            router.outputs[a_route.index()][0].holder = Some((west, 0));
+        }
+        s.buffered[node] = 2;
+        s
+    }
+
+    /// Allocates node 5 once in one pass and once per output with the
+    /// oracle scan behind [`Simulator::run_reference`]; asserts identical
+    /// state and returns the one-pass side.
+    fn allocate_both_ways(s: &Simulator) -> (Simulator, usize) {
+        let mut one_pass = s.clone();
+        let (_, completed) = one_pass.switch_router(5);
+        let mut oracle = s.clone();
+        let oracle_completed: usize = (0..PORTS).map(|op| oracle.switch_output(5, op).1).sum();
+        assert_eq!(completed, oracle_completed);
+        assert_eq!(format!("{:?}", one_pass.routers), format!("{:?}", oracle.routers));
+        assert_eq!(one_pass.events, oracle.events);
+        assert_eq!(one_pass.blocked_flit_cycles, oracle.blocked_flit_cycles);
+        assert_eq!(one_pass.link_flits, oracle.link_flits);
+        assert_eq!(one_pass.buffered, oracle.buffered);
+        (one_pass, completed)
+    }
+
+    #[test]
+    fn exposed_head_leaves_on_a_later_output_in_the_same_cycle() {
+        // A's tail leaves east; B (to node 5 itself) is already ready and
+        // routes to the later local output, so it ejects this cycle too.
+        let (s, completed) = allocate_both_ways(&tail_then_head(Direction::East, 5));
+        assert!(s.routers[5].inputs[Direction::West.index()][0].queue.is_empty());
+        assert_eq!((s.events.link_traversals, s.events.ejections, completed), (1, 1, 1));
+        assert_eq!(s.messages[1].completed_at, Some(1));
+    }
+
+    #[test]
+    fn exposed_head_routed_to_an_earlier_output_waits_but_latches() {
+        // B (to node 1) routes north, an output already allocated this
+        // cycle: it latches its route but stays queued.
+        let (s, _) = allocate_both_ways(&tail_then_head(Direction::East, 1));
+        let input = &s.routers[5].inputs[Direction::West.index()][0];
+        assert_eq!((input.queue.len(), input.route), (1, Some(Direction::North)));
+        assert_eq!(s.events.link_traversals, 1);
+    }
+
+    #[test]
+    fn head_exposed_by_the_last_output_latches_next_cycle() {
+        // A's tail ejects on the local output, the last one: no later
+        // output exists, so B's route stays unlatched this cycle.
+        let (s, completed) = allocate_both_ways(&tail_then_head(Direction::Local, 6));
+        let input = &s.routers[5].inputs[Direction::West.index()][0];
+        assert_eq!((input.queue.len(), input.route, completed), (1, None, 1));
     }
 
     #[test]

@@ -7,13 +7,14 @@
 //! `cycles_simulated` / `cycles_fast_forwarded` observability counters,
 //! detections and abandonment sets — must be bit-identical on any input.
 //! These properties drive randomized traces through both steppers, with and
-//! without fault injection, retransmissions and mid-run death schedules.
+//! without fault injection, retransmissions and mid-run death schedules,
+//! and congested bursts that keep every switch allocator contended.
 
 use lts_noc::recovery::{FaultSchedule, MonitorConfig};
 use lts_noc::stats::SimReport;
 use lts_noc::topology::Direction;
 use lts_noc::traffic::Message;
-use lts_noc::{FaultModel, NocConfig, NocError, Simulator};
+use lts_noc::{FaultModel, NocConfig, NocError, RoutingPolicy, Simulator};
 use proptest::prelude::*;
 
 /// Renders a run outcome for comparison: the steppers must agree on
@@ -34,8 +35,57 @@ fn trace_strategy(nodes: usize, max_msgs: usize) -> impl Strategy<Value = Vec<Me
     )
 }
 
+/// A burst injected within the first four cycles: every node toward one
+/// hotspot, or every ordered pair (all-to-all). Either way the switch
+/// allocators see many ready fronts contending for the same outputs, VCs
+/// queue tails behind heads, and round-robin pointers keep rotating.
+fn burst_strategy(nodes: usize) -> impl Strategy<Value = Vec<Message>> {
+    let pairs = nodes * (nodes - 1);
+    let sizes = proptest::collection::vec((1u64..1500, 0u64..4), pairs);
+    (0u8..2, 0..nodes, sizes).prop_map(move |(hotspot, hot, sizes)| {
+        let mut msgs = Vec::new();
+        for src in 0..nodes {
+            for dst in (0..nodes).filter(|&d| d != src) {
+                let (bytes, t) = sizes[msgs.len() % pairs];
+                if hotspot == 0 || dst == hot {
+                    msgs.push(Message::new(src, dst, bytes, t));
+                }
+            }
+        }
+        msgs
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn active_set_matches_full_scan_under_congestion(
+        msgs in burst_strategy(16),
+        vcs in 1usize..=4,
+        physical_channels in 1usize..=2,
+        vc_buffer_flits in 1usize..=4,
+        o1turn in 0u8..2,
+        package in 0u8..2,
+    ) {
+        // A 4x4 mesh or a package of two 4x2 chiplets (16 nodes either
+        // way); O1TURN needs at least two VCs to split its classes.
+        let mut config = if package == 1 {
+            NocConfig::paper_mcm(2, 8).unwrap()
+        } else {
+            NocConfig::paper_16core()
+        };
+        config.vcs = vcs;
+        config.physical_channels = physical_channels;
+        config.vc_buffer_flits = vc_buffer_flits;
+        config.routing =
+            if o1turn == 1 && vcs >= 2 { RoutingPolicy::O1Turn } else { RoutingPolicy::XyDor };
+        let mut sim = Simulator::new(config).unwrap();
+        let active = sim.run(&msgs).unwrap();
+        let full = sim.run_reference(&msgs).unwrap();
+        prop_assert!(active.blocked_flit_cycles > 0, "the burst must contend");
+        prop_assert_eq!(active, full);
+    }
 
     #[test]
     fn active_set_matches_full_scan_fault_free(msgs in trace_strategy(16, 30)) {
