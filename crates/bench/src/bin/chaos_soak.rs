@@ -68,7 +68,7 @@ fn main() {
         } else {
             r.faults
                 .iter()
-                .map(|f| format!("L{}-{:?}", f.layer, f.dead_cores))
+                .map(|f| format!("L{}-{:?}", f.layer, f.dead))
                 .collect::<Vec<_>>()
                 .join(" ")
         };

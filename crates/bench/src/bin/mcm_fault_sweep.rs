@@ -29,14 +29,15 @@
 //! re-runs one cell on a cold cache to prove it.
 
 use lts_bench::timing::{self, BenchReport};
-use lts_core::recovery::{run_with_recovery_chiplets, ChipletFault, RecoveryReport};
+use lts_core::recovery::{run_with_recovery, InferenceFault, RecoveryReport};
 use lts_core::serve::service_capacity_rpmc;
 use lts_core::simcache::{self, SimUsage};
 use lts_core::{
     chiplet_stream_fault, run_serving, workloads, ArrivalConfig, ArrivalProcess, ServingConfig,
     ServingStrategy, SystemModel, Workload,
 };
-use lts_noc::MonitorConfig;
+use lts_noc::{MonitorConfig, Topo};
+use lts_partition::FailureDomain;
 
 /// One recovery cell: a package shape, a strategy workload, and the
 /// chiplet that dies mid-inference.
@@ -78,10 +79,12 @@ fn recovery_cells(effort: &str, ladders: &[Vec<Workload>]) -> Vec<RecoveryCell> 
 
 fn run_cell(cell: &RecoveryCell, w: &Workload) -> RecoveryReport {
     let model = SystemModel::paper_mcm(cell.chiplets, cell.cores).expect("mcm model");
+    let Topo::Mcm(topo) = model.noc_config().topo() else { panic!("paper_mcm is a package") };
     // Strike mid-network: some stages complete, some must restage.
     let layer = w.spec.layers.len() / 2;
-    let faults = [ChipletFault { layer, dead_chiplets: vec![cell.victim] }];
-    run_with_recovery_chiplets(&model, &w.spec, &w.weights, &faults, &MonitorConfig::default())
+    let faults = [InferenceFault { layer, dead: vec![cell.victim] }];
+    let domain = FailureDomain::Chiplets(topo);
+    run_with_recovery(&model, &domain, &w.spec, &w.weights, &faults, &MonitorConfig::default())
         .expect("chiplet recovery run")
 }
 

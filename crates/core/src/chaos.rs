@@ -20,7 +20,8 @@
 //!
 //! MCM topologies ([`ChaosConfig::chiplets`] entries above 1) soak the
 //! package-level fault classes instead: mid-flight whole-chiplet deaths
-//! through [`crate::recovery::run_with_recovery_chiplets`] and static
+//! through the same recovery path over a chiplet
+//! [`lts_partition::FailureDomain`], and static
 //! interposer-seam severings (which succeed as [`Outcome::Served`] when
 //! the NoC reroutes around the dead seam).
 //!
@@ -30,14 +31,12 @@
 
 use crate::degradation::{workloads, Workload};
 use crate::outcome::{Outcome, OutcomeHistogram};
-use crate::recovery::{
-    run_with_recovery, run_with_recovery_chiplets, ChipletFault, InferenceFault,
-};
+use crate::recovery::{run_with_recovery, InferenceFault, RecoveryReport};
 use crate::simcache::SimUsage;
 use crate::system::SystemModel;
 use crate::{CoreError, Result};
 use lts_noc::{FaultModel, MonitorConfig, NocError, Topo};
-use lts_partition::McmPlan;
+use lts_partition::{FailureDomain, McmPlan};
 use lts_tensor::par;
 use serde::{Deserialize, Serialize};
 
@@ -181,7 +180,7 @@ fn draw_schedule(
         dead.sort_unstable();
         budget -= dead.len();
         all_dead.extend_from_slice(&dead);
-        faults.push(InferenceFault { layer, dead_cores: dead });
+        faults.push(InferenceFault { layer, dead });
     }
     faults
 }
@@ -241,6 +240,7 @@ pub fn outcome_histogram(rows: &[ChaosRow]) -> OutcomeHistogram {
 
 fn soak_workload(config: &ChaosConfig, strategy_idx: usize, w: &Workload) -> Result<Vec<ChaosRow>> {
     let model = SystemModel::paper(config.cores)?;
+    let domain = FailureDomain::Cores(config.cores);
     let monitor = MonitorConfig::default();
     let mut rows = Vec::with_capacity(config.trials);
     for trial in 0..config.trials {
@@ -263,28 +263,34 @@ fn soak_workload(config: &ChaosConfig, strategy_idx: usize, w: &Workload) -> Res
             fault_class: "cores".into(),
             dead_chiplets: Vec::new(),
         };
-        match run_with_recovery(&model, &w.spec, &w.weights, &faults, &monitor) {
-            Ok(report) => {
-                row.dead_cores = report.dead_cores.clone();
-                row.total_cycles = report.report.total_cycles;
-                row.overhead_vs_fault_free = report.overhead_vs_fault_free();
-                row.overhead_vs_oracle = report.overhead_vs_oracle();
-                row.detection_cycles = report.detection_cycles();
-                row.redistribution_bytes = report.redistribution_bytes();
-                row.lost_output_fraction = report.lost_fraction();
-                row.sim = report.report.sim;
-            }
-            Err(CoreError::Noc(NocError::Unreachable { .. })) => {
-                row.outcome = Outcome::Unreachable;
-            }
-            Err(CoreError::Noc(NocError::CycleLimitExceeded { .. })) => {
-                row.outcome = Outcome::CycleLimit;
-            }
-            Err(e) => return Err(e),
-        }
+        let recovery = run_with_recovery(&model, &domain, &w.spec, &w.weights, &faults, &monitor);
+        record_recovery(&mut row, recovery)?;
         rows.push(row);
     }
     Ok(rows)
+}
+
+/// Records a recovery run on its soak row: the composed run's numbers,
+/// or the typed outcome it failed with. Any other error aborts the soak.
+fn record_recovery(row: &mut ChaosRow, recovery: Result<RecoveryReport>) -> Result<()> {
+    match recovery {
+        Ok(report) => {
+            row.dead_cores = report.dead_cores.clone();
+            row.total_cycles = report.report.total_cycles;
+            row.overhead_vs_fault_free = report.overhead_vs_fault_free();
+            row.overhead_vs_oracle = report.overhead_vs_oracle();
+            row.detection_cycles = report.detection_cycles();
+            row.redistribution_bytes = report.redistribution_bytes();
+            row.lost_output_fraction = report.lost_fraction();
+            row.sim = report.report.sim;
+        }
+        Err(CoreError::Noc(NocError::Unreachable { .. })) => row.outcome = Outcome::Unreachable,
+        Err(CoreError::Noc(NocError::CycleLimitExceeded { .. })) => {
+            row.outcome = Outcome::CycleLimit;
+        }
+        Err(e) => return Err(e),
+    }
+    Ok(())
 }
 
 /// MCM package soak: trials alternate between a mid-flight whole-chiplet
@@ -338,27 +344,12 @@ fn soak_mcm_workload(
             let victim = (splitmix(&mut state) as usize) % chiplets;
             row.fault_class = "chiplet".into();
             row.dead_chiplets = vec![victim];
-            row.faults = vec![InferenceFault { layer, dead_cores: topo.chiplet_nodes(victim) }];
-            let faults = [ChipletFault { layer, dead_chiplets: vec![victim] }];
-            match run_with_recovery_chiplets(&model, &w.spec, &w.weights, &faults, &monitor) {
-                Ok(report) => {
-                    row.dead_cores = report.dead_cores.clone();
-                    row.total_cycles = report.report.total_cycles;
-                    row.overhead_vs_fault_free = report.overhead_vs_fault_free();
-                    row.overhead_vs_oracle = report.overhead_vs_oracle();
-                    row.detection_cycles = report.detection_cycles();
-                    row.redistribution_bytes = report.redistribution_bytes();
-                    row.lost_output_fraction = report.lost_fraction();
-                    row.sim = report.report.sim;
-                }
-                Err(CoreError::Noc(NocError::Unreachable { .. })) => {
-                    row.outcome = Outcome::Unreachable;
-                }
-                Err(CoreError::Noc(NocError::CycleLimitExceeded { .. })) => {
-                    row.outcome = Outcome::CycleLimit;
-                }
-                Err(e) => return Err(e),
-            }
+            row.faults = vec![InferenceFault { layer, dead: topo.chiplet_nodes(victim) }];
+            let faults = [InferenceFault { layer, dead: vec![victim] }];
+            let domain = FailureDomain::Chiplets(topo);
+            let recovery =
+                run_with_recovery(&model, &domain, &w.spec, &w.weights, &faults, &monitor);
+            record_recovery(&mut row, recovery)?;
         } else {
             // Consecutive serpentine chiplets are grid-adjacent, so the
             // pair always shares a physical interposer seam.
@@ -468,7 +459,7 @@ mod tests {
                 }
                 for f in &faults {
                     assert!(f.layer >= 1 && f.layer <= 10, "strictly mid-flight");
-                    for &d in &f.dead_cores {
+                    for &d in &f.dead {
                         assert!(d < config.cores);
                         assert!(!dead.contains(&d), "no double kills");
                         dead.push(d);
@@ -502,7 +493,7 @@ mod tests {
                     assert_eq!(r.dead_chiplets.len(), 1);
                     assert_eq!(r.faults.len(), 1);
                     assert_eq!(
-                        r.faults[0].dead_cores.len(),
+                        r.faults[0].dead.len(),
                         config.cores,
                         "a chiplet death is all of its cores"
                     );

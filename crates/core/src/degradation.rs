@@ -4,7 +4,7 @@
 //! Each cell of the sweep kills a set of cores (their routers die with
 //! them), injects a transient flit-drop rate on the surviving links,
 //! re-plans the workload over the survivors
-//! ([`lts_partition::replan`]) and re-runs the end-to-end system model
+//! (a static [`lts_partition::FailureDomain::replan`]) and re-runs the end-to-end system model
 //! on the faulty mesh. The three strategies degrade differently:
 //!
 //! * **traditional** — dense ConvNet; re-sharding preserves accuracy,
@@ -24,8 +24,8 @@ use crate::simcache::SimUsage;
 use crate::system::{SystemModel, SystemReport};
 use crate::{CoreError, Result};
 use lts_nn::descriptor::{convnet_spec, NetworkSpec, SpecBuilder};
-use lts_noc::{FaultModel, NocConfig, NocError, Topology};
-use lts_partition::{replan, Plan};
+use lts_noc::{NocConfig, NocError, Topology};
+use lts_partition::{FailureDomain, Plan};
 use lts_tensor::par;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -277,18 +277,16 @@ fn sweep_cell(
     rate: f64,
     dead: &[usize],
 ) -> Result<FaultSweepRow> {
-    let degraded = replan(&w.spec, config.cores, dead, &w.weights, 2)?;
-    let mut fault = FaultModel::none().with_seed(config.seed).drop_rate(rate);
-    for &d in &degraded.dead_cores {
-        fault = fault.kill_router(d);
-    }
+    let domain = FailureDomain::Cores(config.cores);
+    let degraded = domain.replan(&w.spec, None, 0, dead, &w.weights, 2)?;
+    let fault = domain.fault_model(&degraded.dead).with_seed(config.seed).drop_rate(rate);
     let model = SystemModel::paper(config.cores)?.with_fault_model(fault);
     let mut row = FaultSweepRow {
         strategy: w.strategy.into(),
         network: w.network.into(),
         fault_rate: rate,
-        dead_cores: degraded.dead_cores.clone(),
-        survivors: degraded.survivors(),
+        dead_cores: degraded.dead.clone(),
+        survivors: degraded.survivors.len(),
         outcome: outcome::OK.into(),
         total_cycles: 0,
         comm_cycles: 0,
@@ -301,7 +299,7 @@ fn sweep_cell(
         lost_output_fraction: degraded.lost_output_fraction(),
         sim: SimUsage::default(),
     };
-    match model.evaluate_degraded(&degraded) {
+    match model.evaluate_replan(&degraded) {
         Ok(report) => {
             row.total_cycles = report.total_cycles;
             row.comm_cycles = report.comm_cycles;

@@ -28,10 +28,11 @@
 //! * [`simcache`] — cross-sweep NoC simulation memoization: repeated
 //!   (config, fault model, trace) triples return the cached, bit-identical
 //!   report instead of re-stepping the simulator;
-//! * [`recovery`] — *online* fault recovery: mid-inference core deaths
-//!   detected by heartbeat-deadline arithmetic, incrementally resharded
-//!   with [`lts_partition::replan_from_layer`] and resumed on the
-//!   degraded mesh, measured against the oracle static replan;
+//! * [`recovery`] — *online* fault recovery: mid-inference core or
+//!   chiplet deaths detected by heartbeat-deadline arithmetic,
+//!   incrementally replanned with [`lts_partition::FailureDomain::replan`]
+//!   and resumed on the degraded chip, measured against the oracle static
+//!   replan;
 //! * [`serve`] — fail-operational online serving: seeded open-loop
 //!   request streams, bounded-queue admission with deadline shedding,
 //!   layer-group pipelining, SLO-driven strategy switching with
@@ -81,8 +82,8 @@ pub use mcm::{scale_chiplets, McmScalingRow, ScaleMode};
 pub use outcome::{Outcome, OutcomeHistogram};
 pub use precision::Precision;
 pub use recovery::{
-    boundary_checkpoints, run_with_recovery, run_with_recovery_chiplets, BoundaryCheckpoint,
-    ChipletFault, InferenceFault, RecoveryEvent, RecoveryReport,
+    boundary_checkpoints, run_with_recovery, BoundaryCheckpoint, InferenceFault, RecoveryEvent,
+    RecoveryReport,
 };
 pub use serve::{
     chiplet_stream_fault, run_serving, service_capacity_rpmc, ArrivalConfig, ArrivalProcess,

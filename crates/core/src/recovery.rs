@@ -1,27 +1,29 @@
 //! Online fault recovery: mid-inference checkpoint, heartbeat-latency
-//! detection, incremental replan and resume on the degraded mesh.
+//! detection, incremental replan and resume on the degraded chip.
 //!
 //! [`crate::degradation`] answers "how does a strategy perform if the
 //! dead cores are known *before* the run?" (the oracle). This module
-//! answers the harder online question: a core dies *while* an inference
-//! is in flight. The model follows the layer-barrier structure of
-//! [`SystemModel`]:
+//! answers the harder online question: a failure domain — one core of a
+//! chip or one whole chiplet of a package ([`FailureDomain`]) — dies
+//! *while* an inference is in flight. The model follows the layer-barrier
+//! structure of [`SystemModel`]:
 //!
 //! 1. **Checkpoints.** At every layer boundary the live state of the
 //!    inference is exactly the previous layer's output feature map,
 //!    sharded by ownership ([`boundary_checkpoints`] enumerates them).
 //!    Nothing extra must be saved — the checkpoint is free.
-//! 2. **Detection.** A death at a boundary is noticed either by missed
-//!    heartbeats or NIC retransmission exhaustion; the latency comes
-//!    from the same [`MonitorConfig`] arithmetic the flit-level
+//! 2. **Detection.** A death at a boundary is noticed by missed
+//!    heartbeats; the latency is the worst [`MonitorConfig`] deadline
+//!    over the newly dead routers — the arithmetic the flit-level
 //!    simulator realizes (see `lts_noc::recovery`), so the timeline here
-//!    and the in-sim detection agree cycle for cycle.
-//! 3. **Replan + resync.** [`lts_partition::replan_from_layer`] reshards
-//!    only the remaining layers; the surviving boundary shards are
-//!    redistributed over the degraded mesh (simulated flit by flit).
-//! 4. **Resume.** The tail runs on the survivors, with every message
-//!    remapped through the composed logical→physical core map — faults
-//!    may strike more than once, each replan stacking on the last.
+//!    and the in-sim detection agree cycle for cycle. For a chiplet this
+//!    is the chiplet-liveness verdict: the monitor declares it dead only
+//!    once *every* member router's seam-priced deadline has lapsed.
+//! 3. **Replan + resync.** [`FailureDomain::replan`] reshards only the
+//!    remaining layers over the survivors; the surviving boundary shards
+//!    are redistributed over the degraded chip (simulated flit by flit).
+//! 4. **Resume.** The tail runs on the survivors — faults may strike more
+//!    than once, each replan stacking on the last.
 //!
 //! [`RecoveryReport`] carries the composed run next to the fault-free
 //! baseline and the oracle static replan, so the price of *online*
@@ -32,12 +34,9 @@ use crate::simcache::SimUsage;
 use crate::system::{LayerBreakdown, SystemModel, SystemReport};
 use crate::{CoreError, Result};
 use lts_nn::descriptor::NetworkSpec;
-use lts_noc::traffic::Message;
-use lts_noc::{
-    FaultModel, FaultStats, McmTopology, MonitorConfig, NocError, Simulator, Topo, Topology,
-};
+use lts_noc::{FaultStats, MonitorConfig, NocConfig, NocError, Simulator, Topo};
 use lts_partition::ownership::{propagate, OwnershipMap};
-use lts_partition::{replan, replan_from_layer, McmPlan, Plan};
+use lts_partition::FailureDomain;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::ops::Range;
@@ -57,26 +56,17 @@ pub struct BoundaryCheckpoint {
     pub values_per_unit: usize,
 }
 
-/// One mid-inference fault: `dead_cores` die at the boundary before
-/// layer `layer` (original layer numbering; `0` = before anything ran).
+/// One mid-inference fault: the failure domains `dead` die at the
+/// boundary before layer `layer` (original layer numbering; `0` = before
+/// anything ran).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct InferenceFault {
-    /// First layer that had not run when the cores died.
+    /// First layer that had not run when the domains died.
     pub layer: usize,
-    /// Physical core ids killed by this fault.
-    pub dead_cores: Vec<usize>,
-}
-
-/// One mid-inference *package* fault: every router of each chiplet in
-/// `dead_chiplets` dies — together with its interposer seam endpoints —
-/// at the boundary before layer `layer` (original layer numbering; `0` =
-/// before anything ran).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ChipletFault {
-    /// First layer that had not run when the chiplets died.
-    pub layer: usize,
-    /// Chiplet ids killed by this fault.
-    pub dead_chiplets: Vec<usize>,
+    /// Domain ids killed by this fault: core ids on a
+    /// [`FailureDomain::Cores`] chip, chiplet ids on a
+    /// [`FailureDomain::Chiplets`] package.
+    pub dead: Vec<usize>,
 }
 
 /// What one recovery cost, on the composed timeline.
@@ -84,24 +74,24 @@ pub struct ChipletFault {
 pub struct RecoveryEvent {
     /// Boundary (original layer numbering) the fault hit.
     pub layer: usize,
-    /// Cores newly dead at this event (physical, sorted).
+    /// Routers newly dead at this event (physical, sorted).
     pub dead_cores: Vec<usize>,
-    /// Cumulative cycle the cores died at.
+    /// Cumulative cycle the routers died at.
     pub died_at: u64,
-    /// Cycles from death to detection (worst dead core, heartbeat
+    /// Cycles from death to detection (worst dead router, heartbeat
     /// deadline arithmetic shared with the NoC simulator).
     pub detection_cycles: u64,
-    /// Boundary-resync payload moved over the degraded mesh.
+    /// Boundary-resync payload moved over the degraded chip.
     pub redistribution_bytes: u64,
     /// Flits the resync delivered.
     pub redistribution_flits: u64,
     /// NoC makespan of the resync.
     pub redistribution_cycles: u64,
-    /// Boundary units orphaned by the dead cores.
+    /// Boundary units orphaned by the dead routers.
     pub lost_boundary_units: usize,
     /// Total units in the boundary feature map.
     pub boundary_units: usize,
-    /// Cores still alive after this event.
+    /// Routers still alive after this event.
     pub survivors: usize,
 }
 
@@ -113,16 +103,16 @@ pub struct RecoveryReport {
     pub report: SystemReport,
     /// The same plan on the fault-free chip.
     pub fault_free: SystemReport,
-    /// The oracle: a static [`lts_partition::replan`] over the final
-    /// dead set, with the faults known before the run. `None` when the
-    /// dead set defeats even the oracle (disconnected mesh).
+    /// The oracle: a static replan over the final dead set, with the
+    /// faults known before the run. `None` when the dead set defeats
+    /// even the oracle (disconnected chip).
     pub oracle: Option<SystemReport>,
     /// One entry per applied fault, in order.
     pub events: Vec<RecoveryEvent>,
-    /// All dead cores (physical, sorted).
+    /// All dead routers (physical, sorted).
     pub dead_cores: Vec<usize>,
     /// Worst pinned-group output loss across all replans (grouped plans
-    /// only; see [`lts_partition::IncrementalPlan::lost_output_fraction`]).
+    /// on a chip only; see [`lts_partition::Replan::lost_output_fraction`]).
     pub lost_output_fraction: f64,
     /// Worst boundary feature-map loss across all replans.
     pub lost_boundary_fraction: f64,
@@ -175,15 +165,22 @@ impl RecoveryReport {
 /// one per layer boundary, with the barrier cycle taken from `baseline`
 /// (a [`SystemModel::evaluate`] report of the same plan).
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `baseline` has a different layer count than `spec`.
+/// [`CoreError::BadConfig`] if `baseline` has a different layer count
+/// than `spec`.
 pub fn boundary_checkpoints(
     spec: &NetworkSpec,
     cores: usize,
     baseline: &SystemReport,
-) -> Vec<BoundaryCheckpoint> {
-    assert_eq!(baseline.layers.len(), spec.layers.len(), "baseline/spec layer mismatch");
+) -> Result<Vec<BoundaryCheckpoint>> {
+    if baseline.layers.len() != spec.layers.len() {
+        return Err(CoreError::BadConfig(format!(
+            "baseline has {} layers, the network {}",
+            baseline.layers.len(),
+            spec.layers.len()
+        )));
+    }
     let mut out = Vec::with_capacity(spec.layers.len());
     let mut ownership: Option<OwnershipMap> = None;
     let mut cycle = 0u64;
@@ -196,37 +193,107 @@ pub fn boundary_checkpoints(
         };
         out.push(BoundaryCheckpoint { layer: i + 1, cycle, blocks, values_per_unit });
     }
-    out
+    Ok(out)
 }
 
-/// Runs `spec` end to end while `faults` strike mid-inference, detecting
-/// each death by heartbeat-deadline arithmetic, incrementally resharding
-/// the remaining layers and resuming on the degraded mesh.
+/// Heartbeat detection latency of losing `routers` at `died_at`: the
+/// worst per-router deadline. For a whole chiplet this is
+/// [`MonitorConfig::chiplet_detection_latency`].
+pub(crate) fn detection_latency(
+    monitor: &MonitorConfig,
+    config: &NocConfig,
+    routers: &[usize],
+    died_at: u64,
+) -> u64 {
+    routers.iter().map(|&n| monitor.detection_latency(config, n, died_at)).max().unwrap_or(0)
+}
+
+/// Runs `spec` end to end while `faults` kill failure domains
+/// mid-inference, detecting each death by heartbeat-deadline arithmetic,
+/// incrementally replanning the remaining layers over the survivors of
+/// `domain` and resuming on the degraded chip.
+///
+/// On [`FailureDomain::Cores`] the plan spreads every layer over the
+/// cores; a dead core orphans its boundary shard and takes pinned
+/// channel groups with it. On [`FailureDomain::Chiplets`] the plan is
+/// pipeline stages on chiplets ([`lts_partition::McmPlan`]); a dead
+/// chiplet takes its routers and seam endpoints, the tail is re-staged
+/// over the surviving chiplets (fewer, fatter stages, transitions
+/// re-priced over the new seam distances), and a dead producer chiplet
+/// orphans the whole boundary. Either way the composed report carries
+/// one `recovery@N` pseudo-layer per fault next to the fault-free
+/// baseline and the oracle static replan over the final dead set.
 ///
 /// With an empty fault list the composed report is bit-identical to
-/// [`SystemModel::evaluate`] on the same plan (and independent of the
+/// [`SystemModel::evaluate`] on the healthy plan (and independent of the
 /// execution engine's worker count, which the system model never uses).
 ///
 /// Faults must be sorted by `layer` (non-decreasing); a fault may kill
-/// several cores at once, and later faults stack on earlier replans.
+/// several domains at once, later faults stack on earlier replans, and
+/// naming an already-dead domain again is a no-op.
+///
+/// # Examples
+///
+/// The README's recovery quick-starts, one per domain:
+///
+/// ```
+/// use lts_core::{run_with_recovery, InferenceFault, SystemModel};
+/// use lts_nn::descriptor::lenet_spec;
+/// use lts_noc::{MonitorConfig, Topo};
+/// use lts_partition::FailureDomain;
+/// use std::collections::HashMap;
+///
+/// # fn main() -> lts_core::Result<()> {
+/// let (spec, weights, monitor) = (lenet_spec(), HashMap::new(), MonitorConfig::default());
+///
+/// // Cores 5 and 6 die before layer 4 of a 16-core chip.
+/// let model = SystemModel::paper(16)?;
+/// let cores = FailureDomain::Cores(16);
+/// let faults = [InferenceFault { layer: 4, dead: vec![5, 6] }];
+/// let rec = run_with_recovery(&model, &cores, &spec, &weights, &faults, &monitor)?;
+/// assert!(rec.overhead_vs_fault_free() > 1.0 && rec.redistribution_bytes() > 0);
+///
+/// // Chiplet 1 of a 2x2 package of 4-core chiplets dies before layer 3.
+/// let model = SystemModel::paper_mcm(4, 4)?;
+/// let Topo::Mcm(package) = model.noc_config().topo() else { unreachable!() };
+/// let chiplets = FailureDomain::Chiplets(package);
+/// let faults = [InferenceFault { layer: 3, dead: vec![1] }];
+/// let rec = run_with_recovery(&model, &chiplets, &spec, &weights, &faults, &monitor)?;
+/// assert_eq!(rec.events[0].survivors, 12);
+/// assert!(rec.detection_cycles() > 0);
+/// # Ok(())
+/// # }
+/// ```
 ///
 /// # Errors
 ///
-/// [`CoreError::BadConfig`] for unsorted/out-of-range faults or when a
-/// fault kills every surviving core; plan and NoC errors propagate
-/// (e.g. [`NocError::Unreachable`] when the dead set disconnects the
+/// [`CoreError::BadConfig`] when `domain` does not describe the model's
+/// chip, for unsorted/out-of-range faults, or when a fault kills every
+/// survivor; plan and NoC errors propagate (e.g.
+/// [`NocError::Unreachable`] when the dead set disconnects the
 /// survivors).
 pub fn run_with_recovery(
     model: &SystemModel,
+    domain: &FailureDomain,
     spec: &NetworkSpec,
     weights: &HashMap<String, Vec<f32>>,
     faults: &[InferenceFault],
     monitor: &MonitorConfig,
 ) -> Result<RecoveryReport> {
     let _probe = lts_obs::span("core.recovery");
-    let cores = model.cores();
-    let full_plan = Plan::build(spec, cores, weights, 2)?;
-    let fault_free = model.evaluate(&full_plan)?;
+    let fits = match (domain, model.noc_config().topo()) {
+        (FailureDomain::Cores(cores), _) => *cores == model.cores(),
+        (FailureDomain::Chiplets(topo), Topo::Mcm(package)) => *topo == package,
+        (FailureDomain::Chiplets(_), Topo::Mesh(_)) => false,
+    };
+    if !fits {
+        return Err(CoreError::BadConfig(format!(
+            "failure domain {domain:?} does not describe the model's {}-router chip",
+            model.cores()
+        )));
+    }
+    let healthy = domain.replan(spec, None, 0, &[], weights, 2)?;
+    let fault_free = model.evaluate(&healthy.tail)?;
     monitor.validate(model.noc_config()).map_err(CoreError::Noc)?;
     if faults.is_empty() {
         return Ok(RecoveryReport {
@@ -251,88 +318,64 @@ pub fn run_with_recovery(
             spec.layers.len()
         )));
     }
-    if let Some(&bad) = faults.iter().flat_map(|f| &f.dead_cores).find(|&&d| d >= cores) {
-        return Err(CoreError::BadConfig(format!(
-            "dead core {bad} out of range for {cores} cores"
-        )));
+    for f in faults {
+        domain.validate(&f.dead)?;
     }
 
-    // Composed-run accumulators.
+    // Composed-run accumulators; `current` is the plan running now, and
+    // `dead` every domain lost so far.
     let mut acc = Accumulator::default();
-    // Current logical→physical map, remaining plan/spec, and progress.
-    let mut current_map: Vec<usize> = (0..cores).collect();
-    let mut current_plan = full_plan;
-    let mut current_spec = spec.clone();
-    let mut plan_start = 0usize; // original index of current_plan.layers[0]
+    let mut current = healthy;
     let mut completed = 0usize; // original layers finished so far
-    let mut dead_all: Vec<usize> = Vec::new();
+    let mut dead: Vec<usize> = Vec::new();
     let mut events = Vec::new();
     let mut lost_output_fraction = 0.0f64;
     let mut lost_boundary_fraction = 0.0f64;
 
     for fault in faults {
         // Healthy-for-now segment up to the fault boundary.
-        let seg = &current_plan.layers[completed - plan_start..fault.layer - plan_start];
-        let seg_model = model.clone().with_fault_model(kill_set(&dead_all));
-        acc.push_segment(seg_model.evaluate_layers(seg, Some(&current_map))?);
+        let start = current.fault_layer;
+        let seg = &current.tail.layers[completed - start..fault.layer - start];
+        let seg_model = model.clone().with_fault_model(domain.fault_model(&dead));
+        acc.push_segment(seg_model.evaluate_layers(seg, Some(&current.core_map))?);
         completed = fault.layer;
 
-        // Which of the named cores are actually newly dead?
+        // Which of the named domains are actually newly dead?
         let mut newly: Vec<usize> =
-            fault.dead_cores.iter().copied().filter(|d| current_map.contains(d)).collect();
+            fault.dead.iter().copied().filter(|d| !dead.contains(d)).collect();
         newly.sort_unstable();
         newly.dedup();
         if newly.is_empty() {
             continue;
         }
         let died_at = acc.total_cycles;
-        let detection_cycles = newly
-            .iter()
-            .map(|&n| monitor.detection_latency(model.noc_config(), n, died_at))
-            .max()
-            .unwrap_or(0);
+        let newly_dead = domain.members(&newly);
+        let detection_cycles = detection_latency(monitor, model.noc_config(), &newly_dead, died_at);
 
-        // Incremental replan in the *current* logical space.
-        let logical_dead: Vec<usize> = current_map
-            .iter()
-            .enumerate()
-            .filter_map(|(l, p)| newly.contains(p).then_some(l))
-            .collect();
+        // Incremental replan over everything lost so far.
+        dead.extend(&newly);
+        dead.sort_unstable();
         let inc = {
             let _replan_probe = lts_obs::span("core.recovery.replan");
-            replan_from_layer(
-                &current_spec,
-                current_map.len(),
-                fault.layer - plan_start,
-                &logical_dead,
-                weights,
-                2,
-            )?
+            domain.replan(spec, Some(&current), fault.layer, &dead, weights, 2)?
         };
         lost_output_fraction = lost_output_fraction.max(inc.lost_output_fraction());
         lost_boundary_fraction = lost_boundary_fraction.max(inc.lost_boundary_fraction());
 
-        // Boundary resync on the now-degraded mesh (physical endpoints).
-        dead_all.extend(&newly);
-        dead_all.sort_unstable();
-        let resync: Vec<Message> = inc
-            .redistribution
-            .messages
-            .iter()
-            .map(|m| Message::new(current_map[m.src], current_map[m.dst], m.bytes, m.inject_cycle))
-            .collect();
+        // Boundary resync on the now-degraded chip (physical endpoints).
+        let resync = &inc.redistribution.messages;
         let (resync_report, resync_energy) = if resync.is_empty() {
             (None, 0.0)
         } else {
             let _resync_probe = lts_obs::span("core.recovery.resync");
-            let fault = kill_set(&dead_all);
+            let fault = domain.fault_model(&dead);
             let mut sim = Simulator::with_faults(*model.noc_config(), fault.clone())
                 .map_err(CoreError::Noc)?;
             let rep = crate::simcache::run_cached(
                 &mut sim,
                 model.noc_config(),
                 &fault,
-                &resync,
+                resync,
                 &mut acc.sim,
             )
             .map_err(CoreError::Noc)?;
@@ -375,7 +418,7 @@ pub fn run_with_recovery(
 
         events.push(RecoveryEvent {
             layer: fault.layer,
-            dead_cores: newly,
+            dead_cores: newly_dead,
             died_at,
             detection_cycles,
             redistribution_bytes: resync_bytes,
@@ -383,40 +426,25 @@ pub fn run_with_recovery(
             redistribution_cycles: resync_cycles,
             lost_boundary_units: inc.lost_boundary_units,
             boundary_units: inc.boundary_units,
-            survivors: inc.survivors(),
+            survivors: domain.nodes() - domain.members(&dead).len(),
         });
-
-        // Stack the replan: compose maps, adopt the tail.
-        current_map = inc.core_map.iter().map(|&l| current_map[l]).collect();
-        current_plan = inc.tail;
-        current_spec = NetworkSpec {
-            name: current_spec.name.clone(),
-            input: if fault.layer == 0 {
-                spec.input
-            } else {
-                spec.layers[fault.layer - 1].out_dims
-            },
-            layers: spec.layers[fault.layer..].to_vec(),
-        };
-        plan_start = fault.layer;
+        current = inc;
     }
 
     // The surviving tail.
-    let seg = &current_plan.layers[completed - plan_start..];
-    let seg_model = model.clone().with_fault_model(kill_set(&dead_all));
-    acc.push_segment(seg_model.evaluate_layers(seg, Some(&current_map))?);
+    let seg = &current.tail.layers[completed - current.fault_layer..];
+    let degraded_model = model.clone().with_fault_model(domain.fault_model(&dead));
+    acc.push_segment(degraded_model.evaluate_layers(seg, Some(&current.core_map))?);
 
     // The oracle knew the final dead set before starting.
-    let oracle = match replan(spec, cores, &dead_all, weights, 2) {
-        Ok(degraded) => {
-            match model.clone().with_fault_model(kill_set(&dead_all)).evaluate_degraded(&degraded) {
-                Ok(r) => Some(r),
-                Err(CoreError::Noc(
-                    NocError::Unreachable { .. } | NocError::CycleLimitExceeded { .. },
-                )) => None,
-                Err(e) => return Err(e),
-            }
-        }
+    let oracle = match domain.replan(spec, None, 0, &dead, weights, 2) {
+        Ok(replanned) => match degraded_model.evaluate_replan(&replanned) {
+            Ok(r) => Some(r),
+            Err(CoreError::Noc(
+                NocError::Unreachable { .. } | NocError::CycleLimitExceeded { .. },
+            )) => None,
+            Err(e) => return Err(e),
+        },
         Err(_) => None,
     };
 
@@ -425,272 +453,10 @@ pub fn run_with_recovery(
         fault_free,
         oracle,
         events,
-        dead_cores: dead_all,
+        dead_cores: domain.members(&dead),
         lost_output_fraction,
         lost_boundary_fraction,
     })
-}
-
-/// Runs `spec` end to end on an MCM package while whole chiplets die
-/// mid-inference — the package-level analogue of [`run_with_recovery`].
-///
-/// Each death is noticed hierarchically: per-router heartbeat deadlines
-/// (seam-priced when the monitor sits on another chiplet) aggregate to a
-/// chiplet-liveness verdict — `MonitorConfig::chiplet_detection_latency`
-/// declares the chiplet dead only once *every* member router's deadline
-/// has lapsed, so a slow seam alone never triggers a replan. Then the
-/// remaining layers are re-staged over the survivor chiplets
-/// ([`McmPlan::replan_from_layer`]: fewer, fatter stages, transition
-/// traffic re-priced over the new seam distances) and the surviving
-/// boundary shard resyncs over the degraded package. The composed report
-/// carries one `recovery@N` pseudo-layer per fault next to the
-/// fault-free baseline and the oracle static replan
-/// ([`McmPlan::replan_without_chiplets`] with the final dead set known
-/// up front).
-///
-/// With an empty fault list the composed report is bit-identical to
-/// [`SystemModel::evaluate`] on the healthy [`McmPlan`].
-///
-/// MCM replans regenerate every per-stage layout from scratch, so no
-/// pinned-group output is ever lost: `lost_output_fraction` is always
-/// `0.0` here and the only loss mechanism is the orphaned boundary shard
-/// of a dead producer chiplet (`lost_boundary_fraction`).
-///
-/// # Errors
-///
-/// [`CoreError::BadConfig`] when the model is not an MCM package, for
-/// unsorted/out-of-range faults, or when a fault kills every surviving
-/// chiplet; plan and NoC errors propagate (e.g.
-/// [`NocError::Unreachable`] when the dead set disconnects the package).
-pub fn run_with_recovery_chiplets(
-    model: &SystemModel,
-    spec: &NetworkSpec,
-    weights: &HashMap<String, Vec<f32>>,
-    faults: &[ChipletFault],
-    monitor: &MonitorConfig,
-) -> Result<RecoveryReport> {
-    let _probe = lts_obs::span("core.recovery_chiplets");
-    let Topo::Mcm(topo) = model.noc_config().topo() else {
-        return Err(CoreError::BadConfig(
-            "chiplet recovery requires an MCM package topology".into(),
-        ));
-    };
-    let chiplets = Topology::chiplets(&topo);
-    let full_plan = McmPlan::build(spec, &topo, weights, 2)?;
-    let fault_free = model.evaluate(&full_plan.plan)?;
-    monitor.validate(model.noc_config()).map_err(CoreError::Noc)?;
-    if faults.is_empty() {
-        return Ok(RecoveryReport {
-            report: fault_free.clone(),
-            fault_free,
-            oracle: None,
-            events: Vec::new(),
-            dead_cores: Vec::new(),
-            lost_output_fraction: 0.0,
-            lost_boundary_fraction: 0.0,
-        });
-    }
-    for pair in faults.windows(2) {
-        if pair[1].layer < pair[0].layer {
-            return Err(CoreError::BadConfig("faults must be sorted by layer".into()));
-        }
-    }
-    if let Some(f) = faults.iter().find(|f| f.layer > spec.layers.len()) {
-        return Err(CoreError::BadConfig(format!(
-            "fault layer {} beyond the network's {} layers",
-            f.layer,
-            spec.layers.len()
-        )));
-    }
-    if let Some(&bad) = faults.iter().flat_map(|f| &f.dead_chiplets).find(|&&c| c >= chiplets) {
-        return Err(CoreError::BadConfig(format!(
-            "dead chiplet {bad} out of range for a {chiplets}-chiplet package"
-        )));
-    }
-
-    // Composed-run accumulators. Unlike the flat path, MCM plans carry
-    // *physical* node ids throughout (dead chiplets simply hold no
-    // assignments), so there is no logical→physical map to compose.
-    let mut acc = Accumulator::default();
-    let mut current_plan = full_plan;
-    let mut current_spec = spec.clone();
-    let mut plan_start = 0usize; // original index of current_plan's first layer
-    let mut completed = 0usize; // original layers finished so far
-    let mut dead_chips: Vec<usize> = Vec::new();
-    let mut events = Vec::new();
-    let mut lost_boundary_fraction = 0.0f64;
-
-    for fault in faults {
-        // Healthy-for-now segment up to the fault boundary.
-        let seg = &current_plan.plan.layers[completed - plan_start..fault.layer - plan_start];
-        let seg_model = model.clone().with_fault_model(kill_chiplet_set(&topo, &dead_chips));
-        acc.push_segment(seg_model.evaluate_layers(seg, None)?);
-        completed = fault.layer;
-
-        let mut newly: Vec<usize> =
-            fault.dead_chiplets.iter().copied().filter(|c| !dead_chips.contains(c)).collect();
-        newly.sort_unstable();
-        newly.dedup();
-        if newly.is_empty() {
-            continue;
-        }
-        let died_at = acc.total_cycles;
-        // Hierarchical detection: per-router heartbeat verdicts aggregate
-        // to the chiplet level — the worst member router of the worst
-        // newly-dead chiplet sets the replan trigger.
-        let detection_cycles = newly
-            .iter()
-            .map(|&c| monitor.chiplet_detection_latency(model.noc_config(), &topo, c, died_at))
-            .max()
-            .unwrap_or(0);
-
-        // Replan over the *cumulative* dead set: the tail's stage order
-        // is the serpentine sequence minus every chiplet lost so far.
-        dead_chips.extend(&newly);
-        dead_chips.sort_unstable();
-        let inc = {
-            let _replan_probe = lts_obs::span("core.recovery.replan");
-            current_plan.replan_from_layer(
-                &current_spec,
-                &topo,
-                fault.layer - plan_start,
-                &dead_chips,
-                weights,
-                2,
-            )?
-        };
-        lost_boundary_fraction = lost_boundary_fraction.max(inc.lost_boundary_fraction());
-
-        // Boundary resync on the degraded package (endpoints are already
-        // physical node ids, straight from the incremental plan).
-        let resync = inc.redistribution.messages.clone();
-        let (resync_report, resync_energy) = if resync.is_empty() {
-            (None, 0.0)
-        } else {
-            let _resync_probe = lts_obs::span("core.recovery.resync");
-            let fault_model = kill_chiplet_set(&topo, &dead_chips);
-            let mut sim = Simulator::with_faults(*model.noc_config(), fault_model.clone())
-                .map_err(CoreError::Noc)?;
-            let rep = crate::simcache::run_cached(
-                &mut sim,
-                model.noc_config(),
-                &fault_model,
-                &resync,
-                &mut acc.sim,
-            )
-            .map_err(CoreError::Noc)?;
-            let energy = model.noc_total_energy_pj(&rep);
-            (Some(rep), energy)
-        };
-        let (resync_cycles, resync_flits, resync_stats) = match &resync_report {
-            Some(r) => (r.makespan, r.flits_delivered, r.faults),
-            None => (0, 0, FaultStats::default()),
-        };
-        if let Some(r) = &resync_report {
-            acc.intra_chip_traversals += r.intra_chip_traversals;
-            acc.inter_chip_traversals += r.inter_chip_traversals;
-        }
-
-        let overhead = detection_cycles + resync_cycles;
-        let resync_bytes = inc.redistribution_bytes;
-        acc.push_overhead(LayerBreakdown {
-            name: format!("recovery@{}", fault.layer),
-            compute_cycles: 0,
-            comm_cycles: overhead,
-            traffic_bytes: resync_bytes,
-            compute_energy_pj: 0.0,
-            noc_energy_pj: resync_energy,
-            blocked_flit_cycles: resync_report.as_ref().map_or(0, |r| r.blocked_flit_cycles),
-        });
-        acc.faults.merge(&resync_stats);
-
-        if lts_obs::enabled() {
-            let track = lts_obs::cycle_track_named("core.recovery");
-            let at = format!("layer{}", fault.layer);
-            lts_obs::cycle_record(track, "detect", &at, detection_cycles);
-            lts_obs::cycle_record(track, "resync", &at, resync_cycles);
-            lts_obs::counter_add("recovery.events", 1);
-            lts_obs::counter_add("recovery.detection_cycles", detection_cycles);
-            lts_obs::counter_add("recovery.redistribution_cycles", resync_cycles);
-            lts_obs::counter_add("recovery.redistribution_bytes", resync_bytes);
-        }
-
-        let mut member_dead: Vec<usize> =
-            newly.iter().flat_map(|&c| topo.chiplet_nodes(c)).collect();
-        member_dead.sort_unstable();
-        events.push(RecoveryEvent {
-            layer: fault.layer,
-            dead_cores: member_dead,
-            died_at,
-            detection_cycles,
-            redistribution_bytes: resync_bytes,
-            redistribution_flits: resync_flits,
-            redistribution_cycles: resync_cycles,
-            lost_boundary_units: inc.lost_boundary_units,
-            boundary_units: inc.boundary_units,
-            survivors: inc.survivors() * topo.nodes_per_chiplet(),
-        });
-
-        // Adopt the re-staged tail.
-        current_plan = inc.tail;
-        current_spec = NetworkSpec {
-            name: current_spec.name.clone(),
-            input: if fault.layer == 0 {
-                spec.input
-            } else {
-                spec.layers[fault.layer - 1].out_dims
-            },
-            layers: spec.layers[fault.layer..].to_vec(),
-        };
-        plan_start = fault.layer;
-    }
-
-    // The surviving tail.
-    let seg = &current_plan.plan.layers[completed - plan_start..];
-    let seg_model = model.clone().with_fault_model(kill_chiplet_set(&topo, &dead_chips));
-    acc.push_segment(seg_model.evaluate_layers(seg, None)?);
-
-    // The oracle knew the final dead chiplet set before starting.
-    let oracle = match McmPlan::replan_without_chiplets(spec, &topo, &dead_chips, weights, 2) {
-        Ok(replanned) => {
-            match model
-                .clone()
-                .with_fault_model(kill_chiplet_set(&topo, &dead_chips))
-                .evaluate(&replanned.plan)
-            {
-                Ok(r) => Some(r),
-                Err(CoreError::Noc(
-                    NocError::Unreachable { .. } | NocError::CycleLimitExceeded { .. },
-                )) => None,
-                Err(e) => return Err(e),
-            }
-        }
-        Err(_) => None,
-    };
-
-    let mut dead_cores: Vec<usize> =
-        dead_chips.iter().flat_map(|&c| topo.chiplet_nodes(c)).collect();
-    dead_cores.sort_unstable();
-    Ok(RecoveryReport {
-        report: acc.into_report(),
-        fault_free,
-        oracle,
-        events,
-        dead_cores,
-        lost_output_fraction: 0.0,
-        lost_boundary_fraction,
-    })
-}
-
-/// A fault model with exactly `dead` routers killed.
-fn kill_set(dead: &[usize]) -> FaultModel {
-    dead.iter().fold(FaultModel::none(), |f, &d| f.kill_router(d))
-}
-
-/// The fault model of whole-chiplet losses: every member router plus
-/// every interposer seam endpoint of each chiplet in `dead`.
-pub(crate) fn kill_chiplet_set(topo: &McmTopology, dead: &[usize]) -> FaultModel {
-    dead.iter().fold(FaultModel::none(), |f, &c| f.kill_chiplet(topo, c))
 }
 
 /// Builds the composed [`SystemReport`] incrementally.
@@ -755,6 +521,10 @@ impl Accumulator {
 mod tests {
     use super::*;
     use lts_nn::descriptor::lenet_spec;
+    use lts_noc::McmTopology;
+    use lts_partition::{McmPlan, Plan};
+
+    const CHIP: FailureDomain = FailureDomain::Cores(16);
 
     fn model() -> SystemModel {
         SystemModel::paper(16).unwrap()
@@ -770,7 +540,8 @@ mod tests {
         let m = model();
         let plain = m.evaluate(&Plan::dense(&spec, 16, 2).unwrap()).unwrap();
         let rec =
-            run_with_recovery(&m, &spec, &no_weights(), &[], &MonitorConfig::default()).unwrap();
+            run_with_recovery(&m, &CHIP, &spec, &no_weights(), &[], &MonitorConfig::default())
+                .unwrap();
         assert_eq!(rec.report, plain);
         assert!(rec.events.is_empty());
         assert_eq!(rec.overhead_vs_fault_free(), 1.0);
@@ -781,9 +552,10 @@ mod tests {
     fn mid_inference_death_recovers_and_pays_a_measurable_overhead() {
         let spec = lenet_spec();
         let m = model();
-        let faults = [InferenceFault { layer: 3, dead_cores: vec![5] }];
-        let rec = run_with_recovery(&m, &spec, &no_weights(), &faults, &MonitorConfig::default())
-            .unwrap();
+        let faults = [InferenceFault { layer: 3, dead: vec![5] }];
+        let rec =
+            run_with_recovery(&m, &CHIP, &spec, &no_weights(), &faults, &MonitorConfig::default())
+                .unwrap();
         assert_eq!(rec.events.len(), 1);
         let e = &rec.events[0];
         assert_eq!(e.layer, 3);
@@ -808,9 +580,10 @@ mod tests {
     fn online_recovery_costs_more_than_the_oracle() {
         let spec = lenet_spec();
         let m = model();
-        let faults = [InferenceFault { layer: 2, dead_cores: vec![6, 9] }];
-        let rec = run_with_recovery(&m, &spec, &no_weights(), &faults, &MonitorConfig::default())
-            .unwrap();
+        let faults = [InferenceFault { layer: 2, dead: vec![6, 9] }];
+        let rec =
+            run_with_recovery(&m, &CHIP, &spec, &no_weights(), &faults, &MonitorConfig::default())
+                .unwrap();
         let oracle_overhead = rec.overhead_vs_oracle().expect("oracle survives 2 deaths");
         assert!(
             oracle_overhead > 1.0,
@@ -824,11 +597,12 @@ mod tests {
         let spec = lenet_spec();
         let m = model();
         let faults = [
-            InferenceFault { layer: 2, dead_cores: vec![3] },
-            InferenceFault { layer: 5, dead_cores: vec![11, 3] }, // 3 already dead
+            InferenceFault { layer: 2, dead: vec![3] },
+            InferenceFault { layer: 5, dead: vec![11, 3] }, // 3 already dead
         ];
-        let rec = run_with_recovery(&m, &spec, &no_weights(), &faults, &MonitorConfig::default())
-            .unwrap();
+        let rec =
+            run_with_recovery(&m, &CHIP, &spec, &no_weights(), &faults, &MonitorConfig::default())
+                .unwrap();
         assert_eq!(rec.events.len(), 2);
         assert_eq!(rec.events[0].survivors, 15);
         assert_eq!(rec.events[1].dead_cores, vec![11], "re-killing a dead core is a no-op");
@@ -841,9 +615,10 @@ mod tests {
     fn fault_before_the_first_layer_restarts_on_survivors() {
         let spec = lenet_spec();
         let m = model();
-        let faults = [InferenceFault { layer: 0, dead_cores: vec![7] }];
-        let rec = run_with_recovery(&m, &spec, &no_weights(), &faults, &MonitorConfig::default())
-            .unwrap();
+        let faults = [InferenceFault { layer: 0, dead: vec![7] }];
+        let rec =
+            run_with_recovery(&m, &CHIP, &spec, &no_weights(), &faults, &MonitorConfig::default())
+                .unwrap();
         let e = &rec.events[0];
         assert_eq!(e.died_at, 0);
         assert_eq!(e.redistribution_bytes, 0, "no feature map exists yet");
@@ -860,16 +635,16 @@ mod tests {
         let m = model();
         let mon = MonitorConfig::default();
         let unsorted = [
-            InferenceFault { layer: 4, dead_cores: vec![1] },
-            InferenceFault { layer: 2, dead_cores: vec![2] },
+            InferenceFault { layer: 4, dead: vec![1] },
+            InferenceFault { layer: 2, dead: vec![2] },
         ];
-        assert!(run_with_recovery(&m, &spec, &no_weights(), &unsorted, &mon).is_err());
-        let oob_layer = [InferenceFault { layer: 99, dead_cores: vec![1] }];
-        assert!(run_with_recovery(&m, &spec, &no_weights(), &oob_layer, &mon).is_err());
-        let oob_core = [InferenceFault { layer: 1, dead_cores: vec![16] }];
-        assert!(run_with_recovery(&m, &spec, &no_weights(), &oob_core, &mon).is_err());
-        let wipeout = [InferenceFault { layer: 1, dead_cores: (0..16).collect() }];
-        assert!(run_with_recovery(&m, &spec, &no_weights(), &wipeout, &mon).is_err());
+        assert!(run_with_recovery(&m, &CHIP, &spec, &no_weights(), &unsorted, &mon).is_err());
+        let oob_layer = [InferenceFault { layer: 99, dead: vec![1] }];
+        assert!(run_with_recovery(&m, &CHIP, &spec, &no_weights(), &oob_layer, &mon).is_err());
+        let oob_core = [InferenceFault { layer: 1, dead: vec![16] }];
+        assert!(run_with_recovery(&m, &CHIP, &spec, &no_weights(), &oob_core, &mon).is_err());
+        let wipeout = [InferenceFault { layer: 1, dead: (0..16).collect() }];
+        assert!(run_with_recovery(&m, &CHIP, &spec, &no_weights(), &wipeout, &mon).is_err());
     }
 
     #[test]
@@ -877,7 +652,7 @@ mod tests {
         let spec = lenet_spec();
         let m = model();
         let baseline = m.evaluate(&Plan::dense(&spec, 16, 2).unwrap()).unwrap();
-        let cps = boundary_checkpoints(&spec, 16, &baseline);
+        let cps = boundary_checkpoints(&spec, 16, &baseline).unwrap();
         assert_eq!(cps.len(), spec.layers.len());
         assert_eq!(cps.last().unwrap().cycle, baseline.total_cycles);
         for cp in &cps {
@@ -892,13 +667,23 @@ mod tests {
     }
 
     #[test]
+    fn checkpoints_reject_a_baseline_of_another_network() {
+        let spec = lenet_spec();
+        let m = model();
+        let mut baseline = m.evaluate(&Plan::dense(&spec, 16, 2).unwrap()).unwrap();
+        baseline.layers.pop();
+        let err = boundary_checkpoints(&spec, 16, &baseline);
+        assert!(matches!(err, Err(CoreError::BadConfig(_))), "{err:?}");
+    }
+
+    #[test]
     fn recovery_is_deterministic() {
         let spec = lenet_spec();
         let m = model();
-        let faults = [InferenceFault { layer: 4, dead_cores: vec![2, 13] }];
+        let faults = [InferenceFault { layer: 4, dead: vec![2, 13] }];
         let mon = MonitorConfig::default();
-        let a = run_with_recovery(&m, &spec, &no_weights(), &faults, &mon).unwrap();
-        let b = run_with_recovery(&m, &spec, &no_weights(), &faults, &mon).unwrap();
+        let a = run_with_recovery(&m, &CHIP, &spec, &no_weights(), &faults, &mon).unwrap();
+        let b = run_with_recovery(&m, &CHIP, &spec, &no_weights(), &faults, &mon).unwrap();
         assert_eq!(a, b);
     }
 
@@ -914,12 +699,17 @@ mod tests {
         }
     }
 
+    fn package(m: &SystemModel) -> FailureDomain {
+        FailureDomain::Chiplets(package_of(m))
+    }
+
     #[test]
     fn chiplet_faults_require_a_package_topology() {
         let spec = lenet_spec();
-        let faults = [ChipletFault { layer: 2, dead_chiplets: vec![1] }];
-        let err = run_with_recovery_chiplets(
+        let faults = [InferenceFault { layer: 2, dead: vec![1] }];
+        let err = run_with_recovery(
             &model(),
+            &package(&mcm_model()),
             &spec,
             &no_weights(),
             &faults,
@@ -935,9 +725,15 @@ mod tests {
         let topo = package_of(&m);
         let plan = McmPlan::build(&spec, &topo, &no_weights(), 2).unwrap();
         let plain = m.evaluate(&plan.plan).unwrap();
-        let rec =
-            run_with_recovery_chiplets(&m, &spec, &no_weights(), &[], &MonitorConfig::default())
-                .unwrap();
+        let rec = run_with_recovery(
+            &m,
+            &package(&m),
+            &spec,
+            &no_weights(),
+            &[],
+            &MonitorConfig::default(),
+        )
+        .unwrap();
         assert_eq!(rec.report, plain);
         assert!(rec.events.is_empty());
         assert_eq!(rec.overhead_vs_fault_free(), 1.0);
@@ -949,9 +745,10 @@ mod tests {
         let spec = lenet_spec();
         let m = mcm_model();
         let topo = package_of(&m);
-        let faults = [ChipletFault { layer: 3, dead_chiplets: vec![1] }];
-        let rec = run_with_recovery_chiplets(
+        let faults = [InferenceFault { layer: 3, dead: vec![1] }];
+        let rec = run_with_recovery(
             &m,
+            &package(&m),
             &spec,
             &no_weights(),
             &faults,
@@ -984,11 +781,12 @@ mod tests {
         let m = mcm_model();
         let topo = package_of(&m);
         let faults = [
-            ChipletFault { layer: 2, dead_chiplets: vec![3] },
-            ChipletFault { layer: 4, dead_chiplets: vec![1, 3] }, // 3 already dead
+            InferenceFault { layer: 2, dead: vec![3] },
+            InferenceFault { layer: 4, dead: vec![1, 3] }, // 3 already dead
         ];
-        let rec = run_with_recovery_chiplets(
+        let rec = run_with_recovery(
             &m,
+            &package(&m),
             &spec,
             &no_weights(),
             &faults,
@@ -1016,27 +814,31 @@ mod tests {
         let m = mcm_model();
         let mon = MonitorConfig::default();
         let unsorted = [
-            ChipletFault { layer: 4, dead_chiplets: vec![1] },
-            ChipletFault { layer: 2, dead_chiplets: vec![2] },
+            InferenceFault { layer: 4, dead: vec![1] },
+            InferenceFault { layer: 2, dead: vec![2] },
         ];
-        assert!(run_with_recovery_chiplets(&m, &spec, &no_weights(), &unsorted, &mon).is_err());
-        let oob_layer = [ChipletFault { layer: 99, dead_chiplets: vec![1] }];
-        assert!(run_with_recovery_chiplets(&m, &spec, &no_weights(), &oob_layer, &mon).is_err());
-        let oob_chiplet = [ChipletFault { layer: 1, dead_chiplets: vec![4] }];
-        assert!(run_with_recovery_chiplets(&m, &spec, &no_weights(), &oob_chiplet, &mon).is_err());
-        let wipeout = [ChipletFault { layer: 1, dead_chiplets: (0..4).collect() }];
-        assert!(run_with_recovery_chiplets(&m, &spec, &no_weights(), &wipeout, &mon).is_err());
+        assert!(run_with_recovery(&m, &package(&m), &spec, &no_weights(), &unsorted, &mon).is_err());
+        let oob_layer = [InferenceFault { layer: 99, dead: vec![1] }];
+        assert!(
+            run_with_recovery(&m, &package(&m), &spec, &no_weights(), &oob_layer, &mon).is_err()
+        );
+        let oob_chiplet = [InferenceFault { layer: 1, dead: vec![4] }];
+        assert!(
+            run_with_recovery(&m, &package(&m), &spec, &no_weights(), &oob_chiplet, &mon).is_err()
+        );
+        let wipeout = [InferenceFault { layer: 1, dead: (0..4).collect() }];
+        assert!(run_with_recovery(&m, &package(&m), &spec, &no_weights(), &wipeout, &mon).is_err());
     }
 
     #[test]
     fn chiplet_recovery_is_bit_identical_across_cache_temperature() {
         let spec = lenet_spec();
         let m = mcm_model();
-        let faults = [ChipletFault { layer: 4, dead_chiplets: vec![2] }];
+        let faults = [InferenceFault { layer: 4, dead: vec![2] }];
         let mon = MonitorConfig::default();
-        let a = run_with_recovery_chiplets(&m, &spec, &no_weights(), &faults, &mon).unwrap();
+        let a = run_with_recovery(&m, &package(&m), &spec, &no_weights(), &faults, &mon).unwrap();
         crate::simcache::reset();
-        let b = run_with_recovery_chiplets(&m, &spec, &no_weights(), &faults, &mon).unwrap();
+        let b = run_with_recovery(&m, &package(&m), &spec, &no_weights(), &faults, &mon).unwrap();
         assert_eq!(a.report.total_cycles, b.report.total_cycles);
         assert_eq!(a.events, b.events);
         assert_eq!(a.fault_free, b.fault_free);

@@ -17,7 +17,7 @@
 //!   cannot meet its deadline even at the front of a fresh batch is
 //!   hopeless and is shed instead of wasting pipeline capacity.
 //! * **Pipelining** — each strategy's plan is split into layer groups
-//!   ([`lts_partition::partition_stages_at`] on the measured per-layer
+//!   ([`lts_partition::partition_stages`] on the measured per-layer
 //!   cycles; on an MCM package the chiplet stages of
 //!   [`lts_partition::McmPlan`] are used directly). A batch drains with
 //!   initiation interval `max(group cycles)`: request `j` completes at
@@ -29,9 +29,11 @@
 //!   windowed p95 of observed latencies and walks the strategy ladder
 //!   (Traditional → Structure → SS → SS_Mask) with patience and a
 //!   cooldown, so it cannot flap.
-//! * **Faults** ([`StreamFault`]) — mid-stream core deaths. A fault
+//! * **Faults** ([`StreamFault`]) — mid-stream core deaths; on a
+//!   package, deaths covering whole chiplets are chiplet losses. A fault
 //!   that lands inside an in-flight batch rides the online recovery
-//!   path ([`crate::recovery::run_with_recovery`]) and delays exactly
+//!   path ([`crate::recovery::run_with_recovery`], over the failure
+//!   domain the dead set falls in) and delays exactly
 //!   the requests still in the pipeline; a fault on an idle server
 //!   stalls dispatch for the heartbeat detection latency. Either way
 //!   the serving loop continues on replanned, degraded profiles,
@@ -46,18 +48,14 @@
 use crate::chaos::splitmix;
 use crate::degradation::{grouped_convnet_spec, hop_local_weights};
 use crate::outcome::{Outcome, OutcomeHistogram};
-use crate::recovery::{
-    run_with_recovery, run_with_recovery_chiplets, ChipletFault, InferenceFault,
-};
+use crate::recovery::{detection_latency, run_with_recovery, InferenceFault};
 use crate::simcache::{self, SimUsage};
-use crate::system::{SystemModel, SystemReport};
+use crate::system::SystemModel;
 use crate::{CoreError, Result};
 use lts_nn::descriptor::{convnet_spec, NetworkSpec};
 use lts_noc::traffic::Message;
-use lts_noc::{
-    FaultModel, McmTopology, MonitorConfig, NocConfig, NocError, Simulator, Topo, Topology,
-};
-use lts_partition::{group_occupancy, partition_stages_at, replan, DegradedPlan, McmPlan, Plan};
+use lts_noc::{FaultModel, MonitorConfig, NocConfig, NocError, Simulator, Topo, Topology};
+use lts_partition::{group_occupancy, partition_stages, FailureDomain, Plan, StagePlacement};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
@@ -646,7 +644,6 @@ fn uniform_sparse_weights(spec: &NetworkSpec, cores: usize) -> Result<HashMap<St
 /// The modeled platform: one system model shared by every profile.
 struct Platform {
     model: SystemModel,
-    chiplets: usize,
     pipeline_groups: usize,
 }
 
@@ -657,17 +654,32 @@ impl Platform {
         } else {
             SystemModel::paper(config.cores)?
         };
-        Ok(Platform { model, chiplets: config.chiplets, pipeline_groups: config.pipeline_groups })
+        Ok(Platform { model, pipeline_groups: config.pipeline_groups })
     }
 
     fn total_cores(&self) -> usize {
         self.model.cores()
     }
-}
 
-/// Folds a dead set into a kill-everything fault model.
-fn kill_set(dead: &[usize]) -> FaultModel {
-    dead.iter().fold(FaultModel::none(), |f, &d| f.kill_router(d))
+    /// The failure domain a dead set falls in, with its domain ids: on a
+    /// package whose dead cores cover whole chiplets exactly (none dead
+    /// included), the chiplets — so the stage symmetry the package
+    /// planner assumes holds; otherwise the cores. A lone dead core on a
+    /// package breaks that symmetry, so its profile falls back to
+    /// chip-style layer grouping over all the package's cores.
+    fn domain(&self, dead: &[usize]) -> (FailureDomain, Vec<usize>) {
+        if let Topo::Mcm(topo) = self.model.noc_config().topo() {
+            let mut chips: Vec<usize> = dead.iter().map(|&n| topo.chiplet_of(n)).collect();
+            chips.sort_unstable();
+            chips.dedup();
+            let domain = FailureDomain::Chiplets(topo);
+            // Dead ids are distinct, so equal counts mean an exact cover.
+            if domain.members(&chips).len() == dead.len() {
+                return (domain, chips);
+            }
+        }
+        (FailureDomain::Cores(self.total_cores()), dead.to_vec())
+    }
 }
 
 /// Builds one strategy's service profile on the current survivors.
@@ -679,63 +691,39 @@ fn build_profile(
     dead: &[usize],
     usage: &mut SimUsage,
 ) -> Result<Option<ServiceProfile>> {
-    type Parts = (SystemReport, Vec<Range<usize>>, Vec<f64>, Vec<Message>);
-    let mut fault_model = kill_set(dead);
-    let evaluated: Result<Parts> = if dead.is_empty() {
-        if platform.chiplets > 1 {
-            let Topo::Mcm(topo) = platform.model.noc_config().topo() else {
-                return Err(CoreError::BadConfig("MCM platform without MCM topology".into()));
-            };
-            let mcm = McmPlan::build(&w.spec, &topo, &w.weights, 2)?;
-            let ranges: Vec<Range<usize>> = mcm.stages.iter().map(|s| s.layers()).collect();
-            let occupancy = mcm.stage_occupancy();
-            platform
-                .model
-                .evaluate(&mcm.plan)
-                .map(|report| (report, ranges, occupancy, entry_messages(&mcm.plan, None)))
-        } else {
-            let plan = Plan::build(&w.spec, platform.total_cores(), &w.weights, 2)?;
-            platform.model.evaluate(&plan).map(|report| {
-                let ranges = mesh_group_ranges(&w.spec, &report, platform.pipeline_groups);
-                let occupancy = group_occupancy(&plan, &ranges);
-                (report, ranges, occupancy, entry_messages(&plan, None))
-            })
-        }
-    } else if let Some((topo, chips)) = mcm_dead_chiplets(platform, dead) {
-        // Whole-chiplet losses keep the stage symmetry the MCM planner
-        // assumes: restage the pipeline over the survivor chiplets
-        // (fewer, fatter stages, seam distances re-priced) instead of
-        // falling back to mesh-style grouping. The kill set is the
-        // chiplet expansion — member routers plus seam endpoints.
-        let mcm = McmPlan::replan_without_chiplets(&w.spec, &topo, &chips, &w.weights, 2)?;
-        fault_model = crate::recovery::kill_chiplet_set(&topo, &chips);
-        let ranges: Vec<Range<usize>> = mcm.stages.iter().map(|s| s.layers()).collect();
-        let occupancy = mcm.stage_occupancy();
-        platform
-            .model
-            .clone()
-            .with_fault_model(fault_model.clone())
-            .evaluate(&mcm.plan)
-            .map(|report| (report, ranges, occupancy, entry_messages(&mcm.plan, None)))
-    } else {
-        let degraded = replan(&w.spec, platform.total_cores(), dead, &w.weights, 2)?;
-        let model = platform.model.clone().with_fault_model(kill_set(dead));
-        // MCM packages with a *partially* dead chiplet fall back to
-        // mesh-style layer grouping over the survivor plan: the lone
-        // dead core breaks the stage symmetry the MCM planner assumes.
-        model.evaluate_degraded(&degraded).map(|report| {
-            let ranges = mesh_group_ranges(&w.spec, &report, platform.pipeline_groups);
-            let occupancy = group_occupancy(&degraded.plan, &ranges);
-            (report, ranges, occupancy, entry_messages(&degraded.plan, Some(&degraded)))
-        })
-    };
-    let (report, ranges, occupancy, entry) = match evaluated {
-        Ok(parts) => parts,
-        Err(CoreError::Noc(NocError::Unreachable { .. }))
-        | Err(CoreError::Noc(NocError::CycleLimitExceeded { .. })) => return Ok(None),
-        Err(e) => return Err(e),
-    };
+    let (domain, ids) = platform.domain(dead);
+    let replan = domain.replan(&w.spec, None, 0, &ids, &w.weights, 2)?;
+    let fault = domain.fault_model(&ids);
+    let report =
+        match platform.model.clone().with_fault_model(fault.clone()).evaluate_replan(&replan) {
+            Ok(report) => report,
+            Err(CoreError::Noc(NocError::Unreachable { .. }))
+            | Err(CoreError::Noc(NocError::CycleLimitExceeded { .. })) => return Ok(None),
+            Err(e) => return Err(e),
+        };
     usage.merge(&report.sim);
+    // On a package the pipeline groups are the chiplet stages, each as
+    // wide as a chiplet; on a chip they split the measured per-layer
+    // cycles over the whole plan.
+    let (ranges, width) = match domain {
+        FailureDomain::Chiplets(topo) => {
+            (replan.stages.iter().map(StagePlacement::layers).collect(), topo.nodes_per_chiplet())
+        }
+        FailureDomain::Cores(_) => {
+            let costs: Vec<u64> =
+                report.layers.iter().map(|l| l.compute_cycles + l.comm_cycles).collect();
+            (partition_stages(&w.spec, &costs, platform.pipeline_groups), replan.tail.cores)
+        }
+    };
+    let occupancy = group_occupancy(&replan.tail, &ranges, width);
+    // The first communicating layer transition: the burst a new request
+    // injects when it enters the pipeline.
+    let entry = replan
+        .tail
+        .layers
+        .iter()
+        .find(|lp| !lp.traffic.is_empty())
+        .map_or_else(Vec::new, |lp| replan.physical_messages(lp).messages);
     let group_cycles: Vec<u64> = ranges
         .iter()
         .map(|r| {
@@ -765,60 +753,9 @@ fn build_profile(
         group_cycles,
         entry,
         min_occupancy: occupancy.iter().copied().fold(1.0, f64::min),
-        fault: fault_model,
+        fault,
         saturation,
     }))
-}
-
-/// On an MCM platform, the dead chiplet ids when `dead` covers whole
-/// chiplets exactly (every member core of every touched chiplet is in
-/// `dead`); `None` on a flat mesh or when any touched chiplet is only
-/// partially dead.
-fn mcm_dead_chiplets(platform: &Platform, dead: &[usize]) -> Option<(McmTopology, Vec<usize>)> {
-    if platform.chiplets <= 1 || dead.is_empty() {
-        return None;
-    }
-    let Topo::Mcm(topo) = platform.model.noc_config().topo() else {
-        return None;
-    };
-    let mut chips: Vec<usize> = dead.iter().map(|&n| topo.chiplet_of(n)).collect();
-    chips.sort_unstable();
-    chips.dedup();
-    if chips.len() * topo.nodes_per_chiplet() != dead.len() {
-        return None;
-    }
-    chips
-        .iter()
-        .all(|&c| topo.chiplet_nodes(c).iter().all(|n| dead.contains(n)))
-        .then_some((topo, chips))
-}
-
-/// Layer-group ranges for a single-chip pipeline: the measured
-/// per-layer cycles split with cuts only before weighted layers (the
-/// same rule [`McmPlan`] uses for chiplet stages).
-fn mesh_group_ranges(
-    spec: &NetworkSpec,
-    report: &SystemReport,
-    groups: usize,
-) -> Vec<Range<usize>> {
-    let costs: Vec<u64> = report.layers.iter().map(|l| l.compute_cycles + l.comm_cycles).collect();
-    let allowed: Vec<bool> = spec.layers.iter().map(|l| l.has_weights()).collect();
-    partition_stages_at(&costs, groups, &allowed)
-}
-
-/// The first communicating layer transition's physical messages — the
-/// burst a new request injects when it enters the pipeline.
-fn entry_messages(plan: &Plan, degraded: Option<&DegradedPlan>) -> Vec<Message> {
-    for lp in &plan.layers {
-        if lp.traffic.is_empty() {
-            continue;
-        }
-        return match degraded {
-            Some(d) => d.physical_messages(lp).messages,
-            None => lp.traffic.messages.clone(),
-        };
-    }
-    Vec::new()
 }
 
 /// Per-request bookkeeping.
@@ -1066,12 +1003,8 @@ impl ServeState {
         monitor: &MonitorConfig,
         f: &StreamFault,
     ) -> u64 {
-        let detection = f
-            .dead_cores
-            .iter()
-            .map(|&c| monitor.detection_latency(platform.model.noc_config(), c, f.at_cycle))
-            .max()
-            .unwrap_or(0);
+        let detection =
+            detection_latency(monitor, platform.model.noc_config(), &f.dead_cores, f.at_cycle);
         self.dead_all.extend_from_slice(&f.dead_cores);
         self.dead_all.sort_unstable();
         self.recoveries.push(ServeRecovery {
@@ -1245,24 +1178,17 @@ impl ServeState {
                         completion_of(t0, &profile, j as u64, contention, &deltas) > f.at_cycle
                     })
                     .count();
-                // Whole-chiplet deaths on a package take the hierarchical
-                // path: chiplet-liveness detection + survivor restaging.
-                let recovery = match mcm_dead_chiplets(platform, &f.dead_cores) {
-                    Some((_, chips)) => run_with_recovery_chiplets(
-                        &platform.model,
-                        &w.spec,
-                        &w.weights,
-                        &[ChipletFault { layer: boundary, dead_chiplets: chips }],
-                        &config.monitor,
-                    ),
-                    None => run_with_recovery(
-                        &platform.model,
-                        &w.spec,
-                        &w.weights,
-                        &[InferenceFault { layer: boundary, dead_cores: f.dead_cores.clone() }],
-                        &config.monitor,
-                    ),
-                };
+                // Whole-chiplet deaths on a package recover as chiplets:
+                // chiplet-liveness detection + survivor restaging.
+                let (domain, dead) = platform.domain(&f.dead_cores);
+                let recovery = run_with_recovery(
+                    &platform.model,
+                    &domain,
+                    &w.spec,
+                    &w.weights,
+                    &[InferenceFault { layer: boundary, dead }],
+                    &config.monitor,
+                );
                 match recovery {
                     Ok(rec) => {
                         let delta =

@@ -11,7 +11,7 @@ use crate::simcache::SimUsage;
 use crate::{CoreError, Result};
 use lts_accel::{CoreConfig, CoreModel, InterposerEnergyModel};
 use lts_noc::{EnergyModel, FaultModel, FaultStats, NocConfig, Simulator};
-use lts_partition::{DegradedPlan, LayerPlan, Plan};
+use lts_partition::{LayerPlan, Plan, Replan};
 use serde::{Deserialize, Serialize};
 
 /// Per-layer latency/energy breakdown.
@@ -256,21 +256,22 @@ impl SystemModel {
         self.evaluate_layers(&plan.layers, None)
     }
 
-    /// Evaluates a fail-operational [`DegradedPlan`] end to end: each
-    /// transition's messages are remapped from logical survivor ids to
-    /// physical node ids before simulation, and compute runs only on the
-    /// surviving cores.
+    /// Evaluates the tail of a fail-operational [`Replan`] end to end:
+    /// each transition's messages are remapped from logical survivor ids
+    /// to physical node ids before simulation, and compute runs only on
+    /// the surviving cores.
     ///
     /// The injected fault model (see [`SystemModel::with_fault_model`])
-    /// should normally mark the plan's dead cores as dead routers so the
-    /// NoC detours around them.
+    /// should normally be the failure domain's
+    /// [`lts_partition::FailureDomain::fault_model`] of the plan's dead
+    /// set, so the NoC detours around the dead routers.
     ///
     /// # Errors
     ///
     /// [`CoreError::BadConfig`] when the plan references a physical core
     /// outside this chip; otherwise as [`SystemModel::evaluate`].
-    pub fn evaluate_degraded(&self, degraded: &DegradedPlan) -> Result<SystemReport> {
-        if let Some(&max) = degraded.core_map.iter().max() {
+    pub fn evaluate_replan(&self, replan: &Replan) -> Result<SystemReport> {
+        if let Some(&max) = replan.core_map.iter().max() {
             if max >= self.cores() {
                 return Err(CoreError::BadConfig(format!(
                     "degraded plan references physical core {max} on a {}-core chip",
@@ -278,7 +279,7 @@ impl SystemModel {
                 )));
             }
         }
-        self.evaluate_layers(&degraded.plan.layers, Some(&degraded.core_map))
+        self.evaluate_layers(&replan.tail.layers, Some(&replan.core_map))
     }
 
     /// Core of [`SystemModel::evaluate`]: runs `plan_layers` under the
@@ -391,7 +392,13 @@ impl SystemModel {
 mod tests {
     use super::*;
     use lts_nn::descriptor::{lenet_spec, mlp_spec};
+    use lts_partition::FailureDomain;
     use std::collections::HashMap;
+
+    /// A static replan of `spec` on `cores` cores without `dead`.
+    fn replan(spec: &lts_nn::NetworkSpec, cores: usize, dead: &[usize]) -> Replan {
+        FailureDomain::Cores(cores).replan(spec, None, 0, dead, &HashMap::new(), 2).unwrap()
+    }
 
     fn eval(cores: usize, spec: &lts_nn::NetworkSpec) -> SystemReport {
         let model = SystemModel::paper(cores).unwrap();
@@ -497,20 +504,18 @@ mod tests {
         let spec = lenet_spec();
         let model = SystemModel::paper(16).unwrap();
         let healthy = model.evaluate(&Plan::dense(&spec, 16, 2).unwrap()).unwrap();
-        let degraded =
-            lts_partition::replan(&spec, 16, &[], &std::collections::HashMap::new(), 2).unwrap();
-        assert_eq!(model.evaluate_degraded(&degraded).unwrap(), healthy);
+        let degraded = replan(&spec, 16, &[]);
+        assert_eq!(model.evaluate_replan(&degraded).unwrap(), healthy);
     }
 
     #[test]
     fn dead_cores_are_survivable_with_rerouting() {
         let spec = lenet_spec();
         let dead = [5usize, 10];
-        let degraded =
-            lts_partition::replan(&spec, 16, &dead, &std::collections::HashMap::new(), 2).unwrap();
-        let fault = dead.iter().fold(lts_noc::FaultModel::none(), |f, &d| f.kill_router(d));
+        let degraded = replan(&spec, 16, &dead);
+        let fault = FailureDomain::Cores(16).fault_model(&dead);
         let model = SystemModel::paper(16).unwrap().with_fault_model(fault);
-        let report = model.evaluate_degraded(&degraded).unwrap();
+        let report = model.evaluate_replan(&degraded).unwrap();
         assert!(report.total_cycles > 0);
         assert!(report.comm_cycles > 0, "14 survivors still synchronize");
     }
@@ -568,9 +573,8 @@ mod tests {
     #[test]
     fn oversized_degraded_plans_are_rejected() {
         let spec = lenet_spec();
-        let degraded =
-            lts_partition::replan(&spec, 32, &[1], &std::collections::HashMap::new(), 2).unwrap();
+        let degraded = replan(&spec, 32, &[1]);
         let model = SystemModel::paper(16).unwrap();
-        assert!(matches!(model.evaluate_degraded(&degraded), Err(crate::CoreError::BadConfig(_))));
+        assert!(matches!(model.evaluate_replan(&degraded), Err(crate::CoreError::BadConfig(_))));
     }
 }

@@ -19,20 +19,15 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod comm;
-pub mod degrade;
 pub mod distance;
+pub mod domain;
 pub mod mcm;
 pub mod ownership;
 pub mod plan;
-pub mod recover;
 pub mod traffic;
 
-pub use degrade::{replan, DegradedPlan, LostGroups};
 pub use distance::{hop_mask, hop_power_mask, two_level_mask};
-pub use mcm::{
-    group_occupancy, partition_stages, partition_stages_at, McmIncrementalPlan, McmPlan,
-    StagePlacement,
-};
+pub use domain::{FailureDomain, LostGroups, Replan};
+pub use mcm::{group_occupancy, partition_stages, McmPlan, StagePlacement};
 pub use ownership::OwnershipMap;
 pub use plan::{LayerPlan, Plan, PlanError};
-pub use recover::{replan_from_layer, IncrementalPlan};

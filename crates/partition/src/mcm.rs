@@ -23,8 +23,7 @@ use crate::ownership::OwnershipMap;
 use crate::plan::{assignment_counts, consumer_blocks, LayerPlan, Plan, PlanError};
 use crate::traffic::transition_messages_mapped;
 use lts_nn::descriptor::NetworkSpec;
-use lts_nn::grouping::even_blocks;
-use lts_noc::traffic::{Message, TrafficTrace};
+use lts_noc::traffic::TrafficTrace;
 use lts_noc::{McmTopology, Topology};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -95,43 +94,12 @@ impl McmPlan {
         )
     }
 
-    /// Reruns the MAC-balanced stage partition over the chiplets that
-    /// survive `dead_chiplets`: the serpentine package order is filtered
-    /// to the survivors (fewer, fatter stages), transition traffic is
-    /// re-priced over the new seam distances the survivor sequence
-    /// implies (consecutive survivors may now sit more than one seam
-    /// apart), and every per-stage layout is regenerated. Node ids stay
-    /// *physical* — `plan.cores` still spans the whole package and dead
-    /// chiplets simply hold no assignments — so the result runs directly
-    /// on the faulty package.
-    ///
-    /// With an empty `dead_chiplets` this is [`McmPlan::build`],
-    /// bit-identically.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlanError::BadConfig`] for an out-of-range chiplet id
-    /// or when no chiplet survives, plus everything [`McmPlan::build`]
-    /// rejects.
-    pub fn replan_without_chiplets(
-        spec: &NetworkSpec,
-        topo: &McmTopology,
-        dead_chiplets: &[usize],
-        weights: &HashMap<String, Vec<f32>>,
-        bytes_per_value: usize,
-    ) -> Result<McmPlan, PlanError> {
-        let _probe = lts_obs::span("partition.mcm_replan_without_chiplets");
-        let order = survivor_chiplet_order(topo, dead_chiplets)?;
-        Self::build_on_order(spec, topo, weights, bytes_per_value, &order, None)
-    }
-
     /// The shared stage builder: lays `spec` out as pipeline stages over
-    /// the given chiplet `order` (all of [`McmPlan::build`],
-    /// [`McmPlan::replan_without_chiplets`] and the incremental tail of
-    /// [`McmPlan::replan_from_layer`] are this with different orders).
+    /// the given chiplet `order` ([`McmPlan::build`] and every package
+    /// [`crate::FailureDomain::replan`] are this with different orders).
     /// `seed` preseeds the boundary ownership for tail plans whose input
     /// feature map already lives sharded on `order[0]`.
-    fn build_on_order(
+    pub(crate) fn build_on_order(
         spec: &NetworkSpec,
         topo: &McmTopology,
         weights: &HashMap<String, Vec<f32>>,
@@ -148,12 +116,7 @@ impl McmPlan {
         let per_chip = topo.nodes_per_chiplet();
         let total = Topology::nodes(topo);
         let costs: Vec<u64> = spec.layers.iter().map(|l| l.macs()).collect();
-        // A stage boundary is only meaningful where the plan already
-        // synchronizes: right before a weighted layer. Cutting before a
-        // pool/activation/flatten layer would move the feature maps across
-        // the interposer without any transition traffic to account for it.
-        let allowed: Vec<bool> = spec.layers.iter().map(|l| l.has_weights()).collect();
-        let ranges = partition_stages_at(&costs, order.len(), &allowed);
+        let ranges = partition_stages(spec, &costs, order.len());
 
         let mut ownership: Option<OwnershipMap> = seed;
         // The chiplet holding the previous layer's outputs (sources of the
@@ -221,225 +184,18 @@ impl McmPlan {
         self.stages.iter().find(|s| s.layers().contains(&li)).map(|s| s.chiplet)
     }
 
-    /// Incremental replan after a *mid-inference* chiplet loss: the MCM
-    /// analogue of [`crate::replan_from_layer`]. Layers `fault_layer..`
-    /// are re-staged over the surviving chiplets
-    /// (via the [`McmPlan::replan_without_chiplets`] machinery), and the
-    /// boundary feature map — the output of layer `fault_layer - 1`,
-    /// sharded over its owner chiplet's cores under `self` — is resynced
-    /// to the tail's first stage chiplet as a physical
-    /// (global-node-endpoint) redistribution trace. If the owner chiplet
-    /// itself died, the boundary is orphaned wholesale and reported, not
-    /// resent.
-    ///
-    /// `spec` must be the network `self` was built from.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlanError::BadConfig`] when `fault_layer` is out of
-    /// range, a chiplet id is out of range, or no chiplet survives; plus
-    /// anything [`McmPlan::build`] rejects.
-    pub fn replan_from_layer(
-        &self,
-        spec: &NetworkSpec,
-        topo: &McmTopology,
-        fault_layer: usize,
-        dead_chiplets: &[usize],
-        weights: &HashMap<String, Vec<f32>>,
-        bytes_per_value: usize,
-    ) -> Result<McmIncrementalPlan, PlanError> {
-        let _probe = lts_obs::span("partition.mcm_replan_from_layer");
-        if fault_layer > spec.layers.len() {
-            return Err(PlanError::BadConfig(format!(
-                "fault layer {fault_layer} beyond the network's {} layers",
-                spec.layers.len()
-            )));
-        }
-        let order = survivor_chiplet_order(topo, dead_chiplets)?;
-        let mut dead = dead_chiplets.to_vec();
-        dead.sort_unstable();
-        dead.dedup();
-        let per_chip = topo.nodes_per_chiplet();
-
-        // Ownership of the boundary feature map under the old plan —
-        // stage-local (the plan chains ownership in chiplet-local core
-        // coordinates across stage boundaries).
-        let mut boundary: Option<OwnershipMap> = None;
-        for layer in &spec.layers[..fault_layer] {
-            boundary = crate::ownership::propagate(layer, boundary.as_ref(), per_chip);
-        }
-        let old_chip = fault_layer.checked_sub(1).and_then(|li| self.chiplet_of_layer(li));
-
-        let mut redistribution = TrafficTrace::new();
-        let mut lost_boundary_units = 0usize;
-        let mut boundary_units = 0usize;
-        let mut seed = None;
-        if let Some(old) = &boundary {
-            boundary_units = old.units();
-            seed = Some(OwnershipMap::even(old.units(), old.values_per_unit(), per_chip));
-            let src_chip = old_chip.unwrap_or(order[0]);
-            if dead.contains(&src_chip) {
-                // The producer chiplet died with its shard of the
-                // boundary: nothing survives to resync.
-                lost_boundary_units = boundary_units;
-            } else {
-                // The tail's first stage lands on the first survivor in
-                // serpentine order; rebalance the surviving shard onto
-                // that chiplet's even seed layout. Data already on its
-                // new owner core stays put.
-                let dst_chip = order[0];
-                let unit_bytes = (old.values_per_unit() * bytes_per_value) as u64;
-                let new_blocks = even_blocks(boundary_units, per_chip);
-                for src_local in 0..per_chip {
-                    let have = old.block(src_local);
-                    let src = topo.chiplet_node(src_chip, src_local);
-                    for (dst_local, nb) in new_blocks.iter().enumerate() {
-                        let dst = topo.chiplet_node(dst_chip, dst_local);
-                        if dst == src {
-                            continue;
-                        }
-                        let moved = have.end.min(nb.end).saturating_sub(have.start.max(nb.start));
-                        if moved > 0 {
-                            redistribution.push(Message::new(
-                                src,
-                                dst,
-                                moved as u64 * unit_bytes,
-                                0,
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-        let redistribution_bytes = redistribution.total_bytes();
-
-        let tail_spec = NetworkSpec {
-            name: spec.name.clone(),
-            input: if fault_layer == 0 {
-                spec.input
-            } else {
-                spec.layers[fault_layer - 1].out_dims
-            },
-            layers: spec.layers[fault_layer..].to_vec(),
-        };
-        let tail = if tail_spec.layers.is_empty() {
-            // Everything already ran: an empty tail, like the flat
-            // incremental plan's.
-            McmPlan {
-                plan: Plan { cores: Topology::nodes(topo), layers: Vec::new() },
-                stages: Vec::new(),
-                cores_per_chiplet: per_chip,
-            }
-        } else {
-            Self::build_on_order(&tail_spec, topo, weights, bytes_per_value, &order, seed)?
-        };
-
-        Ok(McmIncrementalPlan {
-            fault_layer,
-            dead_chiplets: dead,
-            survivor_chiplets: order,
-            tail,
-            redistribution,
-            redistribution_bytes,
-            lost_boundary_units,
-            boundary_units,
-        })
-    }
-
     /// Per-stage MAC totals, in execution order.
     pub fn stage_macs(&self) -> Vec<u64> {
         self.stages.iter().map(|s| s.macs).collect()
     }
-
-    /// Fraction of each stage's chiplet-local cores that hold work in at
-    /// least one of the stage's layers, in execution order. Assignments
-    /// live only on the owning chiplet, so each value is in `(0, 1]` —
-    /// the pipeline-stage occupancy signal serving reports per strategy.
-    pub fn stage_occupancy(&self) -> Vec<f64> {
-        self.stages
-            .iter()
-            .map(|s| {
-                let busy = (0..self.plan.cores)
-                    .filter(|&n| s.layers().any(|li| self.plan.layers[li].assignments[n] > 0))
-                    .count();
-                busy as f64 / self.cores_per_chiplet.max(1) as f64
-            })
-            .collect()
-    }
 }
 
-/// A tail MCM plan plus the boundary resync that makes it runnable — the
-/// package-level analogue of [`crate::IncrementalPlan`], produced by
-/// [`McmPlan::replan_from_layer`]. All node ids are physical (global
-/// package ids), so both the redistribution and the tail run directly on
-/// the degraded package.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct McmIncrementalPlan {
-    /// Index of the first layer that had not run when the fault hit.
-    pub fault_layer: usize,
-    /// Dead chiplet ids (sorted, deduplicated).
-    pub dead_chiplets: Vec<usize>,
-    /// Surviving chiplets in (recomputed) serpentine order — the tail's
-    /// stage sequence.
-    pub survivor_chiplets: Vec<usize>,
-    /// The re-staged plan for layers `fault_layer..` over the survivors
-    /// (empty when the fault hit after the last layer).
-    pub tail: McmPlan,
-    /// Boundary-resync messages with global node endpoints: the
-    /// surviving boundary shard moving from its old owner chiplet onto
-    /// the tail's first stage chiplet.
-    pub redistribution: TrafficTrace,
-    /// Total bytes of [`McmIncrementalPlan::redistribution`].
-    pub redistribution_bytes: u64,
-    /// Boundary units orphaned because their owner chiplet died.
-    pub lost_boundary_units: usize,
-    /// Total units in the boundary feature map (0 when the fault hit
-    /// before the first layer, whose input is replicated everywhere).
-    pub boundary_units: usize,
-}
-
-impl McmIncrementalPlan {
-    /// Number of surviving chiplets.
-    pub fn survivors(&self) -> usize {
-        self.survivor_chiplets.len()
-    }
-
-    /// Fraction of the boundary feature map lost with the dead chiplet.
-    pub fn lost_boundary_fraction(&self) -> f64 {
-        if self.boundary_units == 0 {
-            return 0.0;
-        }
-        self.lost_boundary_units as f64 / self.boundary_units as f64
-    }
-}
-
-/// The serpentine chiplet order filtered to the survivors of
-/// `dead_chiplets`, as a typed error when the loss is not survivable.
-fn survivor_chiplet_order(
-    topo: &McmTopology,
-    dead_chiplets: &[usize],
-) -> Result<Vec<usize>, PlanError> {
-    let chiplets = Topology::chiplets(topo);
-    for &c in dead_chiplets {
-        if c >= chiplets {
-            return Err(PlanError::BadConfig(format!(
-                "dead chiplet {c} out of range for a {chiplets}-chiplet package"
-            )));
-        }
-    }
-    let order: Vec<usize> =
-        topo.serpentine_chiplets().into_iter().filter(|c| !dead_chiplets.contains(c)).collect();
-    if order.is_empty() {
-        return Err(PlanError::BadConfig("no chiplet survives the fault set".into()));
-    }
-    Ok(order)
-}
-
-/// Fraction of `plan`'s cores that hold work in each layer group — the
-/// single-chip analogue of [`McmPlan::stage_occupancy`] for a plan whose
-/// layers have been split into pipeline groups (e.g. by
-/// [`partition_stages_at`]). Out-of-range layer indices count as idle.
-pub fn group_occupancy(plan: &Plan, groups: &[Range<usize>]) -> Vec<f64> {
+/// Fraction of a stage's `width` cores that hold work in each layer
+/// group of `plan` — the pipeline-stage occupancy signal serving reports
+/// per strategy. `width` is the plan's core count on a chip and the
+/// cores per chiplet on a package, whose stages each own one chiplet.
+/// Out-of-range layer indices count as idle.
+pub fn group_occupancy(plan: &Plan, groups: &[Range<usize>], width: usize) -> Vec<f64> {
     groups
         .iter()
         .map(|r| {
@@ -452,36 +208,29 @@ pub fn group_occupancy(plan: &Plan, groups: &[Range<usize>]) -> Vec<f64> {
                     })
                 })
                 .count();
-            busy as f64 / plan.cores.max(1) as f64
+            busy as f64 / width.max(1) as f64
         })
         .collect()
 }
 
-/// Splits `costs` (one entry per layer, execution order) into at most
-/// `stages` non-empty contiguous ranges minimizing the maximum range sum —
-/// the classic linear-partition DP. Returns fewer ranges when there are
-/// fewer layers than stages. Ties break toward earlier cuts, so the result
+/// Splits the layers of `spec` into at most `stages` non-empty contiguous
+/// ranges minimizing the maximum range sum of `costs` (one entry per
+/// layer) — the classic linear-partition DP. A stage may start only at
+/// the first layer or right before a weighted layer, where the plan
+/// already synchronizes: cutting before a pool/activation/flatten layer
+/// would move the feature maps between stages without any transition
+/// traffic to account for it. Returns fewer ranges when there are fewer
+/// such cuts than stages. Ties break toward earlier cuts, so the result
 /// is deterministic.
 ///
 /// # Panics
 ///
-/// Panics if `costs` is empty.
-pub fn partition_stages(costs: &[u64], stages: usize) -> Vec<Range<usize>> {
-    partition_stages_at(costs, stages, &vec![true; costs.len()])
-}
-
-/// [`partition_stages`] with an explicit cut mask: a boundary may start a
-/// new stage at layer `j` only when `allowed[j]` is true (the first layer
-/// is always a valid stage start). With fewer permitted cuts than
-/// requested stages the result has fewer stages.
-///
-/// # Panics
-///
-/// Panics if `costs` is empty or `allowed` has a different length.
-pub fn partition_stages_at(costs: &[u64], stages: usize, allowed: &[bool]) -> Vec<Range<usize>> {
+/// Panics if `spec` has no layers or `costs` a different length.
+pub fn partition_stages(spec: &NetworkSpec, costs: &[u64], stages: usize) -> Vec<Range<usize>> {
+    let allowed: Vec<bool> = spec.layers.iter().map(|l| l.has_weights()).collect();
     let n = costs.len();
     assert!(n > 0, "cannot partition zero layers");
-    assert_eq!(allowed.len(), n, "cut mask must cover every layer");
+    assert_eq!(allowed.len(), n, "one cost per layer");
     let usable_cuts = allowed.iter().skip(1).filter(|&&a| a).count();
     let k = stages.clamp(1, usable_cuts + 1);
     let mut prefix = vec![0u64; n + 1];
@@ -506,7 +255,7 @@ pub fn partition_stages_at(costs: &[u64], stages: usize, allowed: &[bool]) -> Ve
             }
         }
     }
-    // With a restrictive mask the exact k-stage split may be infeasible;
+    // With few permitted cuts the exact k-stage split may be infeasible;
     // fall back to the largest feasible stage count.
     let mut best_k = k;
     while best_k > 1 && dp[best_k][n] == u64::MAX {
@@ -525,18 +274,27 @@ pub fn partition_stages_at(costs: &[u64], stages: usize, allowed: &[bool]) -> Ve
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lts_nn::descriptor::lenet_spec;
+    use crate::FailureDomain;
+    use lts_nn::descriptor::{lenet_spec, SpecBuilder};
+
+    /// `n` fully connected layers: every layer may start a stage.
+    fn linear_stack(n: usize) -> NetworkSpec {
+        (0..n)
+            .fold(SpecBuilder::new("fc", (8, 1, 1)), |b, i| b.linear(&format!("ip{i}"), 8))
+            .build()
+    }
 
     #[test]
     fn partition_balances_uniform_costs() {
-        assert_eq!(partition_stages(&[4, 4, 4, 4], 2), vec![0..2, 2..4]);
-        assert_eq!(partition_stages(&[4, 4, 4, 4], 4), vec![0..1, 1..2, 2..3, 3..4]);
+        let spec = linear_stack(4);
+        assert_eq!(partition_stages(&spec, &[4, 4, 4, 4], 2), vec![0..2, 2..4]);
+        assert_eq!(partition_stages(&spec, &[4, 4, 4, 4], 4), vec![0..1, 1..2, 2..3, 3..4]);
     }
 
     #[test]
     fn partition_isolates_the_dominant_layer() {
         // One huge layer: it gets a stage to itself.
-        let ranges = partition_stages(&[1, 100, 1, 1], 2);
+        let ranges = partition_stages(&linear_stack(4), &[1, 100, 1, 1], 2);
         let sums: Vec<u64> =
             ranges.iter().map(|r| r.clone().map(|i| [1u64, 100, 1, 1][i]).sum()).collect();
         assert!(sums.iter().max().unwrap() <= &102);
@@ -545,19 +303,29 @@ mod tests {
 
     #[test]
     fn more_stages_than_layers_caps_at_layers() {
-        let ranges = partition_stages(&[5, 5], 8);
+        let ranges = partition_stages(&linear_stack(2), &[5, 5], 8);
         assert_eq!(ranges, vec![0..1, 1..2]);
     }
 
     #[test]
-    fn cut_mask_forbids_boundaries_mid_block() {
-        // Layers 1 and 3 may not start a stage (e.g. pools following
-        // convs): the only legal 2-way cut is before layer 2.
-        let ranges = partition_stages_at(&[10, 1, 10, 1], 2, &[true, false, true, false]);
-        assert_eq!(ranges, vec![0..2, 2..4]);
-        // A mask with no legal cuts collapses to a single stage.
-        let one = partition_stages_at(&[10, 1, 10, 1], 4, &[true, false, false, false]);
-        assert_eq!(one, vec![0..4]);
+    fn stages_start_only_before_weighted_layers() {
+        // Layers 1 and 3 are pools following convs, so they may not start
+        // a stage: the only legal 2-way cut is before layer 2.
+        let spec = SpecBuilder::new("cp", (3, 8, 8))
+            .conv("conv1", 4, 3, 1, 1, 1)
+            .pool("pool1", 2, 2)
+            .conv("conv2", 4, 3, 1, 1, 1)
+            .pool("pool2", 2, 2)
+            .build();
+        assert_eq!(partition_stages(&spec, &[10, 1, 10, 1], 2), vec![0..2, 2..4]);
+        // With no weighted layer after the first, nothing may be cut.
+        let spec = SpecBuilder::new("c", (3, 8, 8))
+            .conv("conv1", 4, 3, 1, 1, 1)
+            .pool("pool1", 2, 2)
+            .relu()
+            .flatten()
+            .build();
+        assert_eq!(partition_stages(&spec, &[10, 1, 10, 1], 4), vec![0..4]);
     }
 
     #[test]
@@ -611,7 +379,8 @@ mod tests {
         let spec = lenet_spec();
         let topo = McmTopology::new(4, 2, 2, 1);
         let mcm = McmPlan::build(&spec, &topo, &HashMap::new(), 2).unwrap();
-        let occ = mcm.stage_occupancy();
+        let ranges: Vec<Range<usize>> = mcm.stages.iter().map(StagePlacement::layers).collect();
+        let occ = group_occupancy(&mcm.plan, &ranges, mcm.cores_per_chiplet);
         assert_eq!(occ.len(), mcm.stages.len());
         for (s, &o) in occ.iter().enumerate() {
             assert!(o > 0.0 && o <= 1.0, "stage {s} occupancy {o} out of (0, 1]");
@@ -623,7 +392,7 @@ mod tests {
         let spec = lenet_spec();
         let plan = Plan::dense(&spec, 4, 2).unwrap();
         let groups = vec![0..2, 2..plan.layers.len()];
-        let occ = group_occupancy(&plan, &groups);
+        let occ = group_occupancy(&plan, &groups, plan.cores);
         assert_eq!(occ.len(), 2);
         for (g, range) in groups.iter().enumerate() {
             let busy = (0..plan.cores)
@@ -633,28 +402,28 @@ mod tests {
             assert!(occ[g] > 0.0);
         }
         // Out-of-range groups read as idle instead of panicking.
-        assert_eq!(group_occupancy(&plan, std::slice::from_ref(&(999..1000))), vec![0.0]);
+        assert_eq!(group_occupancy(&plan, std::slice::from_ref(&(999..1000)), 4), vec![0.0]);
     }
 
     #[test]
-    fn replan_without_chiplets_on_the_full_set_is_the_original_plan() {
+    fn package_replan_without_faults_is_the_original_plan() {
         let spec = lenet_spec();
         let topo = McmTopology::new(4, 2, 2, 1);
         let original = McmPlan::build(&spec, &topo, &HashMap::new(), 2).unwrap();
         let replanned =
-            McmPlan::replan_without_chiplets(&spec, &topo, &[], &HashMap::new(), 2).unwrap();
-        assert_eq!(original, replanned);
+            FailureDomain::Chiplets(topo).replan(&spec, None, 0, &[], &HashMap::new(), 2).unwrap();
+        assert_eq!((original.plan, original.stages), (replanned.tail, replanned.stages));
     }
 
     #[test]
-    fn replan_without_chiplets_restages_over_the_survivors() {
+    fn package_replan_restages_over_the_survivors() {
         let spec = lenet_spec();
         // 2x2 package grid of 2x2 chiplets, serpentine order 0,1,3,2.
         let topo = McmTopology::new(2, 2, 2, 2);
         let healthy = McmPlan::build(&spec, &topo, &HashMap::new(), 2).unwrap();
         assert_eq!(healthy.stages.len(), 4);
-        let degraded =
-            McmPlan::replan_without_chiplets(&spec, &topo, &[1], &HashMap::new(), 2).unwrap();
+        let domain = FailureDomain::Chiplets(topo);
+        let degraded = domain.replan(&spec, None, 0, &[1], &HashMap::new(), 2).unwrap();
         // Fewer, fatter stages over the survivor order 0,3,2.
         assert_eq!(degraded.stages.len(), 3);
         let chips: Vec<usize> = degraded.stages.iter().map(|s| s.chiplet).collect();
@@ -665,7 +434,7 @@ mod tests {
             "every layer is still placed"
         );
         // Dead chiplet 1 holds neither assignments nor traffic endpoints.
-        for lp in &degraded.plan.layers {
+        for lp in &degraded.tail.layers {
             for &node in &topo.chiplet_nodes(1) {
                 assert_eq!(lp.assignments[node], 0);
             }
@@ -678,7 +447,7 @@ mod tests {
         // over the survivor distances rather than silently assumed
         // adjacent.
         let max_seams = degraded
-            .plan
+            .tail
             .layers
             .iter()
             .flat_map(|l| &l.traffic.messages)
@@ -687,9 +456,8 @@ mod tests {
             .unwrap();
         assert_eq!(max_seams, 2, "survivor transitions are priced over real seam distances");
         // Typed errors for unsurvivable or nonsensical fault sets.
-        assert!(McmPlan::replan_without_chiplets(&spec, &topo, &[4], &HashMap::new(), 2).is_err());
-        assert!(McmPlan::replan_without_chiplets(&spec, &topo, &[0, 1, 2, 3], &HashMap::new(), 2)
-            .is_err());
+        assert!(domain.replan(&spec, None, 0, &[4], &HashMap::new(), 2).is_err());
+        assert!(domain.replan(&spec, None, 0, &[0, 1, 2, 3], &HashMap::new(), 2).is_err());
     }
 
     #[test]
@@ -701,13 +469,14 @@ mod tests {
         // boundary (conv1 output, layer 0) lives on stage 0's chiplet,
         // which survives: its shard resyncs onto the tail's first stage.
         let dead = healthy.stages.last().unwrap().chiplet;
-        let inc = healthy.replan_from_layer(&spec, &topo, 1, &[dead], &HashMap::new(), 2).unwrap();
+        let domain = FailureDomain::Chiplets(topo);
+        let inc = domain.replan(&spec, None, 1, &[dead], &HashMap::new(), 2).unwrap();
         assert_eq!(inc.fault_layer, 1);
-        assert_eq!(inc.dead_chiplets, vec![dead]);
-        assert_eq!(inc.survivors(), 1);
+        assert_eq!(inc.dead, vec![dead]);
+        assert_eq!(inc.survivors.len(), 1);
         assert_eq!(inc.boundary_units, 20);
         assert_eq!(inc.lost_boundary_units, 0, "the producer chiplet survived");
-        assert_eq!(inc.tail.plan.layers.len(), spec.layers.len() - 1);
+        assert_eq!(inc.tail.layers.len(), spec.layers.len() - 1);
         // Resync endpoints are physical, on survivors, and the source
         // side sits on the old producer chiplet.
         let producer = healthy.chiplet_of_layer(0).unwrap();
@@ -728,29 +497,29 @@ mod tests {
         let topo = McmTopology::new(4, 2, 2, 1);
         let healthy = McmPlan::build(&spec, &topo, &HashMap::new(), 2).unwrap();
         let producer = healthy.chiplet_of_layer(0).unwrap();
-        let inc =
-            healthy.replan_from_layer(&spec, &topo, 1, &[producer], &HashMap::new(), 2).unwrap();
+        let domain = FailureDomain::Chiplets(topo);
+        let inc = domain.replan(&spec, None, 1, &[producer], &HashMap::new(), 2).unwrap();
         assert_eq!(inc.lost_boundary_units, inc.boundary_units);
         assert!((inc.lost_boundary_fraction() - 1.0).abs() < 1e-12);
         assert!(inc.redistribution.is_empty(), "nothing survives to resync");
-        assert_eq!(inc.tail.plan.layers.len(), spec.layers.len() - 1);
+        assert_eq!(inc.tail.layers.len(), spec.layers.len() - 1);
         // Fault before anything ran: no boundary exists at all.
-        let fresh =
-            healthy.replan_from_layer(&spec, &topo, 0, &[producer], &HashMap::new(), 2).unwrap();
+        let healthy_replan = domain.replan(&spec, None, 0, &[], &HashMap::new(), 2).unwrap();
+        let fresh = domain
+            .replan(&spec, Some(&healthy_replan), 0, &[producer], &HashMap::new(), 2)
+            .unwrap();
         assert_eq!(fresh.boundary_units, 0);
         assert!(fresh.redistribution.is_empty());
         assert_eq!(
-            fresh.tail,
-            McmPlan::replan_without_chiplets(&spec, &topo, &[producer], &HashMap::new(), 2)
-                .unwrap(),
+            fresh,
+            domain.replan(&spec, None, 0, &[producer], &HashMap::new(), 2).unwrap(),
             "layer-0 fault degenerates to the static replan"
         );
         // Fault after everything ran: empty tail, orphaned output.
         let n = spec.layers.len();
-        let late =
-            healthy.replan_from_layer(&spec, &topo, n, &[producer], &HashMap::new(), 2).unwrap();
-        assert!(late.tail.plan.layers.is_empty());
-        assert!(healthy.replan_from_layer(&spec, &topo, n + 1, &[0], &HashMap::new(), 2).is_err());
+        let late = domain.replan(&spec, None, n, &[producer], &HashMap::new(), 2).unwrap();
+        assert!(late.tail.layers.is_empty());
+        assert!(domain.replan(&spec, None, n + 1, &[0], &HashMap::new(), 2).is_err());
     }
 
     #[test]

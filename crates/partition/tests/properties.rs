@@ -6,7 +6,7 @@ use lts_nn::grouping::GroupLayout;
 use lts_noc::{McmTopology, Mesh2d};
 use lts_partition::ownership::OwnershipMap;
 use lts_partition::traffic::{dense_volume_bytes, transition_messages};
-use lts_partition::{hop_power_mask, McmPlan, Plan};
+use lts_partition::{hop_power_mask, FailureDomain, McmPlan, Plan};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -134,7 +134,7 @@ proptest! {
         // Grouped plans lose pinned chains; the loss proxy stays in [0, 1].
         let spec = grouped_spec(1 << group_pow);
         let dead = pseudo_dead(seed, deaths);
-        let d = lts_partition::replan(&spec, 16, &dead, &HashMap::new(), 2).unwrap();
+        let d = replan(&spec, &dead, &HashMap::new());
         let f = d.lost_output_fraction();
         prop_assert!((0.0..=1.0).contains(&f), "lost fraction {f} for dead {dead:?}");
         for lg in &d.lost_groups {
@@ -156,10 +156,10 @@ proptest! {
         }
         let mut more = dead.clone();
         more.push(extra);
-        let base = lts_partition::replan(&spec, 16, &dead, &HashMap::new(), 2).unwrap();
-        let worse = lts_partition::replan(&spec, 16, &more, &HashMap::new(), 2).unwrap();
+        let base = replan(&spec, &dead, &HashMap::new());
+        let worse = replan(&spec, &more, &HashMap::new());
         prop_assert!(worse.lost_output_fraction() >= base.lost_output_fraction());
-        let channels = |d: &lts_partition::DegradedPlan| -> usize {
+        let channels = |d: &lts_partition::Replan| -> usize {
             d.lost_groups.iter().map(|lg| lg.lost_channels).sum()
         };
         prop_assert!(channels(&worse) >= channels(&base));
@@ -173,13 +173,13 @@ proptest! {
         // not accuracy — the lost fraction is exactly zero.
         let spec = lts_nn::descriptor::lenet_spec();
         let dead = pseudo_dead(seed, deaths);
-        let dense = lts_partition::replan(&spec, 16, &dead, &HashMap::new(), 2).unwrap();
+        let dense = replan(&spec, &dead, &HashMap::new());
         prop_assert_eq!(dense.lost_output_fraction(), 0.0);
         prop_assert!(dense.lost_groups.is_empty());
-        let layout = dense.plan.layer("conv2").unwrap().layout.clone().unwrap();
+        let layout = dense.tail.layer("conv2").unwrap().layout.clone().unwrap();
         let mut weights = HashMap::new();
         weights.insert("conv2".to_string(), vec![0.0f32; layout.weight_len()]);
-        let sparse = lts_partition::replan(&spec, 16, &dead, &weights, 2).unwrap();
+        let sparse = replan(&spec, &dead, &weights);
         prop_assert_eq!(sparse.lost_output_fraction(), 0.0);
         prop_assert!(sparse.lost_groups.is_empty());
     }
@@ -191,10 +191,10 @@ proptest! {
         let spec = lts_nn::descriptor::lenet_spec();
         let fault_layer = fault_layer.min(spec.layers.len());
         let dead = pseudo_dead(seed, deaths);
-        let inc = lts_partition::replan_from_layer(
-            &spec, 16, fault_layer, &dead, &HashMap::new(), 2,
-        ).unwrap();
-        prop_assert_eq!(inc.survivors() + dead.len(), 16);
+        let inc = FailureDomain::Cores(16)
+            .replan(&spec, None, fault_layer, &dead, &HashMap::new(), 2)
+            .unwrap();
+        prop_assert_eq!(inc.survivors.len() + dead.len(), 16);
         prop_assert!(inc.lost_boundary_units <= inc.boundary_units);
         let f = inc.lost_boundary_fraction();
         prop_assert!((0.0..=1.0).contains(&f));
@@ -203,6 +203,15 @@ proptest! {
             prop_assert!(m.src != m.dst && m.src < 16 && m.dst < 16);
         }
     }
+}
+
+/// A static replan of `spec` on 16 cores without `dead`.
+fn replan(
+    spec: &lts_nn::descriptor::NetworkSpec,
+    dead: &[usize],
+    weights: &HashMap<String, Vec<f32>>,
+) -> lts_partition::Replan {
+    FailureDomain::Cores(16).replan(spec, None, 0, dead, weights, 2).unwrap()
 }
 
 /// A deterministic pseudo-random dead set of at most `deaths` distinct
@@ -243,14 +252,15 @@ proptest! {
         grid_h in 1usize..3,
         groups in 1usize..3,
     ) {
-        // `replan_without_chiplets` with an empty fault set must be the
-        // original MCM plan, bit for bit, on any package shape — the
-        // degraded path IS the healthy path at zero faults.
+        // A package replan with an empty fault set must be the original
+        // MCM plan, bit for bit, on any package shape — the degraded path
+        // IS the healthy path at zero faults.
         let spec = grouped_spec(if groups == 1 { 1 } else { 16 });
         let topo = McmTopology::new(chip_w, chip_h, grid_w, grid_h);
         let original = McmPlan::build(&spec, &topo, &HashMap::new(), 2).unwrap();
-        let replanned =
-            McmPlan::replan_without_chiplets(&spec, &topo, &[], &HashMap::new(), 2).unwrap();
-        prop_assert_eq!(original, replanned);
+        let replanned = FailureDomain::Chiplets(topo)
+            .replan(&spec, None, 0, &[], &HashMap::new(), 2)
+            .unwrap();
+        prop_assert_eq!((original.plan, original.stages), (replanned.tail, replanned.stages));
     }
 }

@@ -10,6 +10,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "==> first-party line count"
+scripts/loc.sh
+
 echo "==> cargo build --release"
 cargo build --release --offline
 

@@ -11,8 +11,7 @@
 
 use learn_to_scale::core::degradation::{fault_sweep, outcome, FaultSweepConfig, FaultSweepRow};
 use learn_to_scale::core::SystemModel;
-use learn_to_scale::noc::FaultModel;
-use learn_to_scale::partition::{replan, Plan};
+use learn_to_scale::partition::{FailureDomain, Plan};
 use learn_to_scale::tensor::par::{install, ExecConfig};
 use std::collections::HashMap;
 
@@ -65,14 +64,13 @@ fn zero_fault_cells_match_the_fault_free_model_exactly() {
 fn degraded_evaluation_is_reproducible_and_survivor_only() {
     let spec = learn_to_scale::nn::descriptor::convnet_spec();
     let dead = [5usize, 10];
-    let degraded = replan(&spec, 16, &dead, &HashMap::new(), 2).expect("replan");
-    assert_eq!(degraded.survivors(), 14);
-    let fault = dead
-        .iter()
-        .fold(FaultModel::none().with_seed(23).drop_rate(5e-4), |f, &d| f.kill_router(d));
+    let domain = FailureDomain::Cores(16);
+    let degraded = domain.replan(&spec, None, 0, &dead, &HashMap::new(), 2).expect("replan");
+    assert_eq!(degraded.survivors.len(), 14);
+    let fault = domain.fault_model(&dead).with_seed(23).drop_rate(5e-4);
     let model = SystemModel::paper(16).expect("model").with_fault_model(fault);
-    let a = model.evaluate_degraded(&degraded).expect("degraded run");
-    let b = model.evaluate_degraded(&degraded).expect("degraded run");
+    let a = model.evaluate_replan(&degraded).expect("degraded run");
+    let b = model.evaluate_replan(&degraded).expect("degraded run");
     assert_eq!(a, b, "same fault model + plan must be bit-identical");
     assert!(a.total_cycles > 0);
 }
