@@ -185,7 +185,7 @@ fn main() {
             .to_string(),
     );
 
-    report.write_checked().expect("write benchmark report");
+    report.write().expect("write benchmark report");
 }
 
 /// Appends a `name: before/after speedup` note from the two records.

@@ -86,5 +86,5 @@ fn main() {
         layout.norm_matrix(w.as_slice());
     }));
 
-    report.write_checked().expect("write benchmark report");
+    report.write().expect("write benchmark report");
 }

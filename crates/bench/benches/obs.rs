@@ -19,7 +19,7 @@
 //! `OBS_table3_quick.json` (snapshot), `OBS_table3_quick.folded`
 //! (flamegraph folded stacks), `OBS_table3_quick.trace.json` (Chrome
 //! `chrome://tracing` / Perfetto). Probe-path statistics are attached to
-//! the report so `LTS_BENCH_BASELINE` gates per-probe medians.
+//! the report.
 //!
 //! Run with `cargo bench --bench obs`. `LTS_BENCH_ITERS` caps measured
 //! iterations (the CI smoke uses 2).
@@ -154,7 +154,7 @@ fn main() {
     summarize_probes(&snap.probes);
     report.attach_probes();
     lts_obs::set_enabled(false);
-    report.write_checked().expect("write benchmark report");
+    report.write().expect("write benchmark report");
 }
 
 /// Prints the top probe paths by total wall time.

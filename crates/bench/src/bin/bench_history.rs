@@ -1,304 +1,270 @@
-//! Cross-commit performance-history driver (see `DESIGN.md` §18).
+//! Parent/change pairs over the repository benchmark (see `DESIGN.md`
+//! §18).
 //!
 //! ```text
-//! bench_history run <bench> [--reps N] [--warmup N]   # measure + append
-//! bench_history compare <bench> [--gate]              # latest vs previous
-//! bench_history report <bench>                        # trend md + json
-//! bench_history list                                  # ledger contents
-//! bench_history smoke                                 # synthetic self-test
+//! bench_history pairs <parent-rev> [--workload <w>]... [--smoke]
 //! ```
 //!
-//! Registered benches: `table3_structure_level` (the paper's Table III
-//! pipeline, honors `LTS_EFFORT`) and `matmul_micro` (256³ blocked GEMM,
-//! seconds per repetition). The ledger root is `LTS_BENCH_HISTORY_DIR`,
-//! default `BENCH_HISTORY/` under `LTS_BENCH_DIR`. Dirty working trees
-//! are refused unless `LTS_BENCH_ALLOW_DIRTY=1`.
+//! Checks `<parent-rev>` out in a git worktree under `target/pairs/`,
+//! builds `benchmark/` there and in the working tree (the change), then
+//! runs the two binaries in alternating pairs, seeds 1 to 10 (the parent
+//! first on odd seeds), and one traced pair on seed 1. Workloads, run
+//! length, metrics and bounds come from `BENCHMARK.json`; `--workload`
+//! defaults to all of them. `--smoke` runs the benchmark's smoke size,
+//! one pass per run and 2 pairs, so every verdict reads `unresolved`.
 //!
-//! `smoke` builds a synthetic two-commit history in a temp ledger — one
-//! metric with an injected 30 % slowdown, one with 2 % jitter — and
-//! asserts the first is flagged `Regression` and the second is not,
-//! end-to-end through the store, comparator, and trend renderer.
+//! Prints, per workload, each end-to-end metric's pairs, wins, medians,
+//! parent IQR, Mann–Whitney p and verdict, both sides' failed checks, an
+//! exact diff of the traced pair's deterministic metrics and the `_pct`
+//! shares that moved. Every result line goes to
+//! `BENCH_HISTORY/<change>-vs-<parent>.jsonl` (under `LTS_BENCH_DIR` when
+//! set, else the repository root), which is never overwritten.
+//!
+//! Exit code: 0, or 1 on a `regression` verdict or a larger share of
+//! failed checks on the change's side, or 2 when a step could not run.
 
-use lts_bench::history::store::SCHEMA_VERSION;
-use lts_bench::history::{
-    allow_dirty_from_env, compare_records, fnv1a64_hex, run_repetitions, trend_report,
-    HistoryRecord, HistoryStore, MetricKind, MetricSeries, RunSpec, SignificanceConfig, Verdict,
+use lts_bench::history::pairs::{
+    ledger_line, summarize, Contract, Run, RunResult, Side, PAIRS, SMOKE_PAIRS,
 };
-use lts_bench::timing::{iters_from_env, time, BenchReport, HostFingerprint};
-use lts_bench::{banner, effort_from_env};
-use lts_core::experiment::{table3_rows, EffortPreset};
-use lts_tensor::matmul::matmul;
-use lts_tensor::{init, Shape};
+use std::fs::OpenOptions;
+use std::io::Write as _;
+use std::path::{Path, PathBuf};
+use std::process::{Command, ExitCode, Stdio};
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let cmd = args.first().map(String::as_str).unwrap_or("help");
-    match cmd {
-        "run" => cmd_run(&args[1..]),
-        "compare" => cmd_compare(&args[1..]),
-        "report" => cmd_report(&args[1..]),
-        "list" => cmd_list(),
-        "smoke" => cmd_smoke(),
-        _ => {
-            println!(
-                "usage: bench_history <run <bench> [--reps N] [--warmup N] \
-                 | compare <bench> [--gate] | report <bench> | list | smoke>\n\
-                 registered benches: {}",
-                REGISTRY.join(", ")
-            );
+const USAGE: &str = "usage: bench_history pairs <parent-rev> [--workload <w>]... [--smoke]";
+
+/// Parsed command line.
+#[derive(Debug, PartialEq)]
+struct Args {
+    parent: String,
+    workloads: Vec<String>,
+    smoke: bool,
+}
+
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
+    let mut args = args.into_iter();
+    if args.next().as_deref() != Some("pairs") {
+        return Err("the only subcommand is `pairs`".into());
+    }
+    let (mut parent, mut workloads, mut smoke) = (None, Vec::new(), false);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--smoke" => smoke = true,
+            "--workload" => workloads.push(args.next().ok_or("--workload needs a value")?),
+            flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}")),
+            _ if parent.is_none() => parent = Some(arg),
+            _ => return Err(format!("unexpected argument {arg}")),
+        }
+    }
+    Ok(Args { parent: parent.ok_or("the parent revision is required")?, workloads, smoke })
+}
+
+fn main() -> ExitCode {
+    let result = parse_args(std::env::args().skip(1))
+        .map_err(|e| format!("{e}\n{USAGE}"))
+        .and_then(|args| pairs(&args));
+    match result {
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::from(1),
+        Err(e) => {
+            eprintln!("bench_history: {e}");
+            ExitCode::from(2)
         }
     }
 }
 
-/// Benches the runner knows how to execute.
-const REGISTRY: [&str; 2] = ["table3_structure_level", "matmul_micro"];
-
-/// One repetition of a registered bench: a fresh [`BenchReport`] whose
-/// records carry per-iteration medians and whose probes come from the
-/// repetition's own `lts-obs` snapshot (the runner resets it between
-/// repetitions).
-fn run_bench_once(bench: &str, preset: &EffortPreset, effort_label: &str) -> BenchReport {
-    let mut report = BenchReport::new(bench, effort_label);
-    match bench {
-        "table3_structure_level" => {
-            report.push(time("table3.e2e", 0, iters_from_env(1), || {
-                let rows = table3_rows(preset).expect("table 3 experiment");
-                assert!(!rows.is_empty());
-            }));
-        }
-        "matmul_micro" => {
-            let mut rng = init::rng(1);
-            let a = init::uniform(Shape::d2(256, 256), 1.0, &mut rng);
-            let b = init::uniform(Shape::d2(256, 256), 1.0, &mut rng);
-            report.push(time("matmul_256", 1, iters_from_env(5), || {
-                let c = matmul(&a, &b).expect("matmul");
-                std::hint::black_box(&c);
-            }));
-        }
-        other => panic!("unknown bench `{other}`; registered: {}", REGISTRY.join(", ")),
+/// Runs `git` in `dir`, returning its trimmed standard output.
+fn git(dir: &Path, args: &[&str]) -> Result<String, String> {
+    let out = Command::new("git")
+        .current_dir(dir)
+        .args(args)
+        .output()
+        .map_err(|e| format!("git {}: {e}", args.join(" ")))?;
+    if !out.status.success() {
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        return Err(format!("git {}: {}", args.join(" "), stderr.trim()));
     }
-    report.attach_probes();
-    report
+    Ok(String::from_utf8_lossy(&out.stdout).trim().to_string())
 }
 
-fn parse_flag(args: &[String], flag: &str, default: usize) -> usize {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(|v| {
-            v.parse::<usize>().unwrap_or_else(|_| panic!("{flag} needs an integer, got `{v}`"))
-        })
-        .unwrap_or(default)
+/// The parent's checkout, removed when dropped, on error too.
+struct Worktree {
+    repo: PathBuf,
+    path: PathBuf,
 }
 
-fn bench_arg(args: &[String]) -> String {
-    args.iter()
-        .find(|a| !a.starts_with("--") && a.parse::<usize>().is_err())
-        .cloned()
-        .unwrap_or_else(|| panic!("missing <bench> argument; registered: {}", REGISTRY.join(", ")))
+impl Worktree {
+    fn add(repo: &Path, rev: &str) -> Result<Self, String> {
+        let path = repo.join("target").join("pairs").join(rev);
+        // A checkout left by an interrupted run would block `worktree add`.
+        if path.exists() {
+            std::fs::remove_dir_all(&path).map_err(|e| format!("{}: {e}", path.display()))?;
+        }
+        git(repo, &["worktree", "prune"])?;
+        let display = path.to_string_lossy();
+        git(repo, &["worktree", "add", "--detach", display.as_ref(), rev])?;
+        Ok(Self { repo: repo.to_path_buf(), path })
+    }
 }
 
-fn cmd_run(args: &[String]) {
-    let bench = bench_arg(args);
-    let reps = parse_flag(args, "--reps", 5);
-    let warmup_reps = parse_flag(args, "--warmup", 1);
-    let preset = effort_from_env();
-    let effort_label = if preset == EffortPreset::quick() { "quick" } else { "paper" };
-    banner(&format!("performance history: {bench} × {reps} repetitions"), &preset);
+impl Drop for Worktree {
+    fn drop(&mut self) {
+        let path = self.path.to_string_lossy();
+        if let Err(e) = git(&self.repo, &["worktree", "remove", "--force", path.as_ref()]) {
+            eprintln!("bench_history: leaving {path}: {e}");
+        }
+    }
+}
 
-    // Probes need obs recording on; each repetition gets a fresh registry.
-    lts_obs::set_enabled(true);
-    let spec = RunSpec {
-        bench: bench.clone(),
-        params: format!(
-            "bench={bench};effort={effort_label};iters={};threads={}",
-            iters_from_env(0),
-            lts_tensor::par::current().threads()
-        ),
-        effort: effort_label.into(),
-        reps,
-        warmup_reps,
+/// Builds `benchmark/` in the checkout at `root`, returning the binary.
+fn build(root: &Path) -> Result<PathBuf, String> {
+    let target = root.join("benchmark").join("target");
+    let status = Command::new("cargo")
+        .current_dir(root)
+        .args(["build", "--release", "--offline", "--quiet"])
+        .args(["--manifest-path", "benchmark/Cargo.toml", "--target-dir"])
+        .arg(&target)
+        .status()
+        .map_err(|e| format!("cargo build in {}: {e}", root.display()))?;
+    if !status.success() {
+        return Err(format!("cargo build in {} failed: {status}", root.display()));
+    }
+    Ok(target.join("release").join("benchmark"))
+}
+
+/// One side of the pairs: where it is checked out and its built binary.
+struct Checkout<'a> {
+    rev: &'a str,
+    dirty: bool,
+    root: &'a Path,
+    binary: PathBuf,
+}
+
+fn pairs(args: &Args) -> Result<bool, String> {
+    let repo = PathBuf::from(git(Path::new("."), &["rev-parse", "--show-toplevel"])?);
+    let contract_path = repo.join("BENCHMARK.json");
+    let contract = std::fs::read_to_string(&contract_path)
+        .map_err(|e| e.to_string())
+        .and_then(|json| Contract::parse(&json))
+        .map_err(|e| format!("{}: {e}", contract_path.display()))?;
+    let declared: Vec<&str> = contract.workloads.iter().map(|w| w.name.as_str()).collect();
+    let workloads: Vec<&str> = if args.workloads.is_empty() {
+        declared.clone()
+    } else {
+        args.workloads.iter().map(String::as_str).collect()
     };
-    let record = run_repetitions(&spec, |rep| {
-        println!("-- repetition {rep} --");
-        run_bench_once(&bench, &preset, effort_label)
-    })
-    .expect("history run");
+    if let Some(w) = workloads.iter().find(|w| !declared.contains(w)) {
+        return Err(format!("unknown workload {w}; BENCHMARK.json declares {declared:?}"));
+    }
 
-    println!(
-        "\naggregated {} metrics over {} repetitions at rev {}{}",
-        record.metrics.len(),
-        record.reps,
-        record.git_rev,
-        if record.git_dirty { " (dirty tree)" } else { "" }
-    );
-    for m in &record.metrics {
-        println!(
-            "  {:<8} {:<44} median {:>10.3} ms  ±{:>8.3} MAD  [{:.3}, {:.3}]",
-            m.kind.label(),
-            m.metric,
-            m.median_ms,
-            m.mad_ms,
-            m.min_ms,
-            m.max_ms
+    let parent = git(&repo, &["rev-parse", "--short", &format!("{}^{{commit}}", args.parent)])?;
+    let change = git(&repo, &["rev-parse", "--short", "HEAD"])?;
+    let dirty = !git(&repo, &["status", "--porcelain"])?.is_empty();
+    let ledger_dir = std::env::var_os("LTS_BENCH_DIR")
+        .map_or_else(|| repo.clone(), PathBuf::from)
+        .join("BENCH_HISTORY");
+    std::fs::create_dir_all(&ledger_dir).map_err(|e| format!("{}: {e}", ledger_dir.display()))?;
+    let tag = if dirty { format!("{change}-dirty") } else { change.clone() };
+    let ledger_path = ledger_dir.join(format!("{tag}-vs-{parent}.jsonl"));
+    let mut ledger =
+        OpenOptions::new().write(true).create_new(true).open(&ledger_path).map_err(|e| {
+            format!("{}: {e} (a ledger is never overwritten)", ledger_path.display())
+        })?;
+
+    let worktree = Worktree::add(&repo, &parent)?;
+    let sides = [
+        Checkout {
+            rev: &parent,
+            dirty: false,
+            root: &worktree.path,
+            binary: build(&worktree.path)?,
+        },
+        Checkout { rev: &change, dirty, root: &repo, binary: build(&repo)? },
+    ];
+    let (n, seconds) = if args.smoke { (SMOKE_PAIRS, 0.0) } else { (PAIRS, contract.run_seconds) };
+    println!("parent {parent} vs change {tag}: {n} pairs of {seconds} s per workload");
+
+    let mut ok = true;
+    for workload in workloads {
+        let mut measure = |side: Side, seed: u64, trace: bool| -> Result<Run, String> {
+            let checkout = match side {
+                Side::Parent => &sides[0],
+                Side::Change => &sides[1],
+            };
+            let mut cmd = Command::new(&checkout.binary);
+            cmd.current_dir(checkout.root)
+                .args(["--workload", workload, "--seed", &seed.to_string()])
+                .args(["--seconds", &seconds.to_string(), "--trace", if trace { "1" } else { "0" }])
+                // Traced runs would write their trace files there.
+                .env_remove("LTS_BENCH_DIR")
+                .stderr(Stdio::inherit());
+            if args.smoke {
+                cmd.arg("--smoke");
+            }
+            let out = cmd.output().map_err(|e| format!("{}: {e}", checkout.binary.display()))?;
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            let line = stdout.lines().rev().find(|l| !l.trim().is_empty()).unwrap_or_default();
+            if !out.status.success() {
+                return Err(format!("{side} {workload} seed {seed}: {}", out.status));
+            }
+            let result = RunResult::parse(line)?;
+            let entry =
+                ledger_line(side, checkout.rev, checkout.dirty, workload, seed, trace, line);
+            writeln!(ledger, "{entry}").map_err(|e| format!("{}: {e}", ledger_path.display()))?;
+            Ok(Run { side, seed, trace, result })
+        };
+        let mut runs = Vec::with_capacity(2 * n + 2);
+        for seed in 1..=n as u64 {
+            eprintln!("{workload}: pair {seed}/{n}");
+            let order = if seed % 2 == 1 {
+                [Side::Parent, Side::Change]
+            } else {
+                [Side::Change, Side::Parent]
+            };
+            for side in order {
+                runs.push(measure(side, seed, false)?);
+            }
+        }
+        eprintln!("{workload}: traced pair");
+        for side in [Side::Parent, Side::Change] {
+            runs.push(measure(side, 1, true)?);
+        }
+        let summary = summarize(&contract, workload, &runs);
+        println!("\n{summary}");
+        ok &= !summary.fails();
+    }
+    ledger.sync_all().map_err(|e| format!("{}: {e}", ledger_path.display()))?;
+    println!("ledger: {}", ledger_path.display());
+    println!("{}", if ok { "pairs: pass" } else { "pairs: FAIL" });
+    Ok(ok)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Result<Args, String> {
+        parse_args(line.split_whitespace().map(String::from))
+    }
+
+    #[test]
+    fn parses_the_command_line() {
+        assert_eq!(
+            args("pairs HEAD~1 --workload noc_sweep --workload serve_fault --smoke"),
+            Ok(Args {
+                parent: "HEAD~1".into(),
+                workloads: vec!["noc_sweep".into(), "serve_fault".into()],
+                smoke: true
+            })
         );
-    }
-    let store = HistoryStore::open_from_env().expect("open history store");
-    let path = store.append(record, allow_dirty_from_env()).expect("append history record");
-    println!("\nappended {}", path.display());
-}
-
-fn cmd_compare(args: &[String]) {
-    let bench = bench_arg(args);
-    let gate = args.iter().any(|a| a == "--gate");
-    let store = HistoryStore::open_from_env().expect("open history store");
-    let (previous, latest) = store.latest_pair(&bench).expect("two history entries");
-    let report = compare_records(&previous, &latest, &SignificanceConfig::default());
-    println!("{}", report.to_markdown());
-    for v in &report.verdicts {
-        println!("  {} `{}`: {}", v.verdict.label(), v.metric, v.reason);
-    }
-    let regressions = report.regressions();
-    if gate && !regressions.is_empty() {
-        let names: Vec<&str> = regressions.iter().map(|v| v.metric.as_str()).collect();
-        panic!(
-            "{} significant regression(s) vs {}: {}",
-            regressions.len(),
-            report.old_rev,
-            names.join(", ")
+        assert_eq!(
+            args("pairs abc1234"),
+            Ok(Args { parent: "abc1234".into(), workloads: vec![], smoke: false })
         );
+        assert!(args("run table3_structure_level").is_err());
+        assert!(args("pairs").is_err());
+        assert!(args("pairs a b").is_err());
+        assert!(args("pairs a --workload").is_err());
+        assert!(args("pairs a --seeds 3").is_err());
     }
-}
-
-fn cmd_report(args: &[String]) {
-    let bench = bench_arg(args);
-    let store = HistoryStore::open_from_env().expect("open history store");
-    let history = store.load_bench(&bench).expect("load history");
-    assert!(!history.is_empty(), "no history for `{bench}` under {}", store.root().display());
-    let report = trend_report(&history, &SignificanceConfig::default());
-    println!("{}", report.to_markdown());
-    let out_dir = std::env::var("LTS_BENCH_DIR").unwrap_or_else(|_| ".".into());
-    let (md, json) = report.write(&out_dir).expect("write trend report");
-    println!("wrote {} and {}", md.display(), json.display());
-}
-
-fn cmd_list() {
-    let store = HistoryStore::open_from_env().expect("open history store");
-    let benches = store.benches().expect("list benches");
-    if benches.is_empty() {
-        println!("history ledger {} is empty", store.root().display());
-        return;
-    }
-    for bench in benches {
-        println!("{bench}:");
-        for rec in store.load_bench(&bench).expect("load bench history") {
-            println!(
-                "  seq {:>4}  rev {:<10} {:>2} reps  {:>3} metrics  effort {}{}",
-                rec.seq,
-                rec.git_rev,
-                rec.reps,
-                rec.metrics.len(),
-                rec.effort,
-                if rec.git_dirty { "  (dirty)" } else { "" }
-            );
-        }
-    }
-}
-
-/// Synthetic end-to-end self-test: two commits, one metric slowed 30 %,
-/// one jittered 2 %, plus a sub-jitter-floor probe — through the real
-/// store, comparator, and trend renderer, with hard assertions.
-fn cmd_smoke() {
-    let root = std::env::temp_dir().join(format!("lts-history-smoke-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-    let store = HistoryStore::open(&root).expect("open smoke ledger");
-
-    let base = [100.0, 99.0, 101.0, 100.5, 99.5, 100.2];
-    let jitter = [102.0, 100.9, 103.0, 102.6, 101.4, 102.3]; // ~+2%, overlapping
-    let entry = |rev: &str, e2e_scale: f64, jitter_samples: &[f64]| {
-        let fingerprint = HostFingerprint::probe();
-        HistoryRecord {
-            schema: SCHEMA_VERSION,
-            seq: 0,
-            bench: "smoke".into(),
-            params: "synthetic".into(),
-            params_hash: fnv1a64_hex("synthetic"),
-            git_rev: rev.into(),
-            git_dirty: false,
-            effort: "quick".into(),
-            reps: base.len(),
-            fingerprint,
-            notes: vec![],
-            metrics: vec![
-                MetricSeries::from_samples(
-                    "e2e",
-                    MetricKind::Record,
-                    base.iter().map(|x| x * e2e_scale).collect(),
-                ),
-                MetricSeries::from_samples(
-                    "jitter_only",
-                    MetricKind::Record,
-                    jitter_samples.to_vec(),
-                ),
-                MetricSeries::from_samples(
-                    "core.sub_floor_probe",
-                    MetricKind::Probe,
-                    base.iter().map(|x| x * e2e_scale * 1e-5).collect(),
-                ),
-            ],
-        }
-    };
-
-    store.append(entry("baseline", 1.0, &base), true).expect("append baseline");
-    store.append(entry("suspect", 1.30, &jitter), true).expect("append suspect");
-
-    let (previous, latest) = store.latest_pair("smoke").expect("pair");
-    let report = compare_records(&previous, &latest, &SignificanceConfig::default());
-    println!("{}", report.to_markdown());
-
-    let verdict_of = |name: &str| {
-        report
-            .verdicts
-            .iter()
-            .find(|v| v.metric == name)
-            .unwrap_or_else(|| panic!("metric `{name}` missing from comparison"))
-    };
-    let slowed = verdict_of("e2e");
-    assert_eq!(
-        slowed.verdict,
-        Verdict::Regression,
-        "30% slowdown must be flagged significant: {slowed:?}"
-    );
-    assert!(slowed.p_value < 0.05, "{slowed:?}");
-    let jittered = verdict_of("jitter_only");
-    assert_ne!(
-        jittered.verdict,
-        Verdict::Regression,
-        "2% jitter must not be flagged: {jittered:?}"
-    );
-    let sub_floor = verdict_of("core.sub_floor_probe");
-    assert_eq!(
-        sub_floor.verdict,
-        Verdict::Inconclusive,
-        "sub-50µs probes sit below the jitter floor: {sub_floor:?}"
-    );
-
-    // Dirty-tree refusal is part of the contract.
-    let mut dirty = entry("dirtyrev", 1.0, &base);
-    dirty.git_dirty = true;
-    let err = store.append(dirty, false).expect_err("dirty tree must be refused");
-    assert!(err.to_string().contains("LTS_BENCH_ALLOW_DIRTY"), "{err}");
-
-    // Trend renderer over the same ledger.
-    let history = store.load_bench("smoke").expect("load");
-    let trend = trend_report(&history, &SignificanceConfig::default());
-    println!("{}", trend.to_markdown());
-    let e2e_row = trend.rows.iter().find(|r| r.metric == "e2e").expect("e2e trend row");
-    assert_eq!(e2e_row.first_regressing_rev.as_deref(), Some("suspect"), "{e2e_row:?}");
-    assert_eq!(e2e_row.latest_verdict, Verdict::Regression);
-    assert_eq!(e2e_row.points.len(), 2);
-    assert!(e2e_row.points[1].mad_ms > 0.0, "dispersion band present: {e2e_row:?}");
-
-    let _ = std::fs::remove_dir_all(&root);
-    println!("history smoke ok: 30% slowdown flagged, 2% jitter not, dirty tree refused");
 }

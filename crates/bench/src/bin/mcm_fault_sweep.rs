@@ -19,8 +19,7 @@
 //!
 //! The binary exits nonzero if any cell violates its contract. Timings
 //! are recorded per cell and written to `BENCH_mcm_fault.json` (into
-//! `LTS_BENCH_DIR`), participating in the `LTS_BENCH_BASELINE`
-//! regression gate. `LTS_EFFORT=quick` trims the sweep to one package
+//! `LTS_BENCH_DIR`). `LTS_EFFORT=quick` trims the sweep to one package
 //! shape and one victim. Run:
 //! `cargo run --release -p lts-bench --bin mcm_fault_sweep`
 //!
@@ -321,7 +320,7 @@ fn main() {
     println!("oracle static replan that knew the dead set before the run started.");
 
     report.attach_probes();
-    report.write_checked().expect("mcm fault bench report (regression gate)");
+    report.write().expect("write mcm fault bench report");
 
     if !violations.is_empty() {
         for v in &violations {

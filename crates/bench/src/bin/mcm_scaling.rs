@@ -100,5 +100,5 @@ fn main() {
         report.note(format!("sweep capped at {:?} chiplets (LTS_MCM_MAX_CHIPLETS)", counts));
     }
     report.attach_probes();
-    report.write_checked().expect("write BENCH_mcm.json");
+    report.write().expect("write BENCH_mcm.json");
 }

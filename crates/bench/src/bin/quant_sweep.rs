@@ -6,8 +6,7 @@
 //! top-1 accuracy, evaluation latency, NoC traffic width and simulated
 //! single-pass cycles.
 //!
-//! Writes `BENCH_quant.json` through the `LTS_BENCH_BASELINE` regression
-//! gate and loads it back to prove the report round-trips. Run:
+//! Writes `BENCH_quant.json` (into `LTS_BENCH_DIR`). Run:
 //! `cargo run --release -p lts-bench --bin quant_sweep`
 //! (`LTS_EFFORT=quick` for a fast pass).
 
@@ -195,10 +194,7 @@ fn main() {
     );
 
     report.attach_probes();
-    let path = report.write_checked().expect("write benchmark report");
-    let back = BenchReport::load(&path).expect("BENCH_quant.json loads back");
-    assert_eq!(back.records.len(), report.records.len(), "report did not round-trip");
-    println!("round-trip ok: {} records reloaded from {}", back.records.len(), path.display());
+    report.write().expect("write benchmark report");
 }
 
 /// `before/after` mean-time ratio of two records (= MACs/cycle uplift on

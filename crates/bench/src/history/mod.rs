@@ -1,42 +1,13 @@
-//! Cross-commit performance history: the evobench-style "level 2/3"
-//! pipeline (see `DESIGN.md` §18).
+//! Performance history: parent/change pairs over the repository
+//! benchmark, and the rank statistics that judge them (see `DESIGN.md`
+//! §18).
 //!
-//! The single-baseline 25 % gate in [`crate::timing`] catches a blown-up
-//! hot path within one run, but it cannot catch slow drift across
-//! commits, and on a noisy 1-CPU host it cannot distinguish a real 10 %
-//! regression from scheduler jitter. This module adds the missing rigor
-//! in three pieces:
+//! * **[`pairs`]** — the contract read from `BENCHMARK.json`, the result
+//!   lines and ledger lines of benchmark runs, and the pure summary that
+//!   turns a workload's pairs into verdicts;
+//! * **[`stats`]** — median, MAD and the Mann–Whitney U rank test.
 //!
-//! * **[`runner`]** — executes an existing bench N repetitions (reusing
-//!   [`crate::timing::BenchReport`] and the `lts-obs` probe snapshot),
-//!   aggregates per-metric median-of-medians with MAD dispersion, and
-//!   keeps the raw per-repetition samples;
-//! * **[`store`]** — appends one self-contained record, keyed by
-//!   (git rev, bench, params hash, host fingerprint), to an append-only
-//!   `BENCH_HISTORY/` directory of JSON files; dirty working trees are
-//!   refused with a typed error unless `LTS_BENCH_ALLOW_DIRTY=1`;
-//! * **[`compare`] / [`trend`]** — a Mann–Whitney U rank test per metric
-//!   yields typed `Regression`/`Improvement`/`NoChange`/`Inconclusive`
-//!   verdicts with effect sizes ([`stats`]), and the trend renderer walks
-//!   the full ledger into a sparkline table with dispersion bands and the
-//!   first regressing commit.
-//!
-//! Driven by the `bench_history` binary; existing bench binaries opt in
-//! via `LTS_BENCH_HISTORY=1`, which makes
-//! [`crate::timing::BenchReport::write_checked`] also append a
-//! single-repetition record.
+//! Driven by `bench_history pairs`.
 
-pub mod compare;
-pub mod runner;
+pub mod pairs;
 pub mod stats;
-pub mod store;
-pub mod trend;
-
-pub use compare::{compare_records, ComparisonReport, MetricVerdict};
-pub use runner::{aggregate, record_from_report, run_repetitions, RunSpec};
-pub use stats::{classify, mad, mann_whitney_u, median, SignificanceConfig, Verdict};
-pub use store::{
-    allow_dirty_from_env, fnv1a64_hex, history_root_from_env, HistoryError, HistoryRecord,
-    HistoryStore, MetricKind, MetricSeries,
-};
-pub use trend::{sparkline, trend_report, TrendReport};

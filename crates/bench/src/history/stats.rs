@@ -1,10 +1,9 @@
 //! Statistics core for the performance-history pipeline.
 //!
 //! Everything here is dependency-free and pure: robust location/dispersion
-//! estimators (median, median absolute deviation) for the "level 2"
-//! per-repetition aggregation, and a Mann–Whitney U rank test (normal
-//! approximation with tie correction and continuity correction) for the
-//! "level 3" cross-commit deviation verdicts. A rank test is used instead
+//! estimators (median, median absolute deviation) and a Mann–Whitney U
+//! rank test (normal approximation with tie correction and continuity
+//! correction) for parent/change comparisons. A rank test is used instead
 //! of a t-test because wall-clock samples on a shared 1-CPU host are
 //! heavy-tailed: one scheduler preemption produces an outlier that would
 //! wreck a mean/variance-based test but barely moves the ranks.
@@ -37,6 +36,22 @@ pub fn mad(samples: &[f64]) -> f64 {
     median(&devs)
 }
 
+/// Distance between the first and third quartiles, interpolating
+/// linearly between order statistics. 0 for fewer than two samples.
+pub fn iqr(samples: &[f64]) -> f64 {
+    if samples.len() < 2 {
+        return 0.0;
+    }
+    let mut s = samples.to_vec();
+    s.sort_by(f64::total_cmp);
+    let quantile = |q: f64| {
+        let h = q * (s.len() - 1) as f64;
+        let (lo, hi) = (h.floor() as usize, h.ceil() as usize);
+        s[lo] + (h - lo as f64) * (s[hi] - s[lo])
+    };
+    quantile(0.75) - quantile(0.25)
+}
+
 /// Result of a two-sided Mann–Whitney U test between samples `a` and `b`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RankTest {
@@ -59,9 +74,8 @@ pub struct RankTest {
 /// `U_a = R_a − n_a(n_a+1)/2`, and evaluates significance via the normal
 /// approximation with the standard tie-corrected variance
 /// `n_a·n_b/12 · ((N+1) − Σ(t³−t)/(N(N−1)))` and a 0.5 continuity
-/// correction toward the mean. Exactness caveats: the approximation is
-/// conservative-ish below ~4 samples per side; the verdict layer
-/// ([`classify`]) refuses to conclude anything there anyway.
+/// correction toward the mean. Exactness caveat: the approximation is
+/// conservative-ish below ~4 samples per side.
 pub fn mann_whitney_u(a: &[f64], b: &[f64]) -> RankTest {
     let (na, nb) = (a.len(), b.len());
     if na == 0 || nb == 0 {
@@ -143,170 +157,6 @@ fn erfc(x: f64) -> f64 {
     }
 }
 
-/// Knobs for [`classify`]. [`SignificanceConfig::default`] gives
-/// `alpha = 0.05`, `min_effect = 0.05` (5 % median shift), and
-/// `min_samples = 4` repetitions per side — the smallest `n` where the
-/// rank test can reach `p < 0.05` at all.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SignificanceConfig {
-    /// Two-sided significance level.
-    pub alpha: f64,
-    /// Practical-effect floor: median shifts smaller than this fraction
-    /// are reported [`Verdict::NoChange`] even when statistically
-    /// detectable (a significant 0.3 % shift is not a regression worth a
-    /// bisect).
-    pub min_effect: f64,
-    /// Minimum repetitions per side before any verdict besides
-    /// [`Verdict::Inconclusive`] is possible.
-    pub min_samples: usize,
-}
-
-impl Default for SignificanceConfig {
-    fn default() -> Self {
-        Self { alpha: 0.05, min_effect: 0.05, min_samples: 4 }
-    }
-}
-
-/// Typed outcome of comparing one metric's repetition samples across two
-/// commits. Replaces the raw-tolerance guesswork of the single-baseline
-/// gate: a verdict requires both statistical significance *and* a
-/// practically meaningful median shift.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub enum Verdict {
-    /// Significantly slower by at least `min_effect`.
-    Regression,
-    /// Significantly faster by at least `min_effect`.
-    Improvement,
-    /// No evidence of a practically meaningful shift.
-    NoChange,
-    /// Cannot conclude: too few repetitions, a non-positive baseline, or
-    /// a large-but-not-significant shift (noise swamped the signal).
-    Inconclusive,
-}
-
-impl Verdict {
-    /// Stable lowercase label (used as JSON summary keys and in tables).
-    pub fn label(self) -> &'static str {
-        match self {
-            Verdict::Regression => "regression",
-            Verdict::Improvement => "improvement",
-            Verdict::NoChange => "no-change",
-            Verdict::Inconclusive => "inconclusive",
-        }
-    }
-}
-
-/// A classified comparison of one metric across two commits.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Judgment {
-    /// The verdict (see [`Verdict`] semantics).
-    pub verdict: Verdict,
-    /// Two-sided p-value of the rank test.
-    pub p_value: f64,
-    /// Rank-biserial effect size (positive = new sample tends larger).
-    pub effect_r: f64,
-    /// Median of the old samples.
-    pub median_old: f64,
-    /// Median of the new samples.
-    pub median_new: f64,
-    /// Fractional median shift `(new − old) / old` (0 when `old ≤ 0`).
-    pub delta: f64,
-    /// One-line human explanation of how the verdict was reached.
-    pub reason: String,
-}
-
-/// Classifies `new` versus `old` repetition samples of a lower-is-better
-/// metric (milliseconds).
-///
-/// Decision rule:
-/// 1. fewer than `min_samples` on either side → [`Verdict::Inconclusive`];
-/// 2. non-positive old median → [`Verdict::Inconclusive`] (nothing to be
-///    relative to);
-/// 3. rank test significant (`p < alpha`) and `|delta| ≥ min_effect` →
-///    [`Verdict::Regression`] / [`Verdict::Improvement`] by sign;
-/// 4. significant but `|delta| < min_effect` → [`Verdict::NoChange`]
-///    (detectable, not meaningful);
-/// 5. not significant but `|delta| ≥ min_effect` →
-///    [`Verdict::Inconclusive`] (could be real, could be noise — rerun
-///    with more repetitions);
-/// 6. otherwise [`Verdict::NoChange`].
-pub fn classify(old: &[f64], new: &[f64], cfg: &SignificanceConfig) -> Judgment {
-    let median_old = median(old);
-    let median_new = median(new);
-    let delta = if median_old > 0.0 { (median_new - median_old) / median_old } else { 0.0 };
-    let test = mann_whitney_u(new, old);
-    let base = Judgment {
-        verdict: Verdict::Inconclusive,
-        p_value: test.p_value,
-        effect_r: test.effect_r,
-        median_old,
-        median_new,
-        delta,
-        reason: String::new(),
-    };
-    if old.len() < cfg.min_samples || new.len() < cfg.min_samples {
-        return Judgment {
-            reason: format!(
-                "{} vs {} repetitions; need ≥{} per side for a verdict",
-                old.len(),
-                new.len(),
-                cfg.min_samples
-            ),
-            ..base
-        };
-    }
-    if median_old <= 0.0 {
-        return Judgment { reason: "non-positive baseline median".into(), ..base };
-    }
-    let significant = test.p_value < cfg.alpha;
-    let meaningful = delta.abs() >= cfg.min_effect;
-    let (verdict, reason) = match (significant, meaningful) {
-        (true, true) if delta > 0.0 => (
-            Verdict::Regression,
-            format!(
-                "median {:+.1}% (p={:.4} < α={}, effect r={:+.2})",
-                100.0 * delta,
-                test.p_value,
-                cfg.alpha,
-                test.effect_r
-            ),
-        ),
-        (true, true) => (
-            Verdict::Improvement,
-            format!(
-                "median {:+.1}% (p={:.4} < α={}, effect r={:+.2})",
-                100.0 * delta,
-                test.p_value,
-                cfg.alpha,
-                test.effect_r
-            ),
-        ),
-        (true, false) => (
-            Verdict::NoChange,
-            format!(
-                "significant (p={:.4}) but |{:+.1}%| below the {:.0}% effect floor",
-                test.p_value,
-                100.0 * delta,
-                100.0 * cfg.min_effect
-            ),
-        ),
-        (false, true) => (
-            Verdict::Inconclusive,
-            format!(
-                "median {:+.1}% but not significant (p={:.4} ≥ α={}); rerun with more repetitions",
-                100.0 * delta,
-                test.p_value,
-                cfg.alpha
-            ),
-        ),
-        (false, false) => (
-            Verdict::NoChange,
-            format!("p={:.4}, median {:+.1}%: indistinguishable", test.p_value, 100.0 * delta),
-        ),
-    };
-    Judgment { verdict, reason, ..base }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -376,55 +226,12 @@ mod tests {
     }
 
     #[test]
-    fn classify_flags_a_clean_30_percent_slowdown() {
-        let old = [100.0, 99.0, 101.0, 100.5, 99.5, 100.2];
-        let new: Vec<f64> = old.iter().map(|x| x * 1.30).collect();
-        let j = classify(&old, &new, &SignificanceConfig::default());
-        assert_eq!(j.verdict, Verdict::Regression, "{j:?}");
-        assert!(j.p_value < 0.01, "{j:?}");
-        assert!((j.delta - 0.30).abs() < 1e-9, "{j:?}");
-        // And the mirrored comparison is an improvement of the same weight.
-        let back = classify(&new, &old, &SignificanceConfig::default());
-        assert_eq!(back.verdict, Verdict::Improvement, "{back:?}");
-        assert!((back.p_value - j.p_value).abs() < 1e-12);
-    }
-
-    #[test]
-    fn classify_ignores_two_percent_jitter() {
-        let old = [100.0, 99.0, 101.0, 100.5, 99.5, 100.2];
-        let new = [102.0, 100.9, 103.0, 102.6, 101.4, 102.3]; // ~+2%
-        let j = classify(&old, &new, &SignificanceConfig::default());
-        assert_eq!(j.verdict, Verdict::NoChange, "{j:?}");
-        assert!(j.delta.abs() < 0.05, "{j:?}");
-    }
-
-    #[test]
-    fn classify_identical_samples_is_no_change() {
-        let s = [10.0, 11.0, 9.5, 10.2, 10.8];
-        let j = classify(&s, &s, &SignificanceConfig::default());
-        assert_eq!(j.verdict, Verdict::NoChange, "{j:?}");
-        assert_eq!(j.p_value, 1.0);
-    }
-
-    #[test]
-    fn classify_underpowered_is_inconclusive() {
-        let j = classify(
-            &[100.0, 100.0, 100.0],
-            &[200.0, 200.0, 200.0],
-            &SignificanceConfig::default(),
-        );
-        assert_eq!(j.verdict, Verdict::Inconclusive, "{j:?}");
-        assert!(j.reason.contains("repetitions"), "{j:?}");
-    }
-
-    #[test]
-    fn classify_large_but_noisy_shift_is_inconclusive() {
-        // Heavily overlapping samples whose medians differ by >5%: the
-        // rank test cannot separate them, so no regression is charged.
-        let old = [100.0, 140.0, 90.0, 120.0, 95.0, 130.0];
-        let new = [110.0, 95.0, 145.0, 125.0, 100.0, 135.0];
-        let j = classify(&old, &new, &SignificanceConfig::default());
-        assert_eq!(j.verdict, Verdict::Inconclusive, "{j:?}");
-        assert!(j.p_value >= 0.05, "{j:?}");
+    fn iqr_interpolates_between_order_statistics() {
+        assert_eq!(iqr(&[]), 0.0);
+        assert_eq!(iqr(&[4.0]), 0.0);
+        // Quartiles of 1..=5 are 2 and 4.
+        assert_eq!(iqr(&[5.0, 1.0, 4.0, 2.0, 3.0]), 2.0);
+        // Of 1..=4: 1.75 and 3.25.
+        assert_eq!(iqr(&[1.0, 2.0, 3.0, 4.0]), 1.5);
     }
 }

@@ -50,21 +50,18 @@ pub mod timing {
     //! engine's worker count, because kernel timings are meaningless
     //! without them.
     //!
-    //! Two environment knobs make the harness CI-friendly:
-    //!
-    //! * `LTS_BENCH_ITERS` caps measured iterations (see
-    //!   [`iters_from_env`]) so a smoke run finishes in seconds;
-    //! * `LTS_BENCH_BASELINE` names a previously written `BENCH_*.json`;
-    //!   [`BenchReport::write_checked`] then compares each record's
-    //!   `mean_ms` against it and fails on a >25 % regression.
+    //! `LTS_BENCH_ITERS` caps measured iterations (see [`iters_from_env`])
+    //! so a CI smoke run finishes in seconds. Comparing commits is the job
+    //! of `bench_history pairs` over the repository benchmark, not of
+    //! these reports.
 
-    use serde::{Deserialize, Serialize};
+    use serde::Serialize;
     use std::time::Instant;
 
     /// Provenance of the host a report was produced on, so two
     /// `BENCH_*.json` files can be compared knowing whether the
     /// toolchain or the tree changed between them.
-    #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+    #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
     pub struct HostFingerprint {
         /// `rustc -V` output (or `unknown` when unavailable).
         pub rustc: String,
@@ -74,8 +71,7 @@ pub mod timing {
         pub os: String,
         /// Whether the working tree had uncommitted changes — without
         /// this, `git_rev` can silently describe code that was never
-        /// measured. `None` when git is unavailable (and in reports
-        /// written before the field existed).
+        /// measured. `None` when git is unavailable.
         pub git_dirty: Option<bool>,
     }
 
@@ -108,16 +104,6 @@ pub mod timing {
         }
     }
 
-    /// Mean-time regression tolerance for [`BenchReport::write_checked`]:
-    /// a record must be more than 25 % slower than the baseline to fail
-    /// the run (wall-clock noise on shared hosts sits well below that).
-    pub const REGRESSION_TOLERANCE: f64 = 0.25;
-
-    /// Probe medians below this (milliseconds) are exempt from the
-    /// regression gate: at sub-50 µs scale scheduler jitter swamps any
-    /// real signal.
-    pub const PROBE_GATE_FLOOR_MS: f64 = 0.05;
-
     /// Measured-iteration count: `LTS_BENCH_ITERS` when set (parsed,
     /// minimum 1), else `default`. Lets CI smoke-run the heavy benches.
     ///
@@ -135,7 +121,7 @@ pub mod timing {
     }
 
     /// Timing of one benchmarked workload.
-    #[derive(Debug, Clone, Serialize, Deserialize)]
+    #[derive(Debug, Clone, Serialize)]
     pub struct BenchRecord {
         /// Workload label.
         pub name: String,
@@ -149,16 +135,12 @@ pub mod timing {
         pub min_ms: f64,
         /// Slowest iteration, milliseconds.
         pub max_ms: f64,
-        /// Median wall-clock per iteration, milliseconds (`Option` so
-        /// pre-history `BENCH_*.json` baselines still load).
-        pub median_ms: Option<f64>,
+        /// Median wall-clock per iteration, milliseconds.
+        pub median_ms: f64,
         /// Median absolute deviation across iterations, milliseconds — a
         /// robust dispersion estimate one outlier iteration cannot
-        /// inflate (`Option` for the same loadability reason).
-        pub mad_ms: Option<f64>,
-        /// History-runner repetitions aggregated into this record;
-        /// `None` for a plain single-run timing.
-        pub reps: Option<usize>,
+        /// inflate.
+        pub mad_ms: f64,
     }
 
     /// Times `f` for `iters` iterations after `warmup` untimed ones.
@@ -181,14 +163,13 @@ pub mod timing {
             mean_ms: sum / iters as f64,
             min_ms: samples.iter().copied().fold(f64::INFINITY, f64::min),
             max_ms: samples.iter().copied().fold(0.0, f64::max),
-            median_ms: Some(crate::history::stats::median(&samples)),
-            mad_ms: Some(crate::history::stats::mad(&samples)),
-            reps: None,
+            median_ms: crate::history::stats::median(&samples),
+            mad_ms: crate::history::stats::mad(&samples),
         }
     }
 
     /// A full benchmark report: host facts plus one record per workload.
-    #[derive(Debug, Clone, Serialize, Deserialize)]
+    #[derive(Debug, Clone, Serialize)]
     pub struct BenchReport {
         /// Benchmark binary name.
         pub bench: String,
@@ -200,11 +181,11 @@ pub mod timing {
         pub notes: Vec<String>,
         /// One entry per timed workload.
         pub records: Vec<BenchRecord>,
-        /// Host provenance (`Option` so pre-fingerprint reports load).
-        pub fingerprint: Option<HostFingerprint>,
-        /// Probe-path statistics captured by `lts-obs` during the run
-        /// (`Option` so pre-observability reports load).
-        pub probes: Option<Vec<lts_obs::ProbeRow>>,
+        /// Host provenance.
+        pub fingerprint: HostFingerprint,
+        /// Probe-path statistics captured by `lts-obs` during the run;
+        /// empty unless [`BenchReport::attach_probes`] was called.
+        pub probes: Vec<lts_obs::ProbeRow>,
     }
 
     impl BenchReport {
@@ -216,16 +197,15 @@ pub mod timing {
                 host_cpus: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
                 notes: Vec::new(),
                 records: Vec::new(),
-                fingerprint: Some(HostFingerprint::probe()),
-                probes: None,
+                fingerprint: HostFingerprint::probe(),
+                probes: Vec::new(),
             }
         }
 
-        /// Snapshots the live `lts-obs` probe statistics into the report
-        /// so [`BenchReport::regressions_vs`] can gate on per-probe
-        /// medians, not just end-to-end means.
+        /// Snapshots the live `lts-obs` probe statistics into the report,
+        /// so readers see per-probe medians, not just end-to-end means.
         pub fn attach_probes(&mut self) {
-            self.probes = Some(lts_obs::snapshot().probes);
+            self.probes = lts_obs::snapshot().probes;
         }
 
         /// Adds a record and echoes it to stdout.
@@ -260,117 +240,6 @@ pub mod timing {
             println!("\nwrote {}", path.display());
             Ok(path)
         }
-
-        /// Reads back a report previously produced by [`BenchReport::write`].
-        ///
-        /// # Errors
-        ///
-        /// I/O errors, or a parse failure mapped to `InvalidData`.
-        pub fn load(path: impl AsRef<std::path::Path>) -> std::io::Result<Self> {
-            let json = std::fs::read_to_string(path)?;
-            serde_json::from_str(&json)
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
-        }
-
-        /// Records of `self` that regressed versus `baseline`: same name,
-        /// `mean_ms` more than `tolerance` (fractional) slower. Records
-        /// missing from either side are ignored — a rename or a new
-        /// workload is not a regression.
-        ///
-        /// When both reports carry attached probe statistics (see
-        /// [`BenchReport::attach_probes`]), per-probe `p50_ms` medians
-        /// are gated by the same rule, so a slowdown buried inside one
-        /// call path fails the gate even if the end-to-end mean hides
-        /// it. Probes whose baseline median sits below
-        /// [`PROBE_GATE_FLOOR_MS`] are skipped — scheduler jitter
-        /// dominates at that scale.
-        pub fn regressions_vs(&self, baseline: &BenchReport, tolerance: f64) -> Vec<String> {
-            let mut out: Vec<String> = self
-                .records
-                .iter()
-                .filter_map(|r| {
-                    let base = baseline.records.iter().find(|b| b.name == r.name)?;
-                    (r.mean_ms > base.mean_ms * (1.0 + tolerance)).then(|| {
-                        format!(
-                            "{}: {:.3} ms -> {:.3} ms (+{:.0}%)",
-                            r.name,
-                            base.mean_ms,
-                            r.mean_ms,
-                            100.0 * (r.mean_ms / base.mean_ms - 1.0)
-                        )
-                    })
-                })
-                .collect();
-            if let (Some(probes), Some(base_probes)) = (&self.probes, &baseline.probes) {
-                out.extend(probes.iter().filter_map(|p| {
-                    let base = base_probes.iter().find(|b| b.path == p.path)?;
-                    if base.p50_ms < PROBE_GATE_FLOOR_MS {
-                        return None;
-                    }
-                    (p.p50_ms > base.p50_ms * (1.0 + tolerance)).then(|| {
-                        format!(
-                            "probe {}: p50 {:.3} ms -> {:.3} ms (+{:.0}%)",
-                            p.path,
-                            base.p50_ms,
-                            p.p50_ms,
-                            100.0 * (p.p50_ms / base.p50_ms - 1.0)
-                        )
-                    })
-                }));
-            }
-            out
-        }
-
-        /// [`BenchReport::write`], then — when `LTS_BENCH_BASELINE` names
-        /// a previous report — the regression gate: every record whose
-        /// `mean_ms` grew by more than [`REGRESSION_TOLERANCE`] versus its
-        /// baseline namesake is listed and the call fails, so a
-        /// `.expect()` in the bench `main` exits the process non-zero.
-        ///
-        /// When `LTS_BENCH_HISTORY=1`, the report is additionally
-        /// appended to the `BENCH_HISTORY/` ledger as a single-repetition
-        /// record (see [`crate::history`]), so every existing bench
-        /// binary contributes to cross-commit trends without code
-        /// changes. Dirty working trees are refused there unless
-        /// `LTS_BENCH_ALLOW_DIRTY=1`.
-        ///
-        /// # Errors
-        ///
-        /// Write/load errors, or `Other` naming the regressed records.
-        pub fn write_checked(&self) -> std::io::Result<std::path::PathBuf> {
-            let path = self.write()?;
-            if std::env::var("LTS_BENCH_HISTORY").is_ok_and(|v| v != "0") {
-                use crate::history;
-                let store = history::HistoryStore::open_from_env()
-                    .map_err(|e| std::io::Error::other(e.to_string()))?;
-                let record = history::record_from_report(self);
-                let entry = store
-                    .append(record, history::allow_dirty_from_env())
-                    .map_err(|e| std::io::Error::other(e.to_string()))?;
-                println!("appended history entry {}", entry.display());
-            }
-            let Ok(baseline_path) = std::env::var("LTS_BENCH_BASELINE") else {
-                return Ok(path);
-            };
-            let baseline = Self::load(&baseline_path)?;
-            let regressions = self.regressions_vs(&baseline, REGRESSION_TOLERANCE);
-            if regressions.is_empty() {
-                println!(
-                    "regression gate vs {baseline_path}: ok ({} records compared)",
-                    self.records.len()
-                );
-                return Ok(path);
-            }
-            for r in &regressions {
-                println!("REGRESSION {r}");
-            }
-            Err(std::io::Error::other(format!(
-                "{} record(s) regressed >{:.0}% vs {baseline_path}: {}",
-                regressions.len(),
-                100.0 * REGRESSION_TOLERANCE,
-                regressions.join("; ")
-            )))
-        }
     }
 }
 
@@ -394,88 +263,13 @@ mod tests {
     }
 
     #[test]
-    fn regression_gate_flags_only_slowdowns_beyond_tolerance() {
-        let record = |name: &str, mean_ms: f64| timing::BenchRecord {
-            name: name.into(),
-            threads: 1,
-            iters: 3,
-            mean_ms,
-            min_ms: mean_ms,
-            max_ms: mean_ms,
-            median_ms: Some(mean_ms),
-            mad_ms: Some(0.0),
-            reps: None,
-        };
-        let mut baseline = timing::BenchReport::new("gate", "quick");
-        baseline.records.push(record("stable", 10.0));
-        baseline.records.push(record("regressed", 10.0));
-        baseline.records.push(record("removed", 10.0));
-        let mut current = timing::BenchReport::new("gate", "quick");
-        current.records.push(record("stable", 12.0)); // +20% — under the gate
-        current.records.push(record("regressed", 13.0)); // +30% — over
-        current.records.push(record("added", 99.0)); // no baseline — ignored
-        let regressions = current.regressions_vs(&baseline, timing::REGRESSION_TOLERANCE);
-        assert_eq!(regressions.len(), 1, "{regressions:?}");
-        assert!(regressions[0].starts_with("regressed:"), "{regressions:?}");
-        assert!(current.regressions_vs(&baseline, 0.5).is_empty());
-    }
-
-    #[test]
-    fn reports_round_trip_through_json() {
-        let mut report = timing::BenchReport::new("roundtrip", "quick");
-        report.records.push(timing::BenchRecord {
-            name: "w".into(),
-            threads: 2,
-            iters: 5,
-            mean_ms: 1.5,
-            min_ms: 1.0,
-            max_ms: 2.0,
-            median_ms: Some(1.4),
-            mad_ms: Some(0.2),
-            reps: None,
-        });
-        report.notes.push("a note".into());
-        let json = serde_json::to_string(&report).unwrap();
-        let back: timing::BenchReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.bench, "roundtrip");
-        assert_eq!(back.records.len(), 1);
-        assert_eq!(back.records[0].name, "w");
-        assert_eq!(back.notes, vec!["a note".to_string()]);
-    }
-
-    #[test]
-    fn pre_history_baselines_still_load() {
-        // A BENCH_*.json written before the dispersion fields and the
-        // fingerprint dirty-flag existed: every new field must read back
-        // as None, and re-serializing must round-trip the rest intact.
-        let json = r#"{
-            "bench": "old", "effort": "quick", "host_cpus": 1, "notes": [],
-            "records": [{"name": "w", "threads": 1, "iters": 2,
-                         "mean_ms": 1.0, "min_ms": 0.9, "max_ms": 1.1}],
-            "fingerprint": {"rustc": "rustc 1.0", "git_rev": "abc1234", "os": "linux"},
-            "probes": null
-        }"#;
-        let report: timing::BenchReport = serde_json::from_str(json).expect("old report loads");
-        let rec = &report.records[0];
-        assert_eq!((rec.median_ms, rec.mad_ms, rec.reps), (None, None, None));
-        assert_eq!(rec.mean_ms, 1.0);
-        let fp = report.fingerprint.as_ref().expect("fingerprint");
-        assert_eq!(fp.git_dirty, None, "pre-dirty-flag fingerprints load as unknown");
-        let back: timing::BenchReport =
-            serde_json::from_str(&serde_json::to_string(&report).expect("serialize"))
-                .expect("round-trip");
-        assert_eq!(back.records[0].median_ms, None);
-        assert_eq!(back.records[0].mean_ms, 1.0);
-    }
-
-    #[test]
     fn time_fills_dispersion_fields() {
         let record = timing::time("dispersion", 0, 5, || std::hint::black_box(()));
-        let median = record.median_ms.expect("median recorded");
-        let mad = record.mad_ms.expect("mad recorded");
-        assert!(record.min_ms <= median && median <= record.max_ms, "{record:?}");
-        assert!(mad >= 0.0);
-        assert_eq!(record.reps, None, "plain timing is not a repetition aggregate");
+        assert!(
+            record.min_ms <= record.median_ms && record.median_ms <= record.max_ms,
+            "{record:?}"
+        );
+        assert!(record.mad_ms >= 0.0);
     }
 
     #[test]

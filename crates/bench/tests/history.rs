@@ -1,107 +1,7 @@
-//! Integration tests of the performance-history pipeline: statistics
-//! properties, ledger round-trips, and the `write_checked` history hook.
+//! Properties of the statistics behind the parent/change verdicts.
 
-use lts_bench::history::store::{fnv1a64_hex, SCHEMA_VERSION};
-use lts_bench::history::{
-    classify, compare_records, mann_whitney_u, trend_report, HistoryRecord, HistoryStore,
-    MetricKind, MetricSeries, SignificanceConfig, Verdict,
-};
-use lts_bench::timing::{BenchRecord, BenchReport, HostFingerprint};
+use lts_bench::history::stats::{iqr, mad, mann_whitney_u, median};
 use proptest::prelude::*;
-use std::path::PathBuf;
-
-fn temp_root(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "lts-history-it-{tag}-{}-{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-fn entry(bench: &str, rev: &str, samples: Vec<f64>) -> HistoryRecord {
-    HistoryRecord {
-        schema: SCHEMA_VERSION,
-        seq: 0,
-        bench: bench.into(),
-        params: "it".into(),
-        params_hash: fnv1a64_hex("it"),
-        git_rev: rev.into(),
-        git_dirty: false,
-        effort: "quick".into(),
-        reps: samples.len(),
-        fingerprint: HostFingerprint::probe(),
-        notes: vec![],
-        metrics: vec![MetricSeries::from_samples("e2e", MetricKind::Record, samples)],
-    }
-}
-
-#[test]
-fn ledger_survives_reload_and_detects_injected_regression() {
-    let store = HistoryStore::open(temp_root("e2e")).expect("open");
-    let base = vec![10.0, 9.9, 10.1, 10.05, 9.95, 10.02];
-    let slowed: Vec<f64> = base.iter().map(|x| x * 1.3).collect();
-    store.append(entry("b", "r1", base), false).expect("append r1");
-    store.append(entry("b", "r2", slowed), false).expect("append r2");
-
-    // Reopen from disk: everything must come back through JSON.
-    let reopened = HistoryStore::open(store.root()).expect("reopen");
-    let history = reopened.load_bench("b").expect("load");
-    assert_eq!(history.len(), 2);
-    assert_eq!(history[0].fingerprint.os, std::env::consts::OS);
-
-    let report = compare_records(&history[0], &history[1], &SignificanceConfig::default());
-    assert_eq!(report.verdicts[0].verdict, Verdict::Regression, "{report:?}");
-    assert_eq!(report.summary.get("regression"), Some(&1));
-
-    let trend = trend_report(&history, &SignificanceConfig::default());
-    assert_eq!(trend.rows[0].first_regressing_rev.as_deref(), Some("r2"));
-    // JSON round-trip of the comparison report (BTreeMap summary included).
-    let json = serde_json::to_string(&report).expect("serialize comparison");
-    let back: lts_bench::history::ComparisonReport =
-        serde_json::from_str(&json).expect("parse comparison");
-    assert_eq!(back, report);
-}
-
-#[test]
-fn write_checked_appends_to_history_when_enabled() {
-    let bench_dir = temp_root("hook");
-    std::fs::create_dir_all(&bench_dir).expect("bench dir");
-    let history_dir = bench_dir.join("BENCH_HISTORY");
-    // These variables are read only by this test's write_checked call;
-    // the rest of this test binary uses explicit store roots.
-    std::env::set_var("LTS_BENCH_DIR", &bench_dir);
-    std::env::set_var("LTS_BENCH_HISTORY_DIR", &history_dir);
-    std::env::set_var("LTS_BENCH_HISTORY", "1");
-    std::env::set_var("LTS_BENCH_ALLOW_DIRTY", "1");
-
-    let mut report = BenchReport::new("hooked", "quick");
-    report.records.push(BenchRecord {
-        name: "w".into(),
-        threads: 1,
-        iters: 3,
-        mean_ms: 2.0,
-        min_ms: 1.9,
-        max_ms: 2.1,
-        median_ms: Some(2.0),
-        mad_ms: Some(0.05),
-        reps: None,
-    });
-    report.write_checked().expect("write + history append");
-
-    std::env::remove_var("LTS_BENCH_HISTORY");
-    std::env::remove_var("LTS_BENCH_HISTORY_DIR");
-    std::env::remove_var("LTS_BENCH_DIR");
-    std::env::remove_var("LTS_BENCH_ALLOW_DIRTY");
-
-    let store = HistoryStore::open(&history_dir).expect("open ledger");
-    let history = store.load_bench("hooked").expect("load");
-    assert_eq!(history.len(), 1, "one single-rep entry appended");
-    assert_eq!(history[0].reps, 1);
-    let m = history[0].metric(MetricKind::Record, "w").expect("series");
-    assert_eq!(m.samples, vec![2.0], "the record median is the single sample");
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -121,8 +21,8 @@ proptest! {
         prop_assert!((ab.z + ba.z).abs() < 1e-9, "{ab:?} vs {ba:?}");
     }
 
-    /// Two identical sample sets are never flagged in either direction,
-    /// at any repetition count.
+    /// Two identical sample sets are never told apart, at any sample
+    /// count.
     #[test]
     fn identical_samples_are_never_flagged(
         samples in proptest::collection::vec(0.001f64..1000.0, 1..16)
@@ -130,32 +30,45 @@ proptest! {
         let t = mann_whitney_u(&samples, &samples);
         // erfc is a rational approximation, good to ~1.2e-7.
         prop_assert!((t.p_value - 1.0).abs() < 1e-6, "{t:?}");
-        let j = classify(&samples, &samples, &SignificanceConfig::default());
-        prop_assert!(
-            j.verdict == Verdict::NoChange || j.verdict == Verdict::Inconclusive,
-            "identical samples flagged {:?}", j
-        );
-        prop_assert!(j.verdict != Verdict::Regression && j.verdict != Verdict::Improvement);
-        prop_assert!(j.delta.abs() < 1e-12, "{j:?}");
+        prop_assert!(t.effect_r.abs() < 1e-12, "{t:?}");
     }
 
-    /// Classification is direction-consistent: if new-vs-old is a
-    /// regression, old-vs-new is an improvement with the same p-value.
+    /// The median lies within the samples' range and ignores their order.
     #[test]
-    // scale ≥ 1.2 keeps both directions above the 5% effect floor: the
-    // reverse delta is (s−1)/s, which dips below 5% for s just over 1.05.
-    fn verdicts_mirror_under_swap(
-        base in proptest::collection::vec(50.0f64..150.0, 4..10),
-        scale in 1.2f64..3.0,
+    fn median_lies_within_the_range_and_ignores_order(
+        samples in proptest::collection::vec(-1000.0f64..1000.0, 1..16)
     ) {
-        let scaled: Vec<f64> = base.iter().map(|x| x * scale).collect();
-        let fwd = classify(&base, &scaled, &SignificanceConfig::default());
-        let rev = classify(&scaled, &base, &SignificanceConfig::default());
-        prop_assert!((fwd.p_value - rev.p_value).abs() < 1e-12);
-        match fwd.verdict {
-            Verdict::Regression => prop_assert_eq!(rev.verdict, Verdict::Improvement),
-            Verdict::Improvement => prop_assert_eq!(rev.verdict, Verdict::Regression),
-            _ => {}
-        }
+        let m = median(&samples);
+        let lo = samples.iter().copied().fold(f64::INFINITY, f64::min);
+        let hi = samples.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        prop_assert!(lo <= m && m <= hi, "{m} outside [{lo}, {hi}]");
+        let mut reversed = samples.clone();
+        reversed.reverse();
+        prop_assert_eq!(median(&reversed), m);
+    }
+
+    /// Shifting every sample moves the median by the shift and leaves the
+    /// spread estimates (MAD and IQR) where they were.
+    #[test]
+    fn spread_estimates_are_shift_invariant(
+        samples in proptest::collection::vec(0.0f64..100.0, 1..16),
+        shift in -100.0f64..100.0
+    ) {
+        let shifted: Vec<f64> = samples.iter().map(|x| x + shift).collect();
+        prop_assert!((median(&shifted) - median(&samples) - shift).abs() < 1e-9);
+        prop_assert!((mad(&shifted) - mad(&samples)).abs() < 1e-9);
+        prop_assert!((iqr(&shifted) - iqr(&samples)).abs() < 1e-9);
+    }
+
+    /// The IQR is never negative and never wider than the range.
+    #[test]
+    fn iqr_lies_within_the_range(
+        samples in proptest::collection::vec(-1000.0f64..1000.0, 0..16)
+    ) {
+        let spread = iqr(&samples);
+        let lo = samples.iter().copied().fold(f64::INFINITY, f64::min);
+        let hi = samples.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        prop_assert!(spread >= 0.0, "{spread}");
+        prop_assert!(samples.len() < 2 || spread <= hi - lo + 1e-9, "{spread} > {hi} - {lo}");
     }
 }

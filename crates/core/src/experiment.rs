@@ -242,6 +242,10 @@ pub struct SparsifiedRow {
     pub speedup: f64,
     /// NoC energy reduction vs the baseline.
     pub energy_reduction: f64,
+    /// Whether the row's accuracy is within the tolerance of the baseline.
+    /// `false` marks a fallback: no λ met the floor, so the row is the
+    /// most accurate run instead.
+    pub within_tolerance: bool,
 }
 
 /// Per-network group-Lasso hyper-parameters.
@@ -303,6 +307,7 @@ pub fn sparsified_experiment(
         traffic_rate: 1.0,
         speedup: 1.0,
         energy_reduction: 0.0,
+        within_tolerance: true,
     }];
 
     for scheme in [SparsityScheme::Ss, SparsityScheme::mask()] {
@@ -319,23 +324,12 @@ pub fn sparsified_experiment(
         .into_iter()
         .collect::<Result<Vec<_>>>()?;
 
-        // Paper methodology: lowest traffic subject to accuracy staying
-        // within tolerance of the baseline; if nothing qualifies, the most
-        // accurate run.
         let floor = baseline.test_accuracy - params.accuracy_tolerance;
-        let chosen = candidates
-            .iter()
-            .filter(|(_, o, _)| o.test_accuracy >= floor)
-            .min_by(|a, b| a.2.traffic_bytes.cmp(&b.2.traffic_bytes))
-            .or_else(|| {
-                candidates.iter().max_by(|a, b| {
-                    a.1.test_accuracy
-                        .partial_cmp(&b.1.test_accuracy)
-                        .expect("accuracies are finite")
-                })
-            })
+        let scored: Vec<(f32, u64)> =
+            candidates.iter().map(|(_, o, r)| (o.test_accuracy, r.traffic_bytes)).collect();
+        let (i, within_tolerance) = choose_lambda(&scored, floor)
             .ok_or_else(|| CoreError::BadConfig("empty lambda grid".into()))?;
-        let (_, outcome, report) = chosen;
+        let (_, outcome, report) = &candidates[i];
         rows.push(SparsifiedRow {
             network: network_name.to_string(),
             cores,
@@ -344,9 +338,30 @@ pub fn sparsified_experiment(
             traffic_rate: report.traffic_rate_vs(&base_report),
             speedup: report.speedup_vs(&base_report),
             energy_reduction: report.noc_energy_reduction_vs(&base_report),
+            within_tolerance,
         });
     }
     Ok(rows)
+}
+
+/// Picks one λ run from `(accuracy, traffic bytes)` candidates, by the
+/// paper's methodology: the lowest traffic among runs whose accuracy is at
+/// least `floor`. When none is, the most accurate run. Returns its index
+/// and whether it met the floor; `None` for no candidates.
+pub fn choose_lambda(candidates: &[(f32, u64)], floor: f32) -> Option<(usize, bool)> {
+    let within = candidates
+        .iter()
+        .enumerate()
+        .filter(|(_, c)| c.0 >= floor)
+        .min_by_key(|(_, c)| c.1)
+        .map(|(i, _)| (i, true));
+    within.or_else(|| {
+        candidates
+            .iter()
+            .enumerate()
+            .max_by(|a, b| a.1 .0.total_cmp(&b.1 .0))
+            .map(|(i, _)| (i, false))
+    })
 }
 
 /// Table IV: MLP, LeNet, ConvNet, CaffeNet × {Baseline, SS, SS_Mask} on
@@ -737,6 +752,22 @@ pub fn fig6_matrix(preset: &EffortPreset) -> Result<GroupMatrix> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn lambda_choice_prefers_least_traffic_within_the_floor() {
+        // (accuracy, traffic bytes): the 0.97 run has the least traffic of
+        // the two at or above the 0.95 floor; the 0.90 run has less still
+        // but misses the floor.
+        let candidates = [(0.99, 900), (0.97, 500), (0.90, 100), (0.95, 700)];
+        assert_eq!(choose_lambda(&candidates, 0.95), Some((1, true)));
+    }
+
+    #[test]
+    fn lambda_choice_falls_back_to_the_most_accurate_run() {
+        let candidates = [(0.80, 900), (0.85, 500), (0.70, 100)];
+        assert_eq!(choose_lambda(&candidates, 0.95), Some((1, false)));
+        assert_eq!(choose_lambda(&[], 0.95), None);
+    }
 
     #[test]
     fn table1_reproduces_known_volumes() {

@@ -83,7 +83,8 @@ pub fn render_table3(rows: &[StructureRow]) -> String {
     )
 }
 
-/// Table IV / Table VI layout.
+/// Table IV / Table VI layout. A row whose accuracy missed the tolerance
+/// (see [`SparsifiedRow::within_tolerance`]) is marked `*` and footnoted.
 pub fn render_table4(rows: &[SparsifiedRow]) -> String {
     let data: Vec<Vec<String>> = rows
         .iter()
@@ -91,7 +92,7 @@ pub fn render_table4(rows: &[SparsifiedRow]) -> String {
             vec![
                 r.network.clone(),
                 r.cores.to_string(),
-                r.scheme.clone(),
+                format!("{}{}", r.scheme, if r.within_tolerance { "" } else { "*" }),
                 format!("{:.2}%", r.accuracy * 100.0),
                 format!("{:.0}%", r.traffic_rate * 100.0),
                 format!("{:.2}x", r.speedup),
@@ -99,10 +100,17 @@ pub fn render_table4(rows: &[SparsifiedRow]) -> String {
             ]
         })
         .collect();
-    render_table(
+    let mut table = render_table(
         &["Network", "Cores", "Type", "Accu.", "NoC traffic rate", "System speedup", "Energy red."],
         &data,
-    )
+    );
+    if rows.iter().any(|r| !r.within_tolerance) {
+        table.push_str(
+            "\n* no λ kept accuracy within tolerance of the baseline; the row is the most \
+             accurate run",
+        );
+    }
+    table
 }
 
 /// Table V / Fig. 8 layout.
@@ -288,11 +296,18 @@ mod tests {
             traffic_rate: 0.11,
             speedup: 1.59,
             energy_reduction: 0.81,
+            within_tolerance: true,
         }];
         let s = render_table4(&rows);
         assert!(s.contains("98.36%"));
         assert!(s.contains("11%"));
         assert!(s.contains("1.59x"));
         assert!(s.contains("81%"));
+        assert!(!s.contains('*'), "{s}");
+
+        let fallback = SparsifiedRow { within_tolerance: false, ..rows[0].clone() };
+        let s = render_table4(&[fallback]);
+        assert!(s.contains("| SS_Mask* |"), "{s}");
+        assert!(s.contains("* no λ kept accuracy within tolerance"), "{s}");
     }
 }

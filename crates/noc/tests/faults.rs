@@ -177,6 +177,14 @@ proptest! {
                 Ok(r) => {
                     prop_assert_eq!(r.messages_delivered, msgs.len());
                     prop_assert_eq!(r.message_latencies.len(), msgs.len());
+                    // Flit conservation holds under faults too: every
+                    // buffered flit is read once, and every read either
+                    // crosses a link or ejects.
+                    prop_assert_eq!(r.events.buffer_reads, r.events.buffer_writes);
+                    prop_assert_eq!(
+                        r.events.link_traversals,
+                        r.events.buffer_reads - r.events.ejections
+                    );
                 }
                 Err(NocError::Unreachable { .. }) => {}
                 Err(NocError::CycleLimitExceeded { undelivered, .. }) => {

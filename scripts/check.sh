@@ -45,15 +45,7 @@ LTS_EFFORT=quick LTS_BENCH_DIR="$(mktemp -d)" \
     cargo run --release --offline -p lts-bench --bin chaos_soak
 
 echo "==> serving smoke (open-loop streams: sub-saturation serves all, 2x overload sheds within budget, mid-stream core death rides through)"
-# The LTS_BENCH_BASELINE gate is wired through the run itself: the sweep
-# writes BENCH_serving.json and then loads/compares it as its own
-# baseline, so the write -> load -> compare path is exercised every CI
-# run without wall-clock flake (the ms-scale cells jitter beyond the
-# 25% tolerance on shared hosts; gating against a *stored* baseline is
-# the manual workflow, as for the hotpath bench — see README).
-SERVING_DIR="$(mktemp -d)"
-LTS_EFFORT=quick LTS_BENCH_DIR="$SERVING_DIR" \
-    LTS_BENCH_BASELINE="$SERVING_DIR/BENCH_serving.json" \
+LTS_EFFORT=quick LTS_BENCH_DIR="$(mktemp -d)" \
     cargo run --release --offline -p lts-bench --bin serving_sweep
 
 echo "==> trainer kill-and-resume round-trip (bit-identical weights after crash recovery)"
@@ -64,41 +56,21 @@ LTS_MCM_MAX_CHIPLETS=2 LTS_BENCH_ITERS=1 LTS_BENCH_DIR="$(mktemp -d)" \
     cargo run --release --offline -p lts-bench --bin mcm_scaling
 
 echo "==> mcm-fault smoke (mid-inference chiplet death: hierarchical detection, survivor restaging, serving ride-through)"
-# Self-baselined like the serving smoke: the sweep writes
-# BENCH_mcm_fault.json and compares it as its own baseline, exercising
-# the regression-gate path without wall-clock flake.
-MCMF_DIR="$(mktemp -d)"
-LTS_EFFORT=quick LTS_BENCH_ITERS=1 LTS_BENCH_DIR="$MCMF_DIR" \
-    LTS_BENCH_BASELINE="$MCMF_DIR/BENCH_mcm_fault.json" \
+LTS_EFFORT=quick LTS_BENCH_ITERS=1 LTS_BENCH_DIR="$(mktemp -d)" \
     cargo run --release --offline -p lts-bench --bin mcm_fault_sweep
 
 echo "==> quant smoke (i16 fast path: a_bt kernel uplift recorded, accuracy within tolerance of f32, 2 bytes/value traffic)"
-# Self-baselined like the serving smoke: the sweep writes
-# BENCH_quant.json, compares it as its own baseline, then loads it back
-# to prove the report round-trips through BenchReport::load.
-QUANT_DIR="$(mktemp -d)"
-LTS_EFFORT=quick LTS_BENCH_ITERS=1 LTS_BENCH_DIR="$QUANT_DIR" \
-    LTS_BENCH_BASELINE="$QUANT_DIR/BENCH_quant.json" \
+LTS_EFFORT=quick LTS_BENCH_ITERS=1 LTS_BENCH_DIR="$(mktemp -d)" \
     cargo run --release --offline -p lts-bench --bin quant_sweep
 
-echo "==> trend smoke (synthetic two-rev ledger: 30% slowdown flagged, 2% jitter not; then a real bench through the runner)"
-# Part 1 is hermetic: bench_history smoke builds a synthetic two-commit
-# history in a temp ledger and hard-asserts the verdicts (injected 30%
-# slowdown -> regression, 2% jitter -> not, dirty append refused).
-cargo run --release --offline -p lts-bench --bin bench_history smoke
-# Part 2 drives a real bench end-to-end: two repeated runs of the quick
-# Table III pipeline recorded into a fresh ledger, then compared and
-# rendered as a trend report. Same commit twice, so the gate must pass;
-# ALLOW_DIRTY because CI working trees routinely carry local edits.
-TREND_DIR="$(mktemp -d)"
-LTS_EFFORT=quick LTS_BENCH_ITERS=1 LTS_BENCH_DIR="$TREND_DIR" LTS_BENCH_ALLOW_DIRTY=1 \
-    cargo run --release --offline -p lts-bench --bin bench_history run table3_structure_level --reps 2 --warmup 0
-LTS_EFFORT=quick LTS_BENCH_ITERS=1 LTS_BENCH_DIR="$TREND_DIR" LTS_BENCH_ALLOW_DIRTY=1 \
-    cargo run --release --offline -p lts-bench --bin bench_history run table3_structure_level --reps 2 --warmup 0
-LTS_BENCH_DIR="$TREND_DIR" \
-    cargo run --release --offline -p lts-bench --bin bench_history compare table3_structure_level
-LTS_BENCH_DIR="$TREND_DIR" \
-    cargo run --release --offline -p lts-bench --bin bench_history report table3_structure_level
-test -f "$TREND_DIR/TREND_table3_structure_level.md"
+echo "==> pairs smoke (HEAD vs the working tree on noc_sweep: identical deterministic metrics, 0 failed checks)"
+# Two smoke-size pairs plus the traced pair; the ledger goes to a
+# temporary directory, since a ledger is never overwritten.
+PAIRS_LOG="$(mktemp)"
+LTS_BENCH_DIR="$(mktemp -d)" \
+    cargo run --release --offline -q -p lts-bench --bin bench_history -- \
+    pairs HEAD --workload noc_sweep --smoke | tee "$PAIRS_LOG"
+grep -q '^exact diff (seed 1, traced): 0 of [1-9][0-9]* deterministic metrics differ$' "$PAIRS_LOG"
+grep -q '^failed checks: parent 0/[1-9][0-9]*, change 0/[1-9][0-9]*$' "$PAIRS_LOG"
 
 echo "All checks passed."
