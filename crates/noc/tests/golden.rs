@@ -9,6 +9,15 @@
 //! fingerprints captured before the optimizations landed. Any
 //! accumulation/ordering change in the simulator trips them.
 //!
+//! Five more cases pin whole reports (cycle counters and a digest of
+//! every per-message and per-link figure included) from the
+//! `Vec<Router>` stepper, captured before its state moved into one flat
+//! ring-buffer arena: an 8×8 all-to-all burst, a two-chiplet package
+//! whose traffic crosses the seam, YX and O1TURN routing, a router with
+//! one VC, one lane and one buffer slot, and transient drops on a
+//! package. `run_reference` shares the stepper's state layout, so only
+//! fingerprints taken before a layout change check it independently.
+//!
 //! To re-capture (only legitimate after an *intentional* semantic
 //! change): `LTS_GOLDEN_CAPTURE=1 cargo test -p lts-noc --test golden --
 //! --nocapture` and paste the printed fingerprints.
@@ -17,7 +26,7 @@ use lts_noc::recovery::{FaultSchedule, MonitorConfig};
 use lts_noc::stats::SimReport;
 use lts_noc::topology::Direction;
 use lts_noc::traffic::{all_to_all, uniform_random, Message, TrafficTrace};
-use lts_noc::{FaultModel, NocConfig, Simulator};
+use lts_noc::{FaultModel, NocConfig, RoutingPolicy, Simulator};
 
 /// A deterministic sparse trace: a few messages spread far apart in time,
 /// so the simulator spends most cycles idle (the fast-forward showcase).
@@ -124,5 +133,80 @@ fn recoverable_run_matches_pre_optimization_fingerprint() {
         "recoverable",
         &got,
         "makespan=117076 delivered=36 bytes=11326 flits=195 blocked=0 latsum=2279 latn=40 links=641 events=EventCounts { buffer_writes: 836, buffer_reads: 836, crossbar_traversals: 836, link_traversals: 641, arbitrations: 954, ejections: 195 } faults=FaultStats { flits_dropped: 0, flits_corrupted: 0, packets_rejected: 0, packets_retransmitted: 0, duplicate_packets: 0, flits_lost: 0 } detections=[Detection { node: 10, died_at: 20000, detected_at: 20757, cause: MissedHeartbeats }] abandoned=[10, 17, 26, 33]",
+    );
+}
+
+/// [`fingerprint`] plus every field it leaves out: the stepper's cycle
+/// counters, the hop-class split, and an FNV-1a digest of the whole
+/// report's `Debug` rendering (per-message latencies and per-link flit
+/// counts included). Pinned from the `Vec<Router>` stepper before the
+/// flat-arena rewrite, so the new state layout is checked against an
+/// oracle that does not share it.
+fn full_fingerprint(r: &SimReport) -> String {
+    let digest = format!("{r:?}")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3));
+    format!(
+        "{} cycles={} ff={} intra={} inter={} digest={digest:016x}",
+        fingerprint(r),
+        r.cycles_simulated,
+        r.cycles_fast_forwarded,
+        r.intra_chip_traversals,
+        r.inter_chip_traversals,
+    )
+}
+
+fn run_full(config: NocConfig, fault: FaultModel, messages: &[Message]) -> String {
+    let mut sim = Simulator::with_faults(config, fault).expect("sim");
+    full_fingerprint(&sim.run(messages).expect("run"))
+}
+
+#[test]
+fn dense_8x8_all_to_all_matches_pre_arena_fingerprint() {
+    let trace = all_to_all(64, 128);
+    check(
+        "dense_8x8",
+        &run_full(NocConfig::paper_mesh(8, 8), FaultModel::none(), &trace.messages),
+        "makespan=1816 delivered=4032 bytes=516096 flits=8064 blocked=536909 latsum=3477960 latn=4032 links=43008 events=EventCounts { buffer_writes: 51072, buffer_reads: 51072, crossbar_traversals: 51072, link_traversals: 43008, arbitrations: 234805, ejections: 8064 } faults=FaultStats { flits_dropped: 0, flits_corrupted: 0, packets_rejected: 0, packets_retransmitted: 0, duplicate_packets: 0, flits_lost: 0 } cycles=1806 ff=10 intra=43008 inter=0 digest=8b7d754e8afc4c83",
+    );
+}
+
+#[test]
+fn mcm_seam_crossing_run_matches_pre_arena_fingerprint() {
+    let trace = all_to_all(32, 192);
+    check(
+        "mcm_seam",
+        &run_full(NocConfig::paper_mcm(2, 16).expect("mcm"), FaultModel::none(), &trace.messages),
+        "makespan=987 delivered=992 bytes=190464 flits=2976 blocked=147179 latsum=490634 latn=992 links=11904 events=EventCounts { buffer_writes: 14880, buffer_reads: 14880, crossbar_traversals: 14880, link_traversals: 11904, arbitrations: 49609, ejections: 2976 } faults=FaultStats { flits_dropped: 0, flits_corrupted: 0, packets_rejected: 0, packets_retransmitted: 0, duplicate_packets: 0, flits_lost: 0 } cycles=987 ff=0 intra=10368 inter=1536 digest=a19d8b91c3a8e8a2",
+    );
+}
+
+#[test]
+fn yx_and_o1turn_runs_match_pre_arena_fingerprints() {
+    let trace = uniform_random(16, 12, 640, 21);
+    for (policy, pinned) in [(RoutingPolicy::YxDor, "makespan=881 delivered=192 bytes=122880 flits=1920 blocked=37852 latsum=86277 latn=192 links=4950 events=EventCounts { buffer_writes: 6870, buffer_reads: 6870, crossbar_traversals: 6870, link_traversals: 4950, arbitrations: 9032, ejections: 1920 } faults=FaultStats { flits_dropped: 0, flits_corrupted: 0, packets_rejected: 0, packets_retransmitted: 0, duplicate_packets: 0, flits_lost: 0 } cycles=872 ff=9 intra=4950 inter=0 digest=05b33ee77188b9e8"), (RoutingPolicy::O1Turn, "makespan=1133 delivered=192 bytes=122880 flits=1920 blocked=33403 latsum=93847 latn=192 links=4950 events=EventCounts { buffer_writes: 6870, buffer_reads: 6870, crossbar_traversals: 6870, link_traversals: 4950, arbitrations: 11342, ejections: 1920 } faults=FaultStats { flits_dropped: 0, flits_corrupted: 0, packets_rejected: 0, packets_retransmitted: 0, duplicate_packets: 0, flits_lost: 0 } cycles=1126 ff=7 intra=4950 inter=0 digest=b9a3325c61a18e5a")] {
+        let config = NocConfig { routing: policy, ..NocConfig::paper_16core() };
+        check(&format!("{policy:?}"), &run_full(config, FaultModel::none(), &trace.messages), pinned);
+    }
+}
+
+#[test]
+fn minimal_router_matches_pre_arena_fingerprint() {
+    // One VC, one physical lane and a single credit per VC: every hop
+    // serializes on the buffer and the lane.
+    let config =
+        NocConfig { vcs: 1, physical_channels: 1, vc_buffer_flits: 1, ..NocConfig::paper_16core() };
+    let trace = all_to_all(16, 320);
+    check("minimal_router", &run_full(config, FaultModel::none(), &trace.messages), "makespan=2242 delivered=240 bytes=76800 flits=1200 blocked=34622 latsum=267623 latn=240 links=3200 events=EventCounts { buffer_writes: 4400, buffer_reads: 4400, crossbar_traversals: 4400, link_traversals: 3200, arbitrations: 17385, ejections: 1200 } faults=FaultStats { flits_dropped: 0, flits_corrupted: 0, packets_rejected: 0, packets_retransmitted: 0, duplicate_packets: 0, flits_lost: 0 } cycles=2238 ff=4 intra=3200 inter=0 digest=65d1e2f7b3138daf");
+}
+
+#[test]
+fn mcm_transient_drops_match_pre_arena_fingerprint() {
+    let trace = uniform_random(32, 6, 900, 5);
+    let fault = FaultModel::none().with_seed(9).drop_rate(0.01).corrupt_rate(0.005);
+    check(
+        "mcm_drops",
+        &run_full(NocConfig::paper_mcm(2, 16).expect("mcm"), fault, &trace.messages),
+        "makespan=1705858 delivered=192 bytes=172800 flits=2880 blocked=99112 latsum=11898626 latn=192 links=48135 events=EventCounts { buffer_writes: 57045, buffer_reads: 57045, crossbar_traversals: 57045, link_traversals: 48135, arbitrations: 65839, ejections: 8910 } faults=FaultStats { flits_dropped: 452, flits_corrupted: 245, packets_rejected: 402, packets_retransmitted: 402, duplicate_packets: 0, flits_lost: 0 } cycles=13953 ff=1691905 intra=41565 inter=6570 digest=5addfaf3b8ed565b",
     );
 }
