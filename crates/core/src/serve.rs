@@ -22,9 +22,10 @@
 //!   [`lts_partition::McmPlan`] are used directly). A batch drains with
 //!   initiation interval `max(group cycles)`: request `j` completes at
 //!   `dispatch + latency + j·interval`, plus any measured entry-burst
-//!   contention from a keyed [`crate::simcache`] simulation
-//!   ([`crate::simcache::run_cached_keyed`] — the key covers the
-//!   arrival seed and batch composition).
+//!   contention. A batch's staggered entry burst is a pure function of
+//!   the profile's `(config, fault, messages)` triple, so it is simulated
+//!   once per (profile, batch size) — memoised in the serving state until
+//!   the profiles are rebuilt — through the [`crate::simcache`].
 //! * **Controller** ([`ControllerConfig`]) — watches queue depth and a
 //!   windowed p95 of observed latencies and walks the strategy ladder
 //!   (Traditional → Structure → SS → SS_Mask) with patience and a
@@ -875,6 +876,9 @@ struct ServeState {
     last_switch: u64,
     cooldown: u64,
     sim: SimUsage,
+    /// `(contention, burst share)` of each (profile index, batch size)
+    /// simulated on the current profiles; cleared when they are rebuilt.
+    bursts: HashMap<(usize, usize), (u64, f64)>,
 }
 
 impl ServeState {
@@ -938,6 +942,7 @@ impl ServeState {
             last_switch: 0,
             cooldown,
             sim,
+            bursts: HashMap::new(),
         })
     }
 
@@ -969,6 +974,7 @@ impl ServeState {
         for (i, w) in workloads.iter().enumerate() {
             self.profiles[i] = build_profile(platform, w, &self.dead_all, &mut self.sim)?;
         }
+        self.bursts.clear();
         if self.profiles[self.idx].is_none() {
             let fallback = (self.idx + 1..self.profiles.len())
                 .chain((0..self.idx).rev())
@@ -1155,9 +1161,15 @@ impl ServeState {
             }
 
             // Entry-burst contention: the batch's staggered entry bursts
-            // on the real NoC, keyed on arrival seed + batch composition.
-            let (contention, burst_share) =
-                batch_contention(platform, &profile, batch.len(), &config.arrivals, &mut self.sim)?;
+            // on the real NoC, simulated once per profile and batch size.
+            let (contention, burst_share) = match self.bursts.get(&(dispatch_idx, batch.len())) {
+                Some(&memo) => memo,
+                None => {
+                    let memo = batch_contention(platform, &profile, batch.len(), &mut self.sim)?;
+                    self.bursts.insert((dispatch_idx, batch.len()), memo);
+                    memo
+                }
+            };
             self.noc_saturation = self.noc_saturation.max(burst_share).max(profile.saturation);
 
             // In-flight faults: apply every fault landing before the
@@ -1419,7 +1431,6 @@ fn batch_contention(
     platform: &Platform,
     profile: &ServiceProfile,
     batch: usize,
-    arrivals: &ArrivalConfig,
     usage: &mut SimUsage,
 ) -> Result<(u64, f64)> {
     if batch <= 1 || profile.entry.is_empty() {
@@ -1442,16 +1453,9 @@ fn batch_contention(
             ));
         }
     }
-    // The staggered burst is not a pure function of the triple (its
-    // meaning depends on the serving stream): key on seed, process, and
-    // batch composition so sweeps at different rates or seeds can never
-    // alias.
-    let context = format!(
-        "serve:seed={}:process={:?}:batch={}:interval={}",
-        arrivals.seed, arrivals.process, batch, profile.interval
-    );
-    let report =
-        simcache::run_cached_keyed(&mut sim, &config, &profile.fault, &messages, &context, usage)?;
+    // The staggered burst is a pure triple too: the stream around it
+    // decides only when it runs, never what it simulates.
+    let report = simcache::run_cached(&mut sim, &config, &profile.fault, &messages, usage)?;
     let ideal = base.makespan + (batch as u64 - 1) * profile.interval;
     Ok((report.makespan.saturating_sub(ideal), report.blocked_share()))
 }

@@ -17,16 +17,11 @@
 //! 1. the `serde_json` encoding of the small `(config, fault)` header,
 //!    prefixed by its length;
 //! 2. the message count, then `src, dst, bytes, inject_cycle` of each
-//!    message, every field a fixed-width little-endian `u64`;
-//! 3. a tag byte — 0 for an unkeyed lookup, 1 for a keyed one — and,
-//!    for a keyed lookup, the context string's bytes, which run to the
-//!    end.
+//!    message, every field a fixed-width little-endian `u64`.
 //!
-//! Every part before the context has a width fixed by the bytes before
-//! it, so two different lookups never share an encoding: messages cannot
-//! trade fields, traces of different lengths cannot line up, and a keyed
-//! lookup with an empty context differs from an unkeyed one by its tag.
-//! The full encoding is stored next to each cached report and compared
+//! Every part has a width fixed by the bytes before it, so two different
+//! lookups never share an encoding: messages cannot trade fields and
+//! traces of different lengths cannot line up. The full encoding is stored next to each cached report and compared
 //! byte-for-byte on lookup, so a hash collision degrades to a miss
 //! instead of returning a wrong report. Key building and lookup run in a
 //! `core.simcache` span, so their cost shows as its own row in a trace.
@@ -35,10 +30,10 @@
 //! disable it (every call then simulates); [`reset`] clears entries and
 //! counters, [`stats`] exposes hit/miss totals for benches and sweeps.
 //!
-//! Callers whose runs are *not* pure functions of the triple — the
-//! serving simulator's entry bursts depend on the arrival seed and
-//! batch composition — use [`run_cached_keyed`] to fold an opaque
-//! context string into the key.
+//! Every caller's run is a pure triple, the serving simulator's
+//! staggered entry bursts included: the request stream decides when a
+//! burst runs, never what it simulates. So there is no keyed lookup —
+//! two streams that replay the same burst share its entry.
 
 use lts_noc::traffic::Message;
 use lts_noc::{FaultModel, NocConfig, NocError, SimReport, Simulator};
@@ -180,7 +175,6 @@ impl SharedCache {
         config: &NocConfig,
         fault: &FaultModel,
         messages: &[Message],
-        context: Option<&str>,
         usage: &mut SimUsage,
     ) -> Result<SimReport, NocError> {
         let simulate = |sim: &mut Simulator, usage: &mut SimUsage| {
@@ -196,7 +190,7 @@ impl SharedCache {
         }
         let (hash, encoding) = {
             let _probe = lts_obs::span("core.simcache");
-            let Some(encoding) = encode_key(config, fault, messages, context) else {
+            let Some(encoding) = encode_key(config, fault, messages) else {
                 return simulate(sim, usage);
             };
             let hash = lts_nn::saved::fnv1a64(&encoding);
@@ -217,15 +211,9 @@ impl SharedCache {
 
 /// The cache-key encoding of one lookup (layout in the module docs), or
 /// `None` if the `(config, fault)` header fails to serialize.
-fn encode_key(
-    config: &NocConfig,
-    fault: &FaultModel,
-    messages: &[Message],
-    context: Option<&str>,
-) -> Option<Vec<u8>> {
+fn encode_key(config: &NocConfig, fault: &FaultModel, messages: &[Message]) -> Option<Vec<u8>> {
     let header = serde_json::to_string(&(config, fault)).ok()?;
-    let context = context.map(str::as_bytes);
-    let len = 8 + header.len() + 8 + 32 * messages.len() + 1 + context.map_or(0, <[u8]>::len);
+    let len = 8 + header.len() + 8 + 32 * messages.len();
     let mut key = Vec::with_capacity(len);
     key.extend_from_slice(&(header.len() as u64).to_le_bytes());
     key.extend_from_slice(header.as_bytes());
@@ -233,13 +221,6 @@ fn encode_key(
     for m in messages {
         for v in [m.src as u64, m.dst as u64, m.bytes, m.inject_cycle] {
             key.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-    match context {
-        None => key.push(0),
-        Some(ctx) => {
-            key.push(1);
-            key.extend_from_slice(ctx);
         }
     }
     debug_assert_eq!(key.len(), len);
@@ -281,29 +262,7 @@ pub fn run_cached(
     messages: &[Message],
     usage: &mut SimUsage,
 ) -> Result<SimReport, NocError> {
-    CACHE.run_cached(sim, config, fault, messages, None, usage)
-}
-
-/// Like [`run_cached`], but the key additionally covers an opaque
-/// `context` string. The serving path uses this to fold the arrival
-/// seed and batch composition into the key: two sweeps at different
-/// rates or seeds replay physically identical entry bursts, and without
-/// the context they would alias even though the surrounding serving
-/// state differs. Keyed and unkeyed entries never alias each other (their
-/// encodings carry different tag bytes), even with an empty context.
-///
-/// # Errors
-///
-/// Exactly those of [`Simulator::run`].
-pub fn run_cached_keyed(
-    sim: &mut Simulator,
-    config: &NocConfig,
-    fault: &FaultModel,
-    messages: &[Message],
-    context: &str,
-    usage: &mut SimUsage,
-) -> Result<SimReport, NocError> {
-    CACHE.run_cached(sim, config, fault, messages, Some(context), usage)
+    CACHE.run_cached(sim, config, fault, messages, usage)
 }
 
 #[cfg(test)]
@@ -326,10 +285,8 @@ mod tests {
         let fault = FaultModel::none();
         let mut sim = Simulator::with_faults(config, fault.clone()).unwrap();
         let mut usage = SimUsage::default();
-        let first =
-            cache.run_cached(&mut sim, &config, &fault, &trace(), None, &mut usage).unwrap();
-        let again =
-            cache.run_cached(&mut sim, &config, &fault, &trace(), None, &mut usage).unwrap();
+        let first = cache.run_cached(&mut sim, &config, &fault, &trace(), &mut usage).unwrap();
+        let again = cache.run_cached(&mut sim, &config, &fault, &trace(), &mut usage).unwrap();
         assert_eq!(first, again);
         assert_eq!(first, sim.run(&trace()).unwrap(), "cache must match a direct run");
         let s = cache.locked(|c| c.stats());
@@ -368,10 +325,8 @@ mod tests {
         let mut sim_clean = Simulator::with_faults(config, clean.clone()).unwrap();
         let mut sim_drops = Simulator::with_faults(config, drops.clone()).unwrap();
         let mut usage = SimUsage::default();
-        let a =
-            cache.run_cached(&mut sim_clean, &config, &clean, &trace(), None, &mut usage).unwrap();
-        let b =
-            cache.run_cached(&mut sim_drops, &config, &drops, &trace(), None, &mut usage).unwrap();
+        let a = cache.run_cached(&mut sim_clean, &config, &clean, &trace(), &mut usage).unwrap();
+        let b = cache.run_cached(&mut sim_drops, &config, &drops, &trace(), &mut usage).unwrap();
         assert!(!a.faults.any());
         assert!(b.faults.any(), "a 5% drop rate over this trace must fire");
         assert_ne!(a, b);
@@ -393,8 +348,8 @@ mod tests {
         let mut sim_mcm = Simulator::with_faults(mcm, fault.clone()).unwrap();
         let mut usage = SimUsage::default();
         let cross = vec![Message::new(0, 31, 2048, 0)];
-        let a = cache.run_cached(&mut sim_mesh, &mesh, &fault, &cross, None, &mut usage).unwrap();
-        let b = cache.run_cached(&mut sim_mcm, &mcm, &fault, &cross, None, &mut usage).unwrap();
+        let a = cache.run_cached(&mut sim_mesh, &mesh, &fault, &cross, &mut usage).unwrap();
+        let b = cache.run_cached(&mut sim_mcm, &mcm, &fault, &cross, &mut usage).unwrap();
         assert_eq!(a.inter_chip_traversals, 0);
         assert!(b.inter_chip_traversals > 0, "0→31 must cross the seam");
         assert_ne!(a, b, "seam pricing must show up in the report");
@@ -403,53 +358,47 @@ mod tests {
     }
 
     #[test]
-    fn serving_contexts_with_identical_triples_do_not_alias() {
-        // The serving path replays physically identical entry bursts
-        // under different arrival seeds/rates: the context must keep
-        // those lookups apart, and keyed entries must never alias the
-        // unkeyed triple either.
+    fn identical_bursts_from_two_seeds_share_one_entry() {
+        // Two serving streams (different seeds, same profile and batch
+        // size) replay the same staggered entry burst: it is one triple,
+        // so the second stream's lookup is a hit on the first's report.
         let cache = SharedCache::default();
         let config = NocConfig::paper_16core();
         let fault = FaultModel::none();
         let mut sim = Simulator::with_faults(config, fault.clone()).unwrap();
         let mut usage = SimUsage::default();
-        let ctx_a = "serve:seed=1:proc=poisson@4:batch=2:ii=100";
-        let ctx_b = "serve:seed=2:proc=poisson@4:batch=2:ii=100";
-        let a =
-            cache.run_cached(&mut sim, &config, &fault, &trace(), Some(ctx_a), &mut usage).unwrap();
-        let b =
-            cache.run_cached(&mut sim, &config, &fault, &trace(), Some(ctx_b), &mut usage).unwrap();
-        let unkeyed =
-            cache.run_cached(&mut sim, &config, &fault, &trace(), None, &mut usage).unwrap();
-        assert_eq!(a, b, "same physical trace, same report");
-        assert_eq!(a, unkeyed);
+        let burst: Vec<Message> = (0..3u64)
+            .flat_map(|j| {
+                trace()
+                    .into_iter()
+                    .map(move |m| Message { inject_cycle: m.inject_cycle + j * 100, ..m })
+            })
+            .collect();
+        let seed_1 = cache.run_cached(&mut sim, &config, &fault, &burst, &mut usage).unwrap();
+        let seed_2 = cache.run_cached(&mut sim, &config, &fault, &burst, &mut usage).unwrap();
+        assert_eq!(seed_1, seed_2, "same physical trace, same report");
+        assert_eq!(seed_1, sim.run(&burst).unwrap());
         let s = cache.locked(|c| c.stats());
-        assert_eq!((s.hits, s.misses, s.entries), (0, 3, 3), "three distinct keys, no aliasing");
-        // Replaying a known context is a hit.
-        let again =
-            cache.run_cached(&mut sim, &config, &fault, &trace(), Some(ctx_a), &mut usage).unwrap();
-        assert_eq!(again, a);
-        let s = cache.locked(|c| c.stats());
-        assert_eq!((s.hits, s.misses, s.entries), (1, 3, 3));
-        assert_eq!((usage.sims, usage.cache_hits), (3, 1));
+        assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
+        assert_eq!((usage.sims, usage.cache_hits), (1, 1));
     }
 
-    /// Runs each `(trace, context)` lookup through one fresh cache and
-    /// returns the final counters.
-    fn lookup_all(lookups: &[(&[Message], Option<&str>)]) -> SimCacheStats {
+    /// Runs each trace through one fresh cache and returns the final
+    /// counters.
+    fn lookup_all(lookups: &[&[Message]]) -> SimCacheStats {
         let cache = SharedCache::default();
         let config = NocConfig::paper_16core();
         let fault = FaultModel::none();
         let mut sim = Simulator::with_faults(config, fault.clone()).unwrap();
         let mut usage = SimUsage::default();
-        for &(t, ctx) in lookups {
-            cache.run_cached(&mut sim, &config, &fault, t, ctx, &mut usage).unwrap();
+        for &t in lookups {
+            cache.run_cached(&mut sim, &config, &fault, t, &mut usage).unwrap();
         }
         cache.locked(|c| c.stats())
     }
 
-    fn key(messages: &[Message], context: Option<&str>) -> Vec<u8> {
-        encode_key(&NocConfig::paper_16core(), &FaultModel::none(), messages, context).unwrap()
+    fn key(messages: &[Message]) -> Vec<u8> {
+        encode_key(&NocConfig::paper_16core(), &FaultModel::none(), messages).unwrap()
     }
 
     #[test]
@@ -460,36 +409,44 @@ mod tests {
             [Message::new(m.dst, m.src, m.bytes, m.inject_cycle)],
             [Message::new(m.src, m.dst, m.inject_cycle, m.bytes)],
         ];
-        let keys = swapped.map(|t| key(&t, None));
+        let keys = swapped.map(|t| key(&t));
         assert!(keys[0] != keys[1] && keys[0] != keys[2] && keys[1] != keys[2]);
-        let s = lookup_all(&swapped.each_ref().map(|t| (&t[..], None)));
+        let s = lookup_all(&swapped.each_ref().map(|t| &t[..]));
         assert_eq!((s.hits, s.misses, s.entries), (0, 3, 3));
     }
 
     #[test]
     fn traces_of_different_lengths_do_not_alias() {
-        // b.src = 1 makes b's first byte equal the keyed tag, so after the
-        // message count, [a, b] unkeyed and [a] keyed by the rest of b's
-        // bytes (plus the unkeyed tag) encode byte for byte the same: only
-        // the count keeps them apart.
+        // A trace and its one-message prefix share every message byte of
+        // the prefix; the message count right after the header keeps the
+        // two keys apart, and the longer key is exactly one message longer.
         let (a, b) = (Message::new(0, 5, 256, 0), Message::new(1, 12, 1024, 40));
-        let long = key(&[a, b], None);
-        let rest = &long[long.len() - 32..];
-        let context = std::str::from_utf8(rest).unwrap();
-        let short = key(&[a], Some(context));
-        assert_eq!(long.len(), short.len());
-        let count = long.len() - 32 * 2 - 1 - 8;
-        assert_eq!(long[count + 8..], short[count + 8..]);
-        assert_ne!(long[count..count + 8], short[count..count + 8]);
-        let s = lookup_all(&[(&[a, b], None), (&[a], Some(context))]);
+        let (long, short) = (key(&[a, b]), key(&[a]));
+        assert_eq!(long.len(), short.len() + 32);
+        let count = short.len() - 32 - 8;
+        assert_eq!(long[..count], short[..count], "same header");
+        assert_ne!(long[count..count + 8], short[count..count + 8], "different counts");
+        assert_eq!(long[count + 8..count + 40], short[count + 8..], "same first message");
+        let s = lookup_all(&[&[a, b], &[a]]);
         assert_eq!((s.hits, s.misses, s.entries), (0, 2, 2));
     }
 
     #[test]
-    fn keyed_lookup_with_empty_context_does_not_alias_unkeyed() {
-        assert_ne!(key(&trace(), None), key(&trace(), Some("")));
-        let s = lookup_all(&[(&trace(), None), (&trace(), Some(""))]);
-        assert_eq!((s.hits, s.misses, s.entries), (0, 2, 2));
+    fn key_is_the_length_prefixed_header_then_fixed_width_messages() {
+        let header =
+            serde_json::to_string(&(NocConfig::paper_16core(), FaultModel::none())).unwrap();
+        let m = Message::new(3, 12, 1024, 40);
+        let k = key(&[m]);
+        assert_eq!(k.len(), 8 + header.len() + 8 + 32);
+        assert_eq!(k[..8], (header.len() as u64).to_le_bytes());
+        assert_eq!(&k[8..8 + header.len()], header.as_bytes());
+        let fields: Vec<u64> = k[8 + header.len()..]
+            .chunks_exact(8)
+            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
+            .collect();
+        assert_eq!(fields, [1, 3, 12, 1024, 40]);
+        // The empty trace is the header and a zero count, nothing more.
+        assert_eq!(key(&[]).len(), 8 + header.len() + 8);
     }
 
     #[test]

@@ -49,7 +49,6 @@ pub mod fault;
 pub mod network;
 pub mod packet;
 pub mod recovery;
-pub mod router;
 pub mod stats;
 pub mod topology;
 pub mod traffic;

@@ -5,7 +5,9 @@ use lts_nn::descriptor::SpecBuilder;
 use lts_nn::grouping::GroupLayout;
 use lts_noc::{McmTopology, Mesh2d};
 use lts_partition::ownership::OwnershipMap;
-use lts_partition::traffic::{dense_volume_bytes, transition_messages};
+use lts_partition::traffic::{
+    dense_volume_bytes, needed_input_units, transition_messages, transition_messages_mapped,
+};
 use lts_partition::{hop_power_mask, FailureDomain, McmPlan, Plan};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -98,6 +100,102 @@ proptest! {
         prop_assert!(t2.total_bytes() >= t1.total_bytes());
         // And both are bounded by the dense broadcast volume.
         prop_assert!(t2.total_bytes() <= dense_volume_bytes(&spec, cores, 2));
+    }
+
+    #[test]
+    fn sparse_transition_matches_a_naive_per_unit_scan(
+        conv in 0u8..2,
+        in_sizes in proptest::collection::vec(0usize..5, 1..6),
+        out_seed in 0u64..1000,
+        seed in 0u64..1000,
+        chips in (0usize..4, 0usize..4),
+    ) {
+        // Uneven (possibly empty) blocks on both axes, block-sparse
+        // weights, and logical cores placed on two chiplets of a 2×2
+        // package of 3×2 meshes, as pipeline stages are.
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let cores = in_sizes.len();
+        let mut out_rng = rand::rngs::StdRng::seed_from_u64(out_seed);
+        let out_sizes: Vec<usize> = (0..cores).map(|_| out_rng.gen_range(0..5)).collect();
+        // The first block of each axis is never empty, so neither axis is.
+        let blocks = |sizes: &[usize]| {
+            let mut start = 0;
+            sizes
+                .iter()
+                .enumerate()
+                .map(|(c, &n)| {
+                    let end = start + n + usize::from(c == 0);
+                    let block = start..end;
+                    start = end;
+                    block
+                })
+                .collect::<Vec<_>>()
+        };
+        let (in_blocks, out_blocks) = (blocks(&in_sizes), blocks(&out_sizes));
+        let (in_units, out_units) = (in_blocks[cores - 1].end, out_blocks[cores - 1].end);
+        let (spec, taps, vpu) = if conv == 1 {
+            let spec = SpecBuilder::new("n", (in_units, 4, 4)).conv("c", out_units, 3, 1, 1, 1);
+            (spec.build().layers[0].clone(), 9, 16)
+        } else {
+            let spec = SpecBuilder::new("n", (in_units, 1, 1)).linear("ip", out_units);
+            (spec.build().layers[0].clone(), 1, 1)
+        };
+        let layout = GroupLayout::with_blocks(taps, out_blocks.clone(), in_blocks.clone());
+        let mut weights = vec![0.0f32; layout.weight_len()];
+        for in_block in &in_blocks {
+            for out_block in &out_blocks {
+                if rng.gen::<f32>() < 0.5 {
+                    continue; // this (producer, consumer) block stays zero
+                }
+                for o in out_block.clone() {
+                    for i in in_block.clone() {
+                        for t in 0..taps {
+                            if rng.gen::<f32>() < 0.3 {
+                                weights[(o * in_units + i) * taps + t] = 1.0;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        let used = |i: usize, block: &std::ops::Range<usize>| {
+            block.clone().any(|o| (0..taps).any(|t| weights[(o * in_units + i) * taps + t] != 0.0))
+        };
+        for block in &out_blocks {
+            let mask = needed_input_units(&layout, &weights, block);
+            let naive: Vec<bool> = (0..in_units).map(|i| used(i, block)).collect();
+            prop_assert_eq!(mask, naive);
+        }
+        let topo = McmTopology::new(3, 2, 2, 2);
+        let (src_chip, dst_chip) = chips;
+        let producer = OwnershipMap::from_blocks(in_blocks.clone(), vpu);
+        let trace = transition_messages_mapped(
+            &producer,
+            &spec,
+            &out_blocks,
+            Some((&layout, &weights)),
+            2,
+            7,
+            |p| topo.chiplet_node(src_chip, p),
+            |c| topo.chiplet_node(dst_chip, c),
+        );
+        let mut naive = Vec::new();
+        for (p, in_block) in in_blocks.iter().enumerate() {
+            for (c, out_block) in out_blocks.iter().enumerate() {
+                let (src, dst) = (topo.chiplet_node(src_chip, p), topo.chiplet_node(dst_chip, c));
+                if src == dst || out_block.is_empty() {
+                    continue;
+                }
+                let units = in_block.clone().filter(|&i| used(i, out_block)).count() as u64;
+                if units > 0 {
+                    naive.push((src, dst, units * vpu as u64 * 2, 7));
+                }
+            }
+        }
+        let got: Vec<_> =
+            trace.messages.iter().map(|m| (m.src, m.dst, m.bytes, m.inject_cycle)).collect();
+        prop_assert_eq!(got, naive);
     }
 
     #[test]

@@ -63,14 +63,15 @@ echo "==> quant smoke (i16 fast path: a_bt kernel uplift recorded, accuracy with
 LTS_EFFORT=quick LTS_BENCH_ITERS=1 LTS_BENCH_DIR="$(mktemp -d)" \
     cargo run --release --offline -p lts-bench --bin quant_sweep
 
-echo "==> pairs smoke (HEAD vs the working tree on noc_sweep: identical deterministic metrics, 0 failed checks)"
-# Two smoke-size pairs plus the traced pair; the ledger goes to a
-# temporary directory, since a ledger is never overwritten.
+echo "==> pairs smoke (HEAD vs the working tree on noc_sweep and serve_fault: identical deterministic metrics, 0 failed checks)"
+# Two smoke-size pairs plus the traced pair per workload; the ledger goes
+# to a temporary directory, since a ledger is never overwritten.
 PAIRS_LOG="$(mktemp)"
 LTS_BENCH_DIR="$(mktemp -d)" \
     cargo run --release --offline -q -p lts-bench --bin bench_history -- \
-    pairs HEAD --workload noc_sweep --smoke | tee "$PAIRS_LOG"
-grep -q '^exact diff (seed 1, traced): 0 of [1-9][0-9]* deterministic metrics differ$' "$PAIRS_LOG"
-grep -q '^failed checks: parent 0/[1-9][0-9]*, change 0/[1-9][0-9]*$' "$PAIRS_LOG"
+    pairs HEAD --workload noc_sweep --workload serve_fault --smoke | tee "$PAIRS_LOG"
+# Each gate must hold once per workload.
+test "$(grep -c '^exact diff (seed 1, traced): 0 of [1-9][0-9]* deterministic metrics differ$' "$PAIRS_LOG")" -eq 2
+test "$(grep -c '^failed checks: parent 0/[1-9][0-9]*, change 0/[1-9][0-9]*$' "$PAIRS_LOG")" -eq 2
 
 echo "All checks passed."
