@@ -304,13 +304,14 @@ fn main() {
     let cache = simcache::stats();
     println!(
         "\nsim usage: {} transitions simulated, {} answered from cache ({} hits / {} misses); \
-         {} cycles stepped, {} fast-forwarded",
+         {} cycles stepped, {} fast-forwarded, {} replicated",
         sim.sims,
         sim.cache_hits,
         cache.hits,
         cache.misses,
         sim.cycles_simulated,
-        sim.cycles_fast_forwarded
+        sim.cycles_fast_forwarded,
+        sim.cycles_replicated
     );
     println!();
     println!("Each recovery cell kills one whole chiplet mid-network: per-router heartbeat");

@@ -288,13 +288,14 @@ fn main() {
     let cache = simcache::stats();
     println!(
         "\nsim usage: {} transitions simulated, {} answered from cache ({} hits / {} misses); \
-         {} cycles stepped, {} fast-forwarded",
+         {} cycles stepped, {} fast-forwarded, {} replicated",
         sim.sims,
         sim.cache_hits,
         cache.hits,
         cache.misses,
         sim.cycles_simulated,
-        sim.cycles_fast_forwarded
+        sim.cycles_fast_forwarded,
+        sim.cycles_replicated
     );
     println!();
     println!("Each cell replays one seeded open-loop stream through the serving simulator:");

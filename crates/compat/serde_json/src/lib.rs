@@ -44,7 +44,7 @@ pub fn to_string_pretty<T: Serialize>(value: &T) -> Result<String, Error> {
 
 /// Parses a value of type `T` from JSON text.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
-    let mut p = Parser { bytes: s.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: s.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let value = p.parse_value()?;
     p.skip_ws();
@@ -143,9 +143,15 @@ fn write_string(s: &str, out: &mut String) {
 
 // --- parser ----------------------------------------------------------------
 
+/// Deepest nesting of arrays and objects the parser accepts: deeper input
+/// is an error rather than a stack overflow.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -305,12 +311,23 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Enters one more array or object.
+    fn nest(&mut self) -> Result<(), Error> {
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return Err(Error(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos)));
+        }
+        Ok(())
+    }
+
     fn parse_array(&mut self) -> Result<Value, Error> {
         self.expect(b'[')?;
+        self.nest()?;
         let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
+            self.depth -= 1;
             return Ok(Value::Seq(items));
         }
         loop {
@@ -321,6 +338,7 @@ impl<'a> Parser<'a> {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
+                    self.depth -= 1;
                     return Ok(Value::Seq(items));
                 }
                 _ => return Err(Error(format!("expected `,` or `]` at byte {}", self.pos))),
@@ -330,10 +348,12 @@ impl<'a> Parser<'a> {
 
     fn parse_object(&mut self) -> Result<Value, Error> {
         self.expect(b'{')?;
+        self.nest()?;
         let mut entries = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
+            self.depth -= 1;
             return Ok(Value::Map(entries));
         }
         loop {
@@ -349,6 +369,7 @@ impl<'a> Parser<'a> {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
+                    self.depth -= 1;
                     return Ok(Value::Map(entries));
                 }
                 _ => return Err(Error(format!("expected `,` or `}}` at byte {}", self.pos))),

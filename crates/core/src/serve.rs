@@ -23,9 +23,13 @@
 //!   initiation interval `max(group cycles)`: request `j` completes at
 //!   `dispatch + latency + j·interval`, plus any measured entry-burst
 //!   contention. A batch's staggered entry burst is a pure function of
-//!   the profile's `(config, fault, messages)` triple, so it is simulated
-//!   once per (profile, batch size) — memoised in the serving state until
-//!   the profiles are rebuilt — through the [`crate::simcache`].
+//!   the profile's `(config, fault, messages)` triple, and the bursts of
+//!   every batch size are prefixes of one periodic trace: the contention
+//!   of every size up to `max_batch` comes from one periodic run per
+//!   profile ([`lts_noc::Simulator::run_periodic`]) through the
+//!   [`crate::simcache`], memoised in the serving state until the
+//!   profiles are rebuilt. A size the run declines (its copies overlap)
+//!   is simulated on its own when a batch of that size first forms.
 //! * **Controller** ([`ControllerConfig`]) — watches queue depth and a
 //!   windowed p95 of observed latencies and walks the strategy ladder
 //!   (Traditional → Structure → SS → SS_Mask) with patience and a
@@ -54,10 +58,13 @@ use crate::simcache::{self, SimUsage};
 use crate::system::SystemModel;
 use crate::{CoreError, Result};
 use lts_nn::descriptor::{convnet_spec, NetworkSpec};
-use lts_noc::traffic::Message;
-use lts_noc::{FaultModel, MonitorConfig, NocConfig, NocError, Simulator, Topo, Topology};
+use lts_noc::traffic::{periodic, Message};
+use lts_noc::{
+    FaultModel, MonitorConfig, NocConfig, NocError, SimReport, Simulator, Topo, Topology,
+};
 use lts_partition::{group_occupancy, partition_stages, FailureDomain, Plan, StagePlacement};
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
 
@@ -876,9 +883,10 @@ struct ServeState {
     last_switch: u64,
     cooldown: u64,
     sim: SimUsage,
-    /// `(contention, burst share)` of each (profile index, batch size)
-    /// simulated on the current profiles; cleared when they are rebuilt.
-    bursts: HashMap<(usize, usize), (u64, f64)>,
+    /// `(contention, burst share)` of every batch size (the index) of each
+    /// profile index whose entry burst was simulated on the current
+    /// profiles, `None` until known; cleared when they are rebuilt.
+    bursts: HashMap<usize, Vec<Option<(u64, f64)>>>,
 }
 
 impl ServeState {
@@ -1161,13 +1169,28 @@ impl ServeState {
             }
 
             // Entry-burst contention: the batch's staggered entry bursts
-            // on the real NoC, simulated once per profile and batch size.
-            let (contention, burst_share) = match self.bursts.get(&(dispatch_idx, batch.len())) {
-                Some(&memo) => memo,
-                None => {
-                    let memo = batch_contention(platform, &profile, batch.len(), &mut self.sim)?;
-                    self.bursts.insert((dispatch_idx, batch.len()), memo);
-                    memo
+            // on the real NoC, every batch size of a profile from one
+            // periodic run.
+            let (contention, burst_share) = if batch.len() <= 1 || profile.entry.is_empty() {
+                (0, 0.0)
+            } else {
+                let sizes = match self.bursts.entry(dispatch_idx) {
+                    Entry::Occupied(e) => e.into_mut(),
+                    Entry::Vacant(e) => e.insert(periodic_contention(
+                        platform,
+                        &profile,
+                        config.max_batch,
+                        &mut self.sim,
+                    )?),
+                };
+                match sizes[batch.len()] {
+                    Some(memo) => memo,
+                    None => {
+                        let memo =
+                            batch_contention(platform, &profile, batch.len(), &mut self.sim)?;
+                        sizes[batch.len()] = Some(memo);
+                        memo
+                    }
                 }
             };
             self.noc_saturation = self.noc_saturation.max(burst_share).max(profile.saturation);
@@ -1424,40 +1447,63 @@ fn fault_boundary_layer(profile: &ServiceProfile, spec: &NetworkSpec, rel: u64) 
     start.clamp(1, spec.layers.len().saturating_sub(1).max(1))
 }
 
-/// Simulates the batch's staggered entry bursts and returns the
-/// contention beyond the ideal pipeline schedule plus the burst's
-/// blocked share.
+/// The contention beyond the ideal pipeline schedule and the blocked
+/// share of a batch of `batch` requests whose staggered entry bursts gave
+/// `report`, against one request's burst `base`.
+fn contention(base: &SimReport, report: &SimReport, batch: usize, interval: u64) -> (u64, f64) {
+    let ideal = base.makespan + (batch as u64 - 1) * interval;
+    (report.makespan.saturating_sub(ideal), report.blocked_share())
+}
+
+/// The entry-burst contention and blocked share of every batch size up to
+/// `max_batch` (indexed by size), from one periodic run of the profile's
+/// staggered entry bursts: copy `j` of the burst enters `j` pipeline
+/// intervals after copy 0. A size the run declined stays `None`, to be
+/// simulated alone.
+fn periodic_contention(
+    platform: &Platform,
+    profile: &ServiceProfile,
+    max_batch: usize,
+    usage: &mut SimUsage,
+) -> Result<Vec<Option<(u64, f64)>>> {
+    let config = *platform.model.noc_config();
+    let mut sim = Simulator::with_faults(config, profile.fault.clone())?;
+    // An error stops the periodic run short of some sizes. They are all
+    // left to `batch_contention` then, where a size meets the error only
+    // if a run of its own copies does.
+    let prefixes =
+        simcache::run_periodic_cached(&mut sim, &profile.entry, profile.interval, max_batch, usage)
+            .unwrap_or_default();
+    let mut sizes = vec![None; max_batch + 1];
+    // Prefix 1, one request's burst alone, is the baseline.
+    let Some(Some(base)) = prefixes.first() else { return Ok(sizes) };
+    for (batch, prefix) in (1..).zip(&prefixes) {
+        if let Some(report) = prefix {
+            sizes[batch] = Some(contention(base, report, batch, profile.interval));
+        }
+    }
+    Ok(sizes)
+}
+
+/// Simulates the batch's staggered entry bursts on their own and returns
+/// the contention beyond the ideal pipeline schedule plus the burst's
+/// blocked share: the fallback for a batch size the periodic run declined.
 fn batch_contention(
     platform: &Platform,
     profile: &ServiceProfile,
     batch: usize,
     usage: &mut SimUsage,
 ) -> Result<(u64, f64)> {
-    if batch <= 1 || profile.entry.is_empty() {
-        return Ok((0, 0.0));
-    }
     let config = *platform.model.noc_config();
     let mut sim = Simulator::with_faults(config, profile.fault.clone())?;
-    // Baseline: one request's entry burst — a pure triple, shared with
-    // (and usually warm from) the system evaluation's own simulation of
-    // this transition.
     let base = simcache::run_cached(&mut sim, &config, &profile.fault, &profile.entry, usage)?;
-    let mut messages = Vec::with_capacity(profile.entry.len() * batch);
-    for j in 0..batch as u64 {
-        for m in &profile.entry {
-            messages.push(Message::new(
-                m.src,
-                m.dst,
-                m.bytes,
-                m.inject_cycle + j * profile.interval,
-            ));
-        }
-    }
+    let Some(messages) = periodic(&profile.entry, profile.interval, batch) else {
+        return Err(CoreError::BadConfig("entry-burst inject cycles overflow".into()));
+    };
     // The staggered burst is a pure triple too: the stream around it
     // decides only when it runs, never what it simulates.
     let report = simcache::run_cached(&mut sim, &config, &profile.fault, &messages, usage)?;
-    let ideal = base.makespan + (batch as u64 - 1) * profile.interval;
-    Ok((report.makespan.saturating_sub(ideal), report.blocked_share()))
+    Ok(contention(&base, &report, batch, profile.interval))
 }
 
 /// Splits the run into phases at the applied fault cycles and

@@ -94,9 +94,14 @@ pub fn read_snapshot_file(path: &Path) -> Result<String> {
     let (header, payload) = text.split_once('\n').ok_or_else(|| {
         NnError::MalformedSnapshot(format!("`{}` has no envelope header line", path.display()))
     })?;
+    // Exactly the header `write_snapshot_file` writes: one space, then 16
+    // lowercase hex digits, so a bit flip anywhere in it is caught too.
     let declared = header
         .strip_prefix(SNAPSHOT_MAGIC)
-        .map(str::trim)
+        .and_then(|rest| rest.strip_prefix(' '))
+        .filter(|hex| {
+            hex.len() == 16 && hex.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'))
+        })
         .and_then(|hex| u64::from_str_radix(hex, 16).ok())
         .ok_or_else(|| {
             NnError::MalformedSnapshot(format!(
@@ -113,6 +118,25 @@ pub fn read_snapshot_file(path: &Path) -> Result<String> {
         )));
     }
     Ok(payload.to_string())
+}
+
+/// Checks that a deserialized tensor holds as many entries as its shape
+/// promises (the derived `Deserialize` takes shape and data as they come).
+///
+/// # Errors
+///
+/// Returns [`NnError::MalformedSnapshot`] naming `layer` and `what` when
+/// they differ or the shape's entry count overflows.
+pub(crate) fn check_entries(layer: &str, what: &str, t: &Tensor) -> Result<()> {
+    let promised = t.shape().dims().iter().try_fold(1usize, |n, &d| n.checked_mul(d));
+    if promised == Some(t.len()) {
+        return Ok(());
+    }
+    Err(NnError::MalformedSnapshot(format!(
+        "layer `{layer}` {what} has shape {:?} but holds {} entries",
+        t.shape().dims(),
+        t.len()
+    )))
 }
 
 /// One layer's persisted parameters.
@@ -180,8 +204,9 @@ impl SavedNetwork {
 
     /// Checks the snapshot's internal consistency: every weight-bearing
     /// spec layer has exactly one parameter entry (no missing, duplicate
-    /// or unknown entries), entries follow spec order, and frozen indices
-    /// address real weight entries.
+    /// or unknown entries), entries follow spec order, every tensor holds
+    /// as many entries as its shape promises, and frozen indices address
+    /// real weight entries.
     ///
     /// # Errors
     ///
@@ -198,6 +223,8 @@ impl SavedNetwork {
             )));
         }
         for p in &self.params {
+            check_entries(&p.layer, "weight", &p.weight)?;
+            check_entries(&p.layer, "bias", &p.bias)?;
             let len = p.weight.len();
             if let Some(&bad) = p.frozen_weight_indices.iter().find(|&&i| i >= len) {
                 return Err(NnError::MalformedSnapshot(format!(

@@ -4,7 +4,7 @@ use crate::loss::softmax_cross_entropy;
 use crate::network::Network;
 use crate::optim::Sgd;
 use crate::regularizer::GroupLasso;
-use crate::saved::{read_snapshot_file, write_snapshot_file, SavedNetwork};
+use crate::saved::{check_entries, read_snapshot_file, write_snapshot_file, SavedNetwork};
 use crate::{NnError, Result};
 use lts_tensor::{par, Shape, Tensor};
 use rand::seq::SliceRandom;
@@ -213,6 +213,8 @@ impl TrainCheckpoint {
                     m.layer, p.layer
                 )));
             }
+            check_entries(&m.layer, "weight momentum", &m.weight)?;
+            check_entries(&m.layer, "bias momentum", &m.bias)?;
             if m.weight.shape() != p.weight.shape() || m.bias.shape() != p.bias.shape() {
                 return Err(NnError::MalformedSnapshot(format!(
                     "momentum shapes for `{}` disagree with its parameters",

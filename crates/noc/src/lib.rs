@@ -61,5 +61,5 @@ pub use recovery::{
     aggregate_chiplet_detections, ChipletDetection, ChipletVerdict, Detection, DetectionCause,
     FaultEvent, FaultEventKind, FaultSchedule, MonitorConfig, RecoverableReport,
 };
-pub use stats::{FaultStats, SimReport};
+pub use stats::{FaultStats, PeriodicReport, SimReport};
 pub use topology::{HopClass, McmTopology, Mesh2d, Topo, Topology};

@@ -34,18 +34,46 @@
 //! VC gains a front, or an output VC regains a credit, the router's next
 //! visits only repeat its blocked-flit and arbitration counts.
 //!
+//! [`Simulator::run_periodic`] steps `copies` copies of one burst, copy
+//! `j` injected `j · period` cycles after copy 0, in one run, and returns
+//! the report [`Simulator::run`] gives on every prefix of them:
+//!
+//! - *Prefix snapshots.* The report of the first `b` copies is taken at
+//!   the end of the stepped cycle in which their last message completes.
+//!   It is what `run` gives on those copies alone only if copy `b` was not
+//!   yet due then, and no retransmission of theirs queued behind a packet
+//!   of a later copy (it would wait there, where a run on the first `b`
+//!   copies alone sends it at once). Any other prefix is declined (`None`).
+//! - *Fixed point.* A boundary is the cycle a copy becomes due. It is
+//!   quiescent when all earlier copies have completed, nothing is buffered,
+//!   every lane is free, no source is streaming or holds an earlier copy's
+//!   packet, and no acknowledgement or timeout is pending. At a quiescent
+//!   boundary the only state that steers the coming copy is the array of
+//!   round-robin pointers (DESIGN.md §12 lists every other field and why it
+//!   is inert). So once two consecutive quiescent boundaries have equal
+//!   pointers, every later copy repeats the last stepped one, shifted by the
+//!   period: its report is the previous one plus the counters' growth
+//!   between the two boundaries, its latencies repeated and its makespan
+//!   one period later. Stepping stops there.
+//! - *Exclusions.* O1TURN picks each packet's dimension order from its id,
+//!   and transient faults draw from the packet id too; ids differ from copy
+//!   to copy, so such runs never replicate. They still step every copy and
+//!   take exact prefix snapshots.
+//!
+//! None of this bookkeeping runs inside [`Simulator::run`].
+//!
 //! The pre-overhaul sweep is kept as the oracle behind
 //! [`Simulator::run_reference`] and [`Simulator::run_recoverable_reference`]:
 //! it visits every source and router each stepped cycle and rescans all
 //! input VCs once per output. Property tests hold the two bit-identical.
 
-use crate::config::{NocConfig, NocError};
+use crate::config::{NocConfig, NocError, RoutingPolicy};
 use crate::fault::{edge_dead, plan_routes, FaultModel};
 use crate::packet::{packetize_into, PacketDescriptor, PacketId};
 use crate::recovery::{
     Detection, DetectionCause, FaultEventKind, FaultSchedule, MonitorConfig, RecoverableReport,
 };
-use crate::stats::{EventCounts, FaultStats, SimReport};
+use crate::stats::{EventCounts, FaultStats, PeriodicReport, SimReport};
 use crate::topology::{Direction, HopClass, Topo, Topology};
 use crate::traffic::Message;
 use std::collections::{BTreeMap, HashSet, VecDeque};
@@ -796,71 +824,270 @@ impl Simulator {
     /// routers with no buffered flits, which are provably no-ops (see
     /// [`Simulator::sweep_routers`]).
     fn drive(&mut self, total: usize, full_scan: bool) -> Result<usize, NocError> {
-        let nodes = self.config.nodes();
         let fault_active = self.fault_active();
         let mut delivered = 0usize;
         while delivered < total {
-            if self.cycle > self.config.max_cycles {
-                return Err(NocError::CycleLimitExceeded {
-                    limit: self.config.max_cycles,
-                    undelivered: total - delivered,
-                });
-            }
-            let mut activity = false;
-            if fault_active {
-                self.fire_protocol_events()?;
-            }
-            self.drain_inject_wake();
-            for node in 0..nodes {
-                if !full_scan && !self.inject_ready[node] {
-                    continue;
-                }
-                if self.inject(node)? {
-                    activity = true;
-                }
-                self.retire_or_keep_source(node);
-            }
-            let (moved, completed) = self.sweep_routers(full_scan)?;
-            activity |= moved;
+            self.check_budget(total - delivered)?;
+            let (activity, completed) = self.step(full_scan, fault_active)?;
             delivered += completed;
-            self.cycles_simulated += 1;
-            if activity {
-                self.cycle += 1;
-            } else {
-                // Idle: fast-forward to the next event.
-                match self.next_event_cycle() {
-                    Some(next) if next > self.cycle => {
-                        self.cycles_fast_forwarded += next - self.cycle - 1;
-                        self.cycle = next;
-                    }
-                    Some(_) => self.cycle += 1,
-                    None => {
-                        if fault_active && delivered < total {
-                            // Every undelivered packet should hold a pending
-                            // timeout; a stall here means the protocol lost
-                            // track — surface it as a typed error, never a
-                            // hang or a wrong report.
-                            return Err(NocError::CycleLimitExceeded {
-                                limit: self.config.max_cycles,
-                                undelivered: total - delivered,
-                            });
-                        }
-                        // No buffered flits and no pending injections, yet
-                        // messages remain — impossible unless accounting broke.
-                        debug_assert!(delivered == total, "simulator stalled with no events");
-                        break;
-                    }
-                }
+            if !self.advance(activity) {
+                self.stalled(total - delivered)?;
+                break;
             }
         }
         Ok(delivered)
     }
 
+    /// The cycle-budget watchdog, checked before every stepped cycle.
+    fn check_budget(&self, undelivered: usize) -> Result<(), NocError> {
+        if self.cycle > self.config.max_cycles {
+            return Err(NocError::CycleLimitExceeded {
+                limit: self.config.max_cycles,
+                undelivered,
+            });
+        }
+        Ok(())
+    }
+
+    /// Evaluates one cycle of a static run: due protocol events, injection
+    /// at every source with something due, then switch allocation.
+    /// Returns whether anything moved and how many messages completed.
+    fn step(&mut self, full_scan: bool, fault_active: bool) -> Result<(bool, usize), NocError> {
+        let mut activity = false;
+        if fault_active {
+            self.fire_protocol_events()?;
+        }
+        self.drain_inject_wake();
+        for node in 0..self.config.nodes() {
+            if !full_scan && !self.inject_ready[node] {
+                continue;
+            }
+            if self.inject(node)? {
+                activity = true;
+            }
+            self.retire_or_keep_source(node);
+        }
+        let (moved, completed) = self.sweep_routers(full_scan)?;
+        self.cycles_simulated += 1;
+        Ok((activity | moved, completed))
+    }
+
+    /// Moves the clock past a stepped cycle: to the next cycle after
+    /// activity, otherwise fast-forward to the next event. Returns `false`
+    /// when no event is left.
+    fn advance(&mut self, activity: bool) -> bool {
+        if activity {
+            self.cycle += 1;
+            return true;
+        }
+        match self.next_event_cycle() {
+            Some(next) if next > self.cycle => {
+                self.cycles_fast_forwarded += next - self.cycle - 1;
+                self.cycle = next;
+            }
+            Some(_) => self.cycle += 1,
+            None => return false,
+        }
+        true
+    }
+
+    /// A static run with `undelivered` messages left has no event left.
+    fn stalled(&self, undelivered: usize) -> Result<(), NocError> {
+        if self.fault_active() && undelivered > 0 {
+            // Every undelivered packet should hold a pending timeout; a
+            // stall here means the protocol lost track — surface it as a
+            // typed error, never a hang or a wrong report.
+            return Err(NocError::CycleLimitExceeded {
+                limit: self.config.max_cycles,
+                undelivered,
+            });
+        }
+        // No buffered flits and no pending injections, yet messages
+        // remain — impossible unless accounting broke.
+        debug_assert!(undelivered == 0, "simulator stalled with no events");
+        Ok(())
+    }
+
+    /// Simulates `copies` copies of `burst`, copy `j` injected `j * period`
+    /// cycles after copy 0, in one run, and returns the report
+    /// [`Simulator::run`] gives on every prefix of them (see the module
+    /// docs for the prefix rule and the fixed point that ends stepping
+    /// early). The copies form [`crate::traffic::periodic`]'s trace, so
+    /// prefix `b`'s messages are its first `b * burst.len()`.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`Simulator::run`] on all `copies` copies, raised while
+    /// stepping them, and [`NocError::BadConfig`] when an inject cycle of
+    /// the expansion overflows `u64`. A replicated prefix that `run` would
+    /// stop at the cycle budget is declined instead.
+    pub fn run_periodic(
+        &mut self,
+        burst: &[Message],
+        period: u64,
+        copies: usize,
+    ) -> Result<PeriodicReport, NocError> {
+        let _probe = lts_obs::span("noc.run_periodic");
+        let n = burst.len();
+        let messages = crate::traffic::periodic(burst, period, copies).ok_or_else(|| {
+            NocError::BadConfig(format!("{copies} copies {period} cycles apart overflow"))
+        })?;
+        // `due[k]`: the cycle copy `k`'s first message is due (the inject
+        // cycle of a message of the expansion, so it saturates only when
+        // the burst is empty).
+        let first = burst.iter().map(|m| m.inject_cycle).min().unwrap_or(0);
+        let due: Vec<u64> =
+            (0..copies as u64).map(|k| first.saturating_add(k.saturating_mul(period))).collect();
+        self.reset();
+        self.enqueue(&messages)?;
+        let fault_active = self.fault_active();
+        // O1TURN's dimension order and the transient-fault draws read the
+        // packet id, which differs from copy to copy.
+        let replicable = !self.fault.has_transient()
+            && matches!(self.config.routing, RoutingPolicy::XyDor | RoutingPolicy::YxDor);
+        let total = messages.len();
+        let mut prefixes: Vec<Option<SimReport>> = Vec::with_capacity(copies);
+        let (mut delivered, mut done) = (0usize, 0usize);
+        // The next boundary to examine, and the round-robin pointers and
+        // counters at the previous one if it was quiescent.
+        let mut boundary = 1;
+        let mut last: Option<(Vec<u32>, SimReport)> = None;
+        let mut replicated = 0;
+        'run: loop {
+            while replicable && boundary < copies && self.cycle >= due[boundary] {
+                let quiet = self.cycle == due[boundary]
+                    && delivered == boundary * n
+                    && self.quiescent(boundary * n);
+                let now = quiet.then(|| (self.fabric.rr.clone(), self.report_of(0, 0)));
+                if let (Some((rr, then)), Some((rr_now, now))) = (&last, &now) {
+                    if rr == rr_now {
+                        replicated =
+                            self.replicate(&mut prefixes, copies, burst, period, then, now);
+                        break 'run;
+                    }
+                }
+                last = now;
+                boundary += 1;
+            }
+            if delivered >= total {
+                break;
+            }
+            self.check_budget(total - delivered)?;
+            let (activity, completed) = self.step(false, fault_active)?;
+            delivered += completed;
+            if completed > 0 {
+                while done < total && self.messages[done].completed_at.is_some() {
+                    done += 1;
+                }
+                // Prefix `b` is what `run` gives on its copies alone only if
+                // copy `b` was not yet due when they completed and none of
+                // their retransmissions queued behind a later copy.
+                while prefixes.len() < copies && done >= (prefixes.len() + 1) * n {
+                    let b = prefixes.len() + 1;
+                    let alone = b == copies || (due[b] > self.cycle && !self.queued_behind(b * n));
+                    prefixes.push(alone.then(|| self.report_of(b * n, b * n)));
+                }
+            }
+            if !self.advance(activity) {
+                self.stalled(total - delivered)?;
+                break;
+            }
+        }
+        if n == 0 {
+            prefixes.resize(copies, Some(self.report_of(0, 0)));
+        }
+        prefixes.resize(copies, None);
+        self.record_obs(Some(replicated));
+        Ok(PeriodicReport {
+            prefixes,
+            cycles_simulated: self.cycles_simulated,
+            cycles_fast_forwarded: self.cycles_fast_forwarded,
+            cycles_replicated: replicated,
+        })
+    }
+
+    /// Whether a source queues a packet of the first `next` messages behind
+    /// a packet of a later one: a retransmission pushed while a later
+    /// copy's packets were already queued, which a run on the first `next`
+    /// messages alone would have sent sooner.
+    fn queued_behind(&self, next: usize) -> bool {
+        self.sources.iter().any(|s| {
+            let mut later = false;
+            s.pending.iter().any(|p| {
+                later |= p.message_index >= next;
+                later && p.message_index < next
+            })
+        })
+    }
+
+    /// Whether a periodic run is drained at the boundary where the copy
+    /// whose first message is `next` becomes due: nothing buffered, every
+    /// lane free, no source streaming, no acknowledgement or timeout
+    /// pending, and nothing queued but the packets of later copies.
+    fn quiescent(&self, next: usize) -> bool {
+        let cycle = self.cycle;
+        let quiet = self.buffered.iter().all(|&b| b == 0)
+            && self.fabric.lanes.iter().all(|&busy| busy <= cycle)
+            && self.ack_at.is_empty()
+            && self.timeout_at.is_empty()
+            && self.sources.iter().all(|s| {
+                s.open.is_none()
+                    && s.lanes.iter().all(|&busy| busy <= cycle)
+                    && s.pending.iter().all(|p| p.message_index >= next)
+            });
+        // A drained network holds no worm state (DESIGN.md §12).
+        debug_assert!(
+            !quiet
+                || (self.fabric.route.iter().all(|&r| r == u8::MAX)
+                    && self.fabric.holder.iter().all(|&h| h == NONE)
+                    && (self.fabric.credits.iter())
+                        .all(|&c| c as usize == self.config.vc_buffer_flits)),
+            "quiescent boundary with worm state left"
+        );
+        quiet
+    }
+
+    /// Completes the prefixes of a periodic run whose last two boundaries
+    /// matched: every copy after the stepped ones repeats the last stepped
+    /// copy shifted by `period`, and adds the counters' growth from
+    /// boundary `then` to boundary `now`. Returns the cycles of the longest
+    /// prefix's span this built instead of stepping.
+    fn replicate(
+        &self,
+        prefixes: &mut Vec<Option<SimReport>>,
+        copies: usize,
+        burst: &[Message],
+        period: u64,
+        then: &SimReport,
+        now: &SimReport,
+    ) -> u64 {
+        // Both boundaries were quiescent, so the last stepped copy had
+        // completed on its own before the next one was due.
+        let Some(Some(mut report)) = prefixes.last().cloned() else { return 0 };
+        let n = burst.len();
+        let latencies = report.message_latencies[report.message_latencies.len() - n..].to_vec();
+        let bytes: u64 = burst.iter().map(|m| m.bytes).sum();
+        while prefixes.len() < copies {
+            report.makespan += period;
+            report.messages_delivered += n;
+            report.bytes_delivered += bytes;
+            report.message_latencies.extend_from_slice(&latencies);
+            report.add_growth(then, now);
+            // `run` stops at the budget before the last completion.
+            let within = report.makespan - 1 <= self.config.max_cycles;
+            prefixes.push(within.then(|| report.clone()));
+        }
+        let stepped = self.cycles_simulated + self.cycles_fast_forwarded;
+        report.cycles_simulated + report.cycles_fast_forwarded - stepped
+    }
+
     /// Reports a finished run's stepper counters and cycle timeline into
     /// `lts-obs`: how many cycles the active-set sweep actually evaluated
     /// versus skipped by fast-forward, plus retransmission-protocol
-    /// activity. Cheap no-op while recording is disabled.
-    fn record_obs(&self) {
+    /// activity. A periodic run passes the cycles it `replicated` instead
+    /// of stepping; every other counter covers stepped work only. Cheap
+    /// no-op while recording is disabled.
+    fn record_obs(&self, replicated: Option<u64>) {
         if !lts_obs::enabled() {
             return;
         }
@@ -873,6 +1100,10 @@ impl Simulator {
         let track = lts_obs::cycle_track_named("noc.stepper");
         lts_obs::cycle_record(track, "active-sweep", "", self.cycles_simulated);
         lts_obs::cycle_record(track, "fast-forward", "", self.cycles_fast_forwarded);
+        if let Some(replicated) = replicated {
+            lts_obs::counter_add("noc.cycles_replicated", replicated);
+            lts_obs::cycle_record(track, "replicated", "", replicated);
+        }
         let hops = lts_obs::cycle_track_named("noc.hops");
         lts_obs::cycle_record(hops, "intra-chip", "", self.intra_link_traversals);
         lts_obs::cycle_record(hops, "inter-chip", "", self.inter_link_traversals);
@@ -881,13 +1112,20 @@ impl Simulator {
     /// Assembles the report of a completed run that delivered `delivered`
     /// messages (abandoned messages' bytes do not count as delivered).
     fn build_report(&mut self, delivered: usize) -> SimReport {
-        self.record_obs();
-        let makespan = self.messages.iter().filter_map(|m| m.completed_at).max().unwrap_or(0);
+        self.record_obs(None);
+        self.report_of(self.messages.len(), delivered)
+    }
+
+    /// The report of the run's first `upto` messages, `delivered` of them
+    /// delivered, with every counter as it stands now.
+    fn report_of(&self, upto: usize, delivered: usize) -> SimReport {
+        let messages = &self.messages[..upto];
+        let makespan = messages.iter().filter_map(|m| m.completed_at).max().unwrap_or(0);
         let abandoned = |i: usize| self.abandoned_msgs.get(i).copied().unwrap_or(false);
         SimReport {
             makespan,
             messages_delivered: delivered,
-            bytes_delivered: (self.messages.iter().enumerate())
+            bytes_delivered: (messages.iter().enumerate())
                 .filter(|&(i, _)| !abandoned(i))
                 .map(|(_, m)| m.bytes)
                 .sum(),
@@ -898,8 +1136,7 @@ impl Simulator {
             } else {
                 self.events.ejections
             },
-            message_latencies: self
-                .messages
+            message_latencies: messages
                 .iter()
                 .map(|m| m.completed_at.unwrap_or(0).saturating_sub(m.inject_cycle))
                 .collect(),
@@ -2225,6 +2462,58 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The first `copies` copies of `burst`, `period` cycles apart.
+    fn expand(burst: &[Message], period: u64, copies: u64) -> Vec<Message> {
+        (0..copies)
+            .flat_map(|j| {
+                burst
+                    .iter()
+                    .map(move |m| Message { inject_cycle: m.inject_cycle + j * period, ..*m })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn transient_faults_and_o1turn_step_every_copy() {
+        let burst = [Message::new(0, 5, 640, 0), Message::new(3, 12, 900, 4)];
+        let xy = NocConfig::paper_16core();
+        let o1turn = NocConfig { routing: RoutingPolicy::O1Turn, ..xy };
+        // A drop rate this low drops nothing here, yet still rules out replication.
+        let drops = FaultModel::none().with_seed(3).drop_rate(1e-9);
+        for (config, fault, replicable) in [
+            (xy, FaultModel::none(), true),
+            (o1turn, FaultModel::none(), false),
+            (xy, drops, false),
+        ] {
+            let mut s = Simulator::with_faults(config, fault).unwrap();
+            let periodic = s.run_periodic(&burst, 3_000, 4).unwrap();
+            for (b, prefix) in (1..=4).zip(&periodic.prefixes) {
+                assert_eq!(prefix.as_ref(), Some(&s.run(&expand(&burst, 3_000, b)).unwrap()));
+            }
+            let longest = periodic.prefixes[3].as_ref().unwrap();
+            let span = longest.cycles_simulated + longest.cycles_fast_forwarded;
+            let stepped = periodic.cycles_simulated + periodic.cycles_fast_forwarded;
+            assert_eq!(stepped + periodic.cycles_replicated, span);
+            assert_eq!(periodic.cycles_replicated > 0, replicable, "{config:?}");
+        }
+    }
+
+    #[test]
+    fn periodic_edge_cases() {
+        let mut s = sim();
+        let empty = s.run(&[]).unwrap();
+        assert_eq!(s.run_periodic(&[], 100, 3).unwrap().prefixes, vec![Some(empty.clone()); 3]);
+        assert_eq!(s.run_periodic(&[], u64::MAX, 3).unwrap().prefixes, vec![Some(empty); 3]);
+        assert!(s.run_periodic(&[Message::new(0, 1, 8, 0)], 100, 0).unwrap().prefixes.is_empty());
+        let overflow = s.run_periodic(&[Message::new(0, 1, 8, 5)], u64::MAX / 2, 3);
+        assert!(matches!(overflow, Err(NocError::BadConfig(_))), "{overflow:?}");
+        // All copies at once: only the longest prefix stands alone.
+        let at_once = s.run_periodic(&[Message::new(0, 1, 8, 0)], 0, 3).unwrap();
+        assert_eq!(at_once.prefixes[..2], [None, None]);
+        let alone = s.run(&expand(&[Message::new(0, 1, 8, 0)], 0, 3)).unwrap();
+        assert_eq!(at_once.prefixes[2], Some(alone));
     }
 
     #[test]

@@ -114,6 +114,24 @@ pub fn all_to_all(nodes: usize, bytes: u64) -> TrafficTrace {
     trace
 }
 
+/// `copies` copies of `burst` in copy order, copy `j` injected `j * period`
+/// cycles later: the trace [`crate::Simulator::run_periodic`] steps, whose
+/// first `b * burst.len()` messages are its prefix of `b` copies. `None`
+/// when an inject cycle overflows `u64`.
+pub fn periodic(burst: &[Message], period: u64, copies: usize) -> Option<Vec<Message>> {
+    let mut messages = Vec::with_capacity(burst.len().saturating_mul(copies));
+    if burst.is_empty() {
+        return Some(messages);
+    }
+    for j in 0..copies as u64 {
+        let shift = j.checked_mul(period)?;
+        for m in burst {
+            messages.push(Message { inject_cycle: m.inject_cycle.checked_add(shift)?, ..*m });
+        }
+    }
+    Some(messages)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,6 +161,18 @@ mod tests {
         t.push(Message::new(0, 2, 10, 0));
         let dist = |a: usize, b: usize| b.abs_diff(a);
         assert_eq!(t.byte_hops(dist), 10 + 20);
+    }
+
+    #[test]
+    fn periodic_copies_shift_by_the_period() {
+        let burst = [Message::new(0, 1, 8, 3), Message::new(2, 1, 16, 0)];
+        let t = periodic(&burst, 100, 3).unwrap();
+        let injects: Vec<u64> = t.iter().map(|m| m.inject_cycle).collect();
+        assert_eq!(injects, [3, 0, 103, 100, 203, 200]);
+        assert!(t.chunks(2).all(|copy| copy[0].src == 0 && copy[1].bytes == 16));
+        assert_eq!(periodic(&burst, u64::MAX, 3), None);
+        assert_eq!(periodic(&burst, 5, 0), Some(vec![]));
+        assert_eq!(periodic(&[], u64::MAX, 3), Some(vec![]));
     }
 
     #[test]

@@ -9,6 +9,10 @@
 //! These properties drive randomized traces through both steppers, with and
 //! without fault injection, retransmissions and mid-run death schedules,
 //! and congested bursts that keep every switch allocator contended.
+//!
+//! A periodic run ([`Simulator::run_periodic`]) must equal [`Simulator::run`]
+//! on every prefix of its copies that it returns, and may decline a prefix
+//! only where the next copy was due before that prefix completed.
 
 use lts_noc::recovery::{FaultSchedule, MonitorConfig};
 use lts_noc::stats::SimReport;
@@ -56,8 +60,103 @@ fn burst_strategy(nodes: usize) -> impl Strategy<Value = Vec<Message>> {
     })
 }
 
+/// The first `copies` copies of `burst`, copy `j` shifted by `j * period`.
+fn expand(burst: &[Message], period: u64, copies: usize) -> Vec<Message> {
+    (0..copies as u64)
+        .flat_map(|j| {
+            burst.iter().map(move |m| Message { inject_cycle: m.inject_cycle + j * period, ..*m })
+        })
+        .collect()
+}
+
+/// A small burst with inject offsets inside it, on `nodes` cores.
+fn periodic_burst_strategy(nodes: usize) -> impl Strategy<Value = Vec<Message>> {
+    proptest::collection::vec(
+        (0..nodes, 0..nodes, 1u64..1500, 0u64..40).prop_map(move |(s, d, bytes, t)| {
+            let dst = if d == s { (d + 1) % nodes } else { d };
+            Message::new(s, dst, bytes, t)
+        }),
+        1..12,
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn periodic_prefixes_match_separate_runs(
+        burst in periodic_burst_strategy(32),
+        package in 0u8..2,
+        routing in 0usize..3,
+        dead in 0usize..15,
+        drops in 0u8..2,
+        copies in 1usize..=6,
+        long_period in 0u8..2,
+        period_pick in 0u64..4000,
+    ) {
+        // A 4x4 mesh or a package of two 4x4 chiplets; periods both
+        // shorter than a copy's makespan (they overlap) and longer than
+        // its makespan plus the retransmission timeout (they drain).
+        let mut config = if package == 1 {
+            NocConfig::paper_mcm(2, 16).unwrap()
+        } else {
+            NocConfig::paper_16core()
+        };
+        config.routing =
+            [RoutingPolicy::XyDor, RoutingPolicy::YxDor, RoutingPolicy::O1Turn][routing];
+        // Router 0 never dies: `dead == 0` picks a fault-free network.
+        let dead = (dead > 0).then_some(dead);
+        let nodes = config.nodes();
+        let burst: Vec<Message> = burst
+            .into_iter()
+            .map(|m| Message { src: m.src % nodes, dst: m.dst % nodes, ..m })
+            .filter(|m| m.src != m.dst && Some(m.src) != dead && Some(m.dst) != dead)
+            .collect();
+        let period = if long_period == 1 { 2_500 + period_pick } else { period_pick / 16 };
+        let mut fault = FaultModel::none();
+        if let Some(dead) = dead {
+            fault = fault.kill_router(dead);
+        }
+        if drops == 1 {
+            fault = fault.with_seed(period_pick).drop_rate(0.01).retry_limit(12);
+        }
+        let mut sim = Simulator::with_faults(config, fault).unwrap();
+        let periodic = sim.run_periodic(&burst, period, copies);
+        let periodic = match periodic {
+            Ok(periodic) => periodic,
+            Err(e) => {
+                // An error is the one `run` meets on all the copies.
+                let full = sim.run(&expand(&burst, period, copies));
+                prop_assert_eq!(outcome(full), outcome(Err(e)));
+                return;
+            }
+        };
+        prop_assert_eq!(periodic.prefixes.len(), copies);
+        let first = burst.iter().map(|m| m.inject_cycle).min().unwrap_or(0);
+        for (b, prefix) in (1..=copies).zip(&periodic.prefixes) {
+            let alone = sim.run(&expand(&burst, period, b)).unwrap();
+            match prefix {
+                Some(prefix) => prop_assert_eq!(prefix, &alone, "prefix {}", b),
+                None => {
+                    // Declined: copy `b` was due by the cycle the first `b`
+                    // copies completed in, or one of their retransmissions
+                    // queued behind copy `b`'s packets.
+                    prop_assert!(b < copies, "the longest prefix is never declined");
+                    prop_assert!(
+                        first + b as u64 * period < alone.makespan
+                            || alone.faults.packets_retransmitted > 0,
+                        "prefix {}",
+                        b
+                    );
+                }
+            }
+        }
+        let longest = periodic.prefixes[copies - 1].as_ref().unwrap();
+        prop_assert_eq!(
+            periodic.cycles_simulated + periodic.cycles_fast_forwarded + periodic.cycles_replicated,
+            longest.cycles_simulated + longest.cycles_fast_forwarded
+        );
+    }
 
     #[test]
     fn active_set_matches_full_scan_under_congestion(
