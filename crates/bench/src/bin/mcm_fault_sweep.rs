@@ -17,17 +17,16 @@
 //! timeline, bounded throughput dip, and the traditional profile
 //! reporting one fewer pipeline stage after the death.
 //!
-//! The binary exits nonzero if any cell violates its contract. Timings
-//! are recorded per cell and written to `BENCH_mcm_fault.json` (into
-//! `LTS_BENCH_DIR`). `LTS_EFFORT=quick` trims the sweep to one package
-//! shape and one victim. Run:
+//! The binary exits nonzero if any cell violates its contract.
+//! `LTS_EFFORT=quick` trims the sweep to one package shape and one
+//! victim. Run:
 //! `cargo run --release -p lts-bench --bin mcm_fault_sweep`
 //!
 //! Results are bit-reproducible at any `LTS_THREADS` and any simcache
-//! temperature: the NoC simulator is single-threaded and the bin
-//! re-runs one cell on a cold cache to prove it.
+//! temperature: the NoC simulator is single-threaded, and the bin
+//! re-runs its first cell, which ran on an empty cache, from the warm
+//! cache to prove it.
 
-use lts_bench::timing::{self, BenchReport};
 use lts_core::recovery::{run_with_recovery, InferenceFault, RecoveryReport};
 use lts_core::serve::service_capacity_rpmc;
 use lts_core::simcache::{self, SimUsage};
@@ -186,19 +185,16 @@ fn check_serving(r: &lts_core::ServingReport) -> Vec<String> {
 }
 
 fn main() {
-    lts_obs::enable_from_env();
     let effort = std::env::var("LTS_EFFORT").unwrap_or_else(|_| "paper".into());
     let horizon = match effort.as_str() {
         "quick" => 4_000_000u64,
         "paper" => 4_000_000,
         other => panic!("LTS_EFFORT must be `quick` or `paper`, got `{other}`"),
     };
-    let iters = timing::iters_from_env(2);
     println!("=== Learn-to-Scale reproduction: MCM chiplet-loss fault sweep ===");
-    println!("(effort: {effort}, mid-network chiplet deaths, {iters} timed iters/cell)\n");
+    println!("(effort: {effort}, mid-network chiplet deaths)\n");
 
     simcache::reset();
-    let mut report = BenchReport::new("mcm_fault", &effort);
     let mut sim = SimUsage::default();
     let mut violations: Vec<String> = Vec::new();
 
@@ -215,12 +211,7 @@ fn main() {
             .iter()
             .position(|&(c, k, _)| c == cell.chiplets && k == cell.cores)
             .expect("cell shape in grid")][cell.strategy_idx];
-        let mut last: Option<RecoveryReport> = None;
-        let record = timing::time(&cell.label, 1, iters, || {
-            last = Some(run_cell(cell, w));
-        });
-        report.push(record);
-        let r = last.expect("timed at least once");
+        let r = run_cell(cell, w);
         for problem in check_recovery(cell, &r) {
             violations.push(format!("{}: {problem}", cell.label));
         }
@@ -244,36 +235,29 @@ fn main() {
             r.redistribution_bytes(),
             r.lost_boundary_fraction,
         );
-        report.notes.push(format!(
-            "{label}: {} -> {} cycles ({:.3}x), detect {} resync {}B lostB {:.3}",
-            r.fault_free.total_cycles,
-            r.report.total_cycles,
-            r.overhead_vs_fault_free(),
-            r.detection_cycles(),
-            r.redistribution_bytes(),
-            r.lost_boundary_fraction
-        ));
     }
 
-    // Cold-cache determinism: the first cell, re-run after a simcache
-    // reset, must reproduce the recovered latency bit for bit.
-    if let (Some(cell), Some((label, warm))) = (cells.first(), rows.first()) {
-        simcache::reset();
-        let cold = run_cell(cell, &ladders[0][cell.strategy_idx]);
-        if cold.report.total_cycles != warm.report.total_cycles || cold.events != warm.events {
-            violations.push(format!("{label}: cold-cache re-run diverged from the warm run"));
+    // Cache-temperature determinism: the first cell ran on the cache
+    // `simcache::reset` had just emptied; re-run from the warm cache, it
+    // must reproduce the recovered latency bit for bit.
+    if let (Some(cell), Some((label, cold))) = (cells.first(), rows.first()) {
+        let warm = run_cell(cell, &ladders[0][cell.strategy_idx]);
+        if cold.sim_usage().sims == 0 || warm.sim_usage().sims != 0 {
+            violations.push(format!(
+                "{label}: the first run simulated {} transitions and the re-run {}; the \
+                 check needs an uncached run and a cached one",
+                cold.sim_usage().sims,
+                warm.sim_usage().sims
+            ));
+        } else if warm.report.total_cycles != cold.report.total_cycles || warm.events != cold.events
+        {
+            violations.push(format!("{label}: warm-cache re-run diverged from the cold run"));
         } else {
-            println!("\ncold-cache re-run of {label}: bit-identical");
+            println!("\nwarm-cache re-run of {label}: bit-identical to its cold run");
         }
     }
 
-    let serving_config = serving_cell(horizon);
-    let mut last_serving = None;
-    let record = timing::time("serve/4x4/kill-c2@1.2M", 1, iters, || {
-        last_serving = Some(run_serving(&serving_config).expect("serving ride-through"));
-    });
-    report.push(record);
-    let sr = last_serving.expect("timed at least once");
+    let sr = run_serving(&serving_cell(horizon)).expect("serving ride-through");
     for problem in check_serving(&sr) {
         violations.push(format!("serve/4x4/kill-c2@1.2M: {problem}"));
     }
@@ -285,21 +269,15 @@ fn main() {
         .map_or(0, |s| s.stages);
     println!(
         "\nserve/4x4/kill-c2@1.2M: offered {} served {} recoveries {} phases {} stages 4->{} \
-         sustained {:.3} rpmc",
+         sustained {:.3} rpmc outcomes[{}]",
         sr.offered,
         sr.served(),
         sr.recoveries.len(),
         sr.phases.len(),
         post_stages,
-        sr.sustained_rpmc
+        sr.sustained_rpmc,
+        sr.outcomes.render()
     );
-    report.notes.push(format!(
-        "serve/4x4/kill-c2@1.2M: offered {} outcomes[{}] recoveries {} stages {}",
-        sr.offered,
-        sr.outcomes.render(),
-        sr.recoveries.len(),
-        post_stages
-    ));
 
     let cache = simcache::stats();
     println!(
@@ -319,9 +297,6 @@ fn main() {
     println!("resynced over the interposer, and the remaining layers restage onto the");
     println!("survivor chiplets (fewer, fatter stages). `v-oracle` compares against the");
     println!("oracle static replan that knew the dead set before the run started.");
-
-    report.attach_probes();
-    report.write().expect("write mcm fault bench report");
 
     if !violations.is_empty() {
         for v in &violations {

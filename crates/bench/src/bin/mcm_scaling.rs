@@ -1,9 +1,10 @@
 //! **Extension experiment**: multi-chip-module throughput scaling.
 //! Sweeps 1 → 8 chiplets (each a Table II 16-core mesh, joined by
 //! interposer links) over the Table III/IV benchmark networks, pitting
-//! the stage-pipelined schedule against whole-network replication, and
-//! emits `BENCH_mcm.json` with per-hop-class (intra- vs inter-chip)
-//! traversal and energy accounting plus simcache hit/miss totals.
+//! the stage-pipelined schedule against whole-network replication. Each
+//! row prints both schedules' throughput and the winner, per-hop-class
+//! (intra- vs inter-chip) traversals and the pipelined pass's NoC and
+//! compute energy; a closing line gives simulation and simcache totals.
 //!
 //! Analytic + simulation, no training. Run:
 //! `cargo run --release -p lts-bench --bin mcm_scaling`
@@ -14,22 +15,14 @@
 //! Panics when throughput fails to scale monotonically with the chiplet
 //! count — that is the experiment's acceptance invariant.
 
-use lts_bench::timing::{iters_from_env, time, BenchReport};
 use lts_bench::{banner, effort_from_env};
-use lts_core::{scale_chiplets, McmScalingRow};
+use lts_core::scale_chiplets;
+use lts_core::simcache::{self, SimUsage};
 use lts_nn::descriptor::{convnet_spec, lenet_spec, mlp_spec};
-use serde::Serialize;
 use std::collections::HashMap;
 
 /// Cores per chiplet: the paper's Table II chip.
 const CORES_PER_CHIPLET: usize = 16;
-
-/// One serialized sweep point, tagged with its network.
-#[derive(Serialize)]
-struct TaggedRow {
-    network: String,
-    row: McmScalingRow,
-}
 
 fn chiplet_counts() -> Vec<usize> {
     let max = std::env::var("LTS_MCM_MAX_CHIPLETS")
@@ -47,26 +40,33 @@ fn main() {
     let preset = effort_from_env();
     banner("Extension — multi-chip-module throughput scaling", &preset);
     let counts = chiplet_counts();
-    let mut report = BenchReport::new("mcm", if counts.len() < 4 { "quick" } else { "paper" });
-    let iters = iters_from_env(2);
-    lts_core::simcache::reset();
+    simcache::reset();
+    let mut sim = SimUsage::default();
 
     for spec in [mlp_spec(), lenet_spec(), convnet_spec()] {
-        let weights = HashMap::new();
-        let mut rows = Vec::new();
-        // Warmup populates the cross-sweep simcache; measured iterations
-        // then show the memoized steady state.
-        report.push(time(&format!("scale_chiplets/{}", spec.name), 1, iters, || {
-            rows = scale_chiplets(&spec, &weights, CORES_PER_CHIPLET, &counts)
-                .expect("mcm scaling sweep");
-        }));
+        let rows = scale_chiplets(&spec, &HashMap::new(), CORES_PER_CHIPLET, &counts)
+            .expect("mcm scaling sweep");
         println!(
-            "  {:<10} {:>8} {:>6} {:>12} {:>12} {:>12} {:>10} {:>10}",
-            "network", "chiplets", "stages", "latency", "interval", "ipmc", "intra", "inter"
+            "  {:<10} {:>8} {:>6} {:>12} {:>12} {:>12} {:>10} {:>10} {:>12} {:>12} {:>10} {:>12} \
+             {:>12}",
+            "network",
+            "chiplets",
+            "stages",
+            "latency",
+            "interval",
+            "ipmc",
+            "intra",
+            "inter",
+            "pipe ipmc",
+            "repl ipmc",
+            "mode",
+            "noc pJ",
+            "compute pJ"
         );
         for row in &rows {
             println!(
-                "  {:<10} {:>8} {:>6} {:>12} {:>12} {:>12.3} {:>10} {:>10}",
+                "  {:<10} {:>8} {:>6} {:>12} {:>12} {:>12.3} {:>10} {:>10} {:>12.3} {:>12.3} \
+                 {:>10} {:>12.0} {:>12.0}",
                 spec.name,
                 row.chiplets,
                 row.stages,
@@ -74,10 +74,14 @@ fn main() {
                 row.interval_cycles,
                 row.throughput_ipmc,
                 row.intra_chip_traversals,
-                row.inter_chip_traversals
+                row.inter_chip_traversals,
+                row.pipelined_ipmc,
+                row.replicated_ipmc,
+                format!("{:?}", row.mode),
+                row.noc_energy_pj,
+                row.compute_energy_pj
             );
-            let tagged = TaggedRow { network: spec.name.clone(), row: row.clone() };
-            report.notes.push(serde_json::to_string(&tagged).expect("sweep row serializes"));
+            sim.merge(&row.sim);
         }
         for pair in rows.windows(2) {
             assert!(
@@ -91,14 +95,20 @@ fn main() {
         println!();
     }
 
-    let cache = lts_core::simcache::stats();
-    report.note(format!(
-        "simcache: {} hits / {} misses ({} entries)",
-        cache.hits, cache.misses, cache.entries
-    ));
+    let cache = simcache::stats();
+    println!(
+        "sim usage: {} transitions simulated, {} answered from cache ({} hits / {} misses, {} \
+         entries); {} cycles stepped, {} fast-forwarded, {} replicated",
+        sim.sims,
+        sim.cache_hits,
+        cache.hits,
+        cache.misses,
+        cache.entries,
+        sim.cycles_simulated,
+        sim.cycles_fast_forwarded,
+        sim.cycles_replicated
+    );
     if counts.len() < 4 {
-        report.note(format!("sweep capped at {:?} chiplets (LTS_MCM_MAX_CHIPLETS)", counts));
+        println!("note: sweep capped at {:?} chiplets (LTS_MCM_MAX_CHIPLETS)", counts);
     }
-    report.attach_probes();
-    report.write().expect("write BENCH_mcm.json");
 }

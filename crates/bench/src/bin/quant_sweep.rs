@@ -1,16 +1,15 @@
-//! The 16-bit fixed-point fast path, measured end to end: i16 vs f32
-//! A·Bᵀ GEMM microkernels on the hot-path shape, then a strategy × network ×
+//! The 16-bit fixed-point fast path, end to end: a strategy × network ×
 //! precision sweep where each trained model is deployed under both
 //! [`Precision::I16`] (calibrated symmetric scales, the i16 A·Bᵀ GEMM)
 //! and [`Precision::F32`] (the full-precision reference), comparing
-//! top-1 accuracy, evaluation latency, NoC traffic width and simulated
-//! single-pass cycles.
+//! top-1 accuracy, NoC traffic width and simulated single-pass cycles.
+//! The host-time ratio of the two GEMM kernels is measured by the
+//! repository benchmark (`infer_sparse`'s `tensor.gemm_f32_gmacs` and
+//! `tensor.gemm_i16_gmacs`), not here.
 //!
-//! Writes `BENCH_quant.json` (into `LTS_BENCH_DIR`). Run:
-//! `cargo run --release -p lts-bench --bin quant_sweep`
+//! Run: `cargo run --release -p lts-bench --bin quant_sweep`
 //! (`LTS_EFFORT=quick` for a fast pass).
 
-use lts_bench::timing::{iters_from_env, time, BenchReport};
 use lts_bench::{banner, effort_from_env};
 use lts_core::experiment::train_presets;
 use lts_core::pipeline::{
@@ -22,59 +21,10 @@ use lts_core::Precision;
 use lts_datasets::{presets, TrainTest};
 use lts_nn::prune::PruneCriterion;
 use lts_nn::{models, Network};
-use lts_tensor::par::{self, ExecConfig};
-use lts_tensor::{init, matmul, qmatmul, Shape};
-
-/// Hot-path microbench GEMM dimension (matches `benches/hotpath.rs`).
-const N: usize = 256;
 
 fn main() {
     let preset = effort_from_env();
     banner("quantization sweep — i16 fast path vs f32 reference", &preset);
-    let mut report = BenchReport::new("quant", effort_label(&preset));
-    let host = report.host_cpus;
-
-    // --- Microkernels: identical 256^3 workload, single-threaded. -------
-    par::install(ExecConfig::new(1));
-    let mut rng = init::rng(1);
-    let af = init::uniform(Shape::d2(N, N), 1.0, &mut rng);
-    let bf = init::uniform(Shape::d2(N, N), 1.0, &mut rng);
-    let (afv, bfv) = (af.as_slice(), bf.as_slice());
-    // ~10-bit operands, the realistic post-headroom quantized range.
-    let gen =
-        |s: usize| -> Vec<i16> { (0..N * N).map(|i| ((i * 7 + s) % 2047) as i16 - 1023).collect() };
-    let (aq, bq) = (gen(3), gen(11));
-    let mut cf = vec![0.0f32; N * N];
-    let mut cq = vec![0i32; N * N];
-    // Floor of 10 so the recorded uplift always averages over enough
-    // samples to ride out scheduler jitter, even under LTS_BENCH_ITERS=1
-    // smoke runs.
-    let iters = iters_from_env(20).max(10);
-    report.push(time("gemm_a_bt_f32_256_t1", 3, iters, || {
-        matmul::matmul_a_bt_into(afv, bfv, &mut cf, N, N, N);
-    }));
-    report.push(time("gemm_a_bt_i16_256_t1", 3, iters, || {
-        qmatmul::matmul_a_bt_i16_into(&aq, &bq, &mut cq, N, N, N);
-    }));
-    let up_bt = uplift(&report, "gemm_a_bt_f32_256_t1", "gemm_a_bt_i16_256_t1");
-    let macs = (N * N * N) as f64;
-    lts_obs::gauge_set("quant.gemm_a_bt_256_macs_per_cycle_uplift", up_bt);
-    report.note(format!("gemm_a_bt_256: i16/f32 MACs-per-cycle uplift {up_bt:.2}x"));
-    report.note(format!(
-        "MACs/cycle caveat: both kernels timed single-threaded on one CPU of the same host \
-         at the same frequency, so the wall-time ratio IS the MACs/cycle ratio; absolute \
-         cycle counts are not measurable from safe Rust ({:.0}M MACs per iteration)",
-        macs / 1e6
-    ));
-    report.note(
-        "dense i16 A*B^T trails f32 since the f32 kernel packs B^T panels into its register \
-         tile (0.56-0.75x on a shared 2-vCPU Xeon; it was 2.4-2.9x against the scalar f32 \
-         dots), so the ratio is recorded, not gated; i16 still moves half the NoC bytes \
-         (asserted per cell below) and skips zero weight runs (tensor.macs_i16_skipped)",
-    );
-
-    // --- Strategy x network x precision, end to end. --------------------
-    par::install(ExecConfig::new(host));
     let mnist = presets::synth_mnist(preset.train_samples, preset.test_samples, preset.seed);
     let imagenet =
         presets::synth_imagenet10(preset.train_samples, preset.test_samples, preset.seed);
@@ -146,7 +96,6 @@ fn main() {
     // moves top-1 by >1%.
     let tol = (2.0 / preset.test_samples as f32).max(0.01);
     let model = SystemModel::paper(16).expect("paper system model");
-    let eval_iters = iters_from_env(3);
     for c in &cells {
         let mut acc = [0.0f32; 2];
         for (slot, precision) in [Precision::I16, Precision::F32].into_iter().enumerate() {
@@ -156,9 +105,7 @@ fn main() {
                 quantize: precision == Precision::I16,
                 ..c.config
             };
-            report.push(time(&format!("eval_{}_{}", c.name, precision), 0, eval_iters, || {
-                acc[slot] = evaluate(&c.net, &c.data, &config).expect("evaluation succeeds");
-            }));
+            acc[slot] = evaluate(&c.net, &c.data, &config).expect("evaluation succeeds");
         }
         let [acc_i16, acc_f32] = acc;
         let plan_i16 =
@@ -173,43 +120,23 @@ fn main() {
         );
         let cyc_i16 = model.evaluate(&plan_i16).expect("i16 system eval").total_cycles;
         let cyc_f32 = model.evaluate(&plan_f32).expect("f32 system eval").total_cycles;
-        report.note(format!(
-            "{}: top-1 i16 {:.1}% vs f32 {:.1}% (|delta| {:.2}% <= {:.2}%); single-pass \
+        println!(
+            "note: {}: top-1 i16 {:.1}% vs f32 {:.1}% (|delta| {:.2}% <= {:.2}%); single-pass \
              {cyc_i16} cycles @2B/value vs {cyc_f32} @4B/value",
             c.name,
             100.0 * acc_i16,
             100.0 * acc_f32,
             100.0 * (acc_i16 - acc_f32).abs(),
             100.0 * tol,
-        ));
+        );
         assert!(
             (acc_i16 - acc_f32).abs() <= tol,
             "{}: i16 accuracy {acc_i16} drifted more than {tol} from f32 {acc_f32}",
             c.name
         );
     }
-    report.note(
-        "each cell trains once (training is precision-independent) and deploys the same \
-         weights under i16 and f32, so accuracy deltas are pure quantization error",
+    println!(
+        "note: each cell trains once (training is precision-independent) and deploys the same \
+         weights under i16 and f32, so accuracy deltas are pure quantization error"
     );
-
-    report.attach_probes();
-    report.write().expect("write benchmark report");
-}
-
-/// `before/after` mean-time ratio of two records (= MACs/cycle uplift on
-/// an identical workload).
-fn uplift(report: &BenchReport, f32_name: &str, i16_name: &str) -> f64 {
-    let mean = |name: &str| {
-        report.records.iter().find(|r| r.name == name).map(|r| r.mean_ms).unwrap_or(f64::NAN)
-    };
-    mean(f32_name) / mean(i16_name)
-}
-
-fn effort_label(preset: &lts_core::experiment::EffortPreset) -> &'static str {
-    if *preset == lts_core::experiment::EffortPreset::quick() {
-        "quick"
-    } else {
-        "paper"
-    }
 }

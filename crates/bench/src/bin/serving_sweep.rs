@@ -10,16 +10,14 @@
 //! 3. a mid-stream core death degrades gracefully — detection plus
 //!    replanning shows up as a bounded throughput dip, never a halt.
 //!
-//! The binary exits nonzero if any cell violates its contract. Timings
-//! are recorded per cell and written to `BENCH_serving.json` (into
-//! `LTS_BENCH_DIR`). `LTS_EFFORT=quick` trims the sweep to the three
-//! contract cells plus a burst and a controller cell. Run:
+//! The binary exits nonzero if any cell violates its contract.
+//! `LTS_EFFORT=quick` trims the sweep to the three contract cells plus a
+//! burst and a controller cell. Run:
 //! `cargo run --release -p lts-bench --bin serving_sweep`
 //!
 //! Results are bit-reproducible at any `LTS_THREADS`: arrivals are
 //! stateless hash draws and the serving event loop is single-threaded.
 
-use lts_bench::timing::{self, BenchReport};
 use lts_core::serve::service_capacity_rpmc;
 use lts_core::simcache::{self, SimUsage};
 use lts_core::{
@@ -225,30 +223,22 @@ fn check(contract: Contract, r: &ServingReport) -> Vec<String> {
 }
 
 fn main() {
-    lts_obs::enable_from_env();
     let effort = std::env::var("LTS_EFFORT").unwrap_or_else(|_| "paper".into());
     let horizon = match effort.as_str() {
         "quick" => 4_000_000u64,
         "paper" => 6_000_000,
         other => panic!("LTS_EFFORT must be `quick` or `paper`, got `{other}`"),
     };
-    let iters = timing::iters_from_env(2);
     println!("=== Learn-to-Scale reproduction: online serving sweep (fail-operational) ===");
-    println!("(effort: {effort}, {horizon}-cycle horizon, seed 2019, {iters} timed iters/cell)\n");
+    println!("(effort: {effort}, {horizon}-cycle horizon, seed 2019)");
 
     simcache::reset();
-    let mut report = BenchReport::new("serving", &effort);
     let mut sim = SimUsage::default();
     let mut violations: Vec<String> = Vec::new();
     let cells = cells(&effort, horizon);
     let mut rows: Vec<(String, ServingReport)> = Vec::new();
     for cell in &cells {
-        let mut last: Option<ServingReport> = None;
-        let record = timing::time(&cell.label, 1, iters, || {
-            last = Some(run_serving(&cell.config).expect("serving run"));
-        });
-        report.push(record);
-        let r = last.expect("timed at least once");
+        let r = run_serving(&cell.config).expect("serving run");
         for problem in check(cell.contract, &r) {
             violations.push(format!("{}: {problem}", cell.label));
         }
@@ -257,12 +247,23 @@ fn main() {
     }
 
     println!(
-        "\n{:<38} {:>6} {:>6} {:>5} {:>5} {:>9} {:>9} {:>9} {:>7} {:>4} {:>4}",
-        "cell", "offer", "serve", "shed", "miss", "p50", "p95", "p99", "rpmc", "sw", "rec"
+        "\n{:<38} {:>6} {:>6} {:>5} {:>5} {:>9} {:>9} {:>9} {:>9} {:>7} {:>4} {:>4}  outcomes",
+        "cell",
+        "offer",
+        "serve",
+        "shed",
+        "miss",
+        "p50",
+        "p95",
+        "p99",
+        "budget",
+        "rpmc",
+        "sw",
+        "rec"
     );
     for (label, r) in &rows {
         println!(
-            "{:<38} {:>6} {:>6} {:>5} {:>5} {:>9} {:>9} {:>9} {:>7.3} {:>4} {:>4}",
+            "{:<38} {:>6} {:>6} {:>5} {:>5} {:>9} {:>9} {:>9} {:>9} {:>7.3} {:>4} {:>4}  {}",
             label,
             r.offered,
             r.served(),
@@ -271,18 +272,12 @@ fn main() {
             r.latency.p50,
             r.latency.p95,
             r.latency.p99,
+            r.latency_budget,
             r.sustained_rpmc,
             r.controller_events.len(),
             r.recoveries.len(),
-        );
-        report.notes.push(format!(
-            "{label}: offered {} outcomes[{}] p99 {} budget {} sustained {:.3} rpmc",
-            r.offered,
             r.outcomes.render(),
-            r.latency.p99,
-            r.latency_budget,
-            r.sustained_rpmc
-        ));
+        );
     }
 
     let cache = simcache::stats();
@@ -303,9 +298,8 @@ fn main() {
     println!("shedding, and — where scheduled — mid-stream core deaths ridden out by the");
     println!("online recovery path. `rpmc` is sustained requests per million cycles; `sw`");
     println!("counts SLO-controller strategy switches, `rec` mid-stream recoveries.");
-
-    report.attach_probes();
-    report.write().expect("write serving bench report");
+    println!("`budget` is the cell's latency budget in cycles, `outcomes` its per-request");
+    println!("outcome histogram.");
 
     if !violations.is_empty() {
         for v in &violations {

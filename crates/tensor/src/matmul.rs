@@ -326,9 +326,7 @@ pub mod reference {
     //!
     //! The register-tile microkernel in the parent module is gated on
     //! producing bit-identical results to these: the equivalence proptests
-    //! assert exact equality on random shapes, and the `hotpath` benchmark
-    //! times both on the same inputs so `BENCH_hotpath.json` records a
-    //! true before/after on one host. Not for production use.
+    //! assert exact equality on random shapes. Not for production use.
 
     use super::PANEL;
 

@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
 # First-party line count: every .rs file under crates/*/src (vendored
-# stand-ins in crates/compat/ excluded), the bench targets under
-# crates/bench/benches, the root crate's src/ and the repository
-# benchmark's benchmark/src. "Non-test" lines stop at a file's
+# stand-ins in crates/compat/ excluded), the root crate's src/ and the
+# repository benchmark's benchmark/src. "Non-test" lines stop at a file's
 # first top-level `#[cfg(test)]`, where its unit-test module starts.
 #
 # Usage: scripts/loc.sh
@@ -21,14 +20,12 @@ count() {
 
 crates=$(find crates -mindepth 2 -maxdepth 2 -type d -name src -not -path 'crates/compat/*' | sort)
 read -r crate_lines crate_code < <(count $crates)
-read -r benches_lines benches_code < <(count crates/bench/benches)
 read -r root_lines root_code < <(count src)
 read -r bench_lines bench_code < <(count benchmark/src)
 
 printf '%-40s %8s %10s\n' "area" "lines" "non-test"
 printf '%-40s %8d %10d\n' "crates/*/src (excluding compat/)" "$crate_lines" "$crate_code"
-printf '%-40s %8d %10d\n' "crates/bench/benches" "$benches_lines" "$benches_code"
 printf '%-40s %8d %10d\n' "src" "$root_lines" "$root_code"
 printf '%-40s %8d %10d\n' "benchmark/src" "$bench_lines" "$bench_code"
-printf '%-40s %8d %10d\n' "total" $((crate_lines + benches_lines + root_lines + bench_lines)) \
-    $((crate_code + benches_code + root_code + bench_code))
+printf '%-40s %8d %10d\n' "total" $((crate_lines + root_lines + bench_lines)) \
+    $((crate_code + root_code + bench_code))
