@@ -1,6 +1,6 @@
 //! The 16-bit fixed-point fast path, end to end: a strategy × network ×
 //! precision sweep where each trained model is deployed under both
-//! [`Precision::I16`] (calibrated symmetric scales, the i16 A·Bᵀ GEMM)
+//! [`Precision::I16`] (calibrated symmetric scales, the i16 A·B GEMM)
 //! and [`Precision::F32`] (the full-precision reference), comparing
 //! top-1 accuracy, NoC traffic width and simulated single-pass cycles.
 //! The host-time ratio of the two GEMM kernels is measured by the

@@ -5,7 +5,7 @@
 //! * **[`pairs`]** — the contract read from `BENCHMARK.json`, the result
 //!   lines and ledger lines of benchmark runs, and the pure summary that
 //!   turns a workload's pairs into verdicts;
-//! * **[`stats`]** — median, MAD and the Mann–Whitney U rank test.
+//! * **[`stats`]** — median, IQR and the Mann–Whitney U rank test.
 //!
 //! Driven by `bench_history pairs`.
 

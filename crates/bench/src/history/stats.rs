@@ -1,7 +1,7 @@
 //! Statistics core for the performance-history pipeline.
 //!
 //! Everything here is dependency-free and pure: robust location/dispersion
-//! estimators (median, median absolute deviation) and a Mann–Whitney U
+//! estimators (median, interquartile range) and a Mann–Whitney U
 //! rank test (normal approximation with tie correction and continuity
 //! correction) for parent/change comparisons. A rank test is used instead
 //! of a t-test because wall-clock samples on a shared 1-CPU host are
@@ -22,18 +22,6 @@ pub fn median(samples: &[f64]) -> f64 {
     } else {
         0.5 * (sorted[n / 2 - 1] + sorted[n / 2])
     }
-}
-
-/// Median absolute deviation: `median(|x_i - median(x)|)`. A robust
-/// dispersion estimate — unlike the standard deviation, one outlier
-/// repetition cannot inflate it. Empty input yields 0.
-pub fn mad(samples: &[f64]) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    let m = median(samples);
-    let devs: Vec<f64> = samples.iter().map(|x| (x - m).abs()).collect();
-    median(&devs)
 }
 
 /// Distance between the first and third quartiles, interpolating
@@ -168,16 +156,6 @@ mod tests {
         assert_eq!(median(&[1.0, 3.0, 2.0]), 2.0);
         assert_eq!(median(&[1.0, 2.0, 3.0, 4.0]), 2.5);
         assert_eq!(median(&[4.0, 1.0, 3.0, 2.0]), 2.5, "order must not matter");
-    }
-
-    #[test]
-    fn mad_hand_fixtures() {
-        assert_eq!(mad(&[]), 0.0);
-        assert_eq!(mad(&[5.0]), 0.0);
-        // median = 3, |devs| = [2, 1, 0, 1, 97] -> median 1: the outlier
-        // does not inflate the estimate.
-        assert_eq!(mad(&[1.0, 2.0, 3.0, 4.0, 100.0]), 1.0);
-        assert_eq!(mad(&[2.0, 2.0, 2.0]), 0.0);
     }
 
     #[test]

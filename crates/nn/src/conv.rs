@@ -188,12 +188,12 @@ impl Layer for Conv2d {
                     // [ocg, R] x [R, P] -> [ocg, P]
                     let wmat = self.group_weight_slice(wslice, g);
                     matmul_into(wmat, &cols, &mut prod, ocg, row, positions);
-                    for oc in 0..ocg {
-                        let abs_oc = g * ocg + oc;
-                        let base = ((n * out_c) + abs_oc) * positions;
-                        let b = bias[abs_oc];
-                        for p in 0..positions {
-                            dst[base + p] = prod[oc * positions + p] + b;
+                    // The group's output channels are contiguous, laid out as prod.
+                    let out = &mut dst[(n * out_c + g * ocg) * positions..][..ocg * positions];
+                    let rows = out.chunks_exact_mut(positions).zip(prod.chunks_exact(positions));
+                    for ((o, p), &b) in rows.zip(&bias[g * ocg..]) {
+                        for (d, &x) in o.iter_mut().zip(p) {
+                            *d = x + b;
                         }
                     }
                 }

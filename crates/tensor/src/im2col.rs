@@ -5,9 +5,9 @@
 //! into a column. For one image, the column matrix has shape
 //! `[in_c * kh * kw, out_h * out_w]`; the kernel tensor flattens to
 //! `[out_c, in_c * kh * kw]`, and the product is the `[out_c, out_h * out_w]`
-//! output feature map. The quantized path unrolls the transpose instead
-//! (`im2row`: one receptive field per row), the B operand of an A·Bᵀ
-//! product.
+//! output feature map. The f32 and the quantized i16 convolutions share
+//! one generic unroll, [`im2col_into`], which copies each kernel tap's
+//! in-image span of an output row as one segment.
 
 use crate::shape::Shape;
 use crate::tensor::{Tensor, TensorError};
@@ -115,88 +115,73 @@ pub fn im2col(image: &Tensor, geom: &ConvGeometry) -> Result<Tensor, TensorError
 /// This is the allocation-free core of [`im2col`]: layers that run every
 /// batch hand in a scratch buffer from a
 /// [`Workspace`](crate::workspace::Workspace) instead of allocating a fresh
-/// column matrix per call.
+/// column matrix per call. It is generic over the element type, so the
+/// f32 convolution and the quantized i16 one share it.
+///
+/// Each input row a kernel row reads is first copied into a
+/// zero-bordered row (on the stack up to `MAX_ROW` wide), so every
+/// `(c, ky, kx)` row of the column matrix is made of one `out_w`-long
+/// segment per output row: a plain slice copy at stride 1, a gather
+/// otherwise, a zero fill where the kernel row lies in the padding.
+/// Output widths of 8, 16 and 32 are compile-time constants, so their
+/// segment copies are a few register moves rather than a `memcpy` call.
+/// Results equal [`reference::im2col_into_ref`].
 ///
 /// # Panics
 ///
 /// Panics if `src` or `dst` disagree with the geometry's element counts.
-pub fn im2col_into(src: &[f32], geom: &ConvGeometry, dst: &mut [f32]) {
+pub fn im2col_into<T: Copy + Default>(src: &[T], geom: &ConvGeometry, dst: &mut [T]) {
     let _probe = lts_obs::span("tensor.im2col");
     assert_eq!(src.len(), geom.in_c * geom.in_h * geom.in_w, "input size mismatch");
     assert_eq!(dst.len(), geom.col_rows() * geom.col_cols(), "column buffer size mismatch");
-    let (oh, ow) = (geom.out_h(), geom.out_w());
-    let cols = oh * ow;
-    let (ih, iw) = (geom.in_h as isize, geom.in_w as isize);
-    for c in 0..geom.in_c {
-        for ky in 0..geom.kh {
-            for kx in 0..geom.kw {
-                let row = (c * geom.kh + ky) * geom.kw + kx;
-                for oy in 0..oh {
-                    let sy = (oy * geom.stride + ky) as isize - geom.pad as isize;
-                    for ox in 0..ow {
-                        let sx = (ox * geom.stride + kx) as isize - geom.pad as isize;
-                        let val = if sy >= 0 && sy < ih && sx >= 0 && sx < iw {
-                            src[(c * geom.in_h + sy as usize) * geom.in_w + sx as usize]
-                        } else {
-                            0.0
-                        };
-                        dst[row * cols + oy * ow + ox] = val;
-                    }
-                }
+    if dst.is_empty() {
+        return;
+    }
+    match geom.out_w() {
+        8 => segments::<T, 8>(src, geom, dst),
+        16 => segments::<T, 16>(src, geom, dst),
+        32 => segments::<T, 32>(src, geom, dst),
+        _ => segments::<T, 0>(src, geom, dst),
+    }
+}
+
+/// Widest zero-bordered input row ([`ConvGeometry::in_w`] plus twice the
+/// padding) that [`im2col_into`] builds on the stack; a wider one is
+/// allocated once per call.
+const MAX_ROW: usize = 512;
+
+/// [`im2col_into`] for output width `OW`, or `geom.out_w()` when `OW` is 0.
+fn segments<T: Copy + Default, const OW: usize>(src: &[T], geom: &ConvGeometry, dst: &mut [T]) {
+    let ow = if OW == 0 { geom.out_w() } else { OW };
+    let (oh, stride, pad) = (geom.out_h(), geom.stride, geom.pad);
+    let (ih, iw, kw) = (geom.in_h, geom.in_w, geom.kw);
+    // The zero border is written once; each input row overwrites the inside.
+    let (mut stack, mut heap) = ([T::default(); MAX_ROW], Vec::new());
+    let line: &mut [T] = if iw + 2 * pad <= MAX_ROW {
+        &mut stack
+    } else {
+        heap.resize(iw + 2 * pad, T::default());
+        &mut heap
+    };
+    let plane = oh * ow;
+    for (row, taps) in dst.chunks_exact_mut(kw * plane).enumerate() {
+        let (c, ky) = (row / geom.kh, row % geom.kh);
+        for oy in 0..oh {
+            // Rows above the image wrap around to large values.
+            let sy = (oy * stride + ky).wrapping_sub(pad);
+            let image_row = (sy < ih).then(|| &src[(c * ih + sy) * iw..][..iw]);
+            if let Some(image_row) = image_row {
+                line[pad..pad + iw].copy_from_slice(image_row);
             }
-        }
-    }
-}
-
-/// Unrolls one quantized image into its *row* matrix, the transpose of
-/// the [`im2col_into`] layout: `dst[pos * col_rows() + r]`, one
-/// contiguous receptive field per output position, padding written as
-/// runs of exact zeros (which symmetric quantization maps to real 0.0).
-/// This is the B operand of the quantized convolution's
-/// [`matmul_a_bt_i16_into`](crate::qmatmul::matmul_a_bt_i16_into).
-///
-/// # Panics
-///
-/// Panics if `src` or `dst` disagree with the geometry's element counts.
-pub fn im2row_i16_into(src: &[i16], geom: &ConvGeometry, dst: &mut [i16]) {
-    let _probe = lts_obs::span("tensor.im2col_i16");
-    assert_eq!(src.len(), geom.in_c * geom.in_h * geom.in_w, "input size mismatch");
-    assert_eq!(dst.len(), geom.col_rows() * geom.col_cols(), "row buffer size mismatch");
-    // A compile-time kernel width turns each tap-row copy into a few
-    // register moves instead of a `memcpy` call: 2–4× the whole unroll.
-    match geom.kw {
-        3 => im2row::<3>(src, geom, dst),
-        5 => im2row::<5>(src, geom, dst),
-        _ => im2row::<0>(src, geom, dst),
-    }
-}
-
-/// [`im2row_i16_into`] for kernel width `KW`, or `geom.kw` when `KW` is 0.
-fn im2row<const KW: usize>(src: &[i16], geom: &ConvGeometry, dst: &mut [i16]) {
-    let kw = if KW == 0 { geom.kw } else { KW };
-    let (kh, ow, plane) = (geom.kh, geom.out_w(), geom.in_h * geom.in_w);
-    let (ih, iw) = (geom.in_h as isize, geom.in_w as isize);
-    for (pos, field) in dst.chunks_exact_mut(geom.col_rows()).enumerate() {
-        // Taps ky in ylo..yhi and kx in lo..hi land inside the image.
-        let y0 = ((pos / ow) * geom.stride) as isize - geom.pad as isize;
-        let x0 = ((pos % ow) * geom.stride) as isize - geom.pad as isize;
-        let ylo = (-y0).clamp(0, kh as isize) as usize;
-        let yhi = (ih - y0).clamp(ylo as isize, kh as isize) as usize;
-        let lo = (-x0).clamp(0, kw as isize) as usize;
-        let hi = (iw - x0).clamp(lo as isize, kw as isize) as usize;
-        for (c, taps) in field.chunks_exact_mut(kh * kw).enumerate() {
-            taps[..ylo * kw].fill(0);
-            taps[yhi * kw..].fill(0);
-            for ky in ylo..yhi {
-                let seg = &mut taps[ky * kw..(ky + 1) * kw];
-                // Non-negative: y0 + ky ≥ 0 and x0 + lo ≥ 0 by the clamps.
-                let first =
-                    ((c * plane) as isize + (y0 + ky as isize) * iw + x0 + lo as isize) as usize;
-                if hi - lo == kw {
-                    seg.copy_from_slice(&src[first..first + kw]);
+            for (kx, tap) in taps.chunks_exact_mut(plane).enumerate() {
+                let seg = &mut tap[oy * ow..][..ow];
+                if image_row.is_none() {
+                    seg.fill(T::default());
+                } else if stride == 1 {
+                    seg.copy_from_slice(&line[kx..kx + ow]);
                 } else {
-                    for (kx, d) in seg.iter_mut().enumerate() {
-                        *d = if (lo..hi).contains(&kx) { src[first + kx - lo] } else { 0 };
+                    for (ox, d) in seg.iter_mut().enumerate() {
+                        *d = line[kx + ox * stride];
                     }
                 }
             }
@@ -266,6 +251,48 @@ pub fn col2im_into(src: &[f32], geom: &ConvGeometry, dst: &mut [f32]) {
     }
 }
 
+pub mod reference {
+    //! The per-element column unroll, retained as the oracle of
+    //! [`im2col_into`](super::im2col_into): the property tests assert
+    //! that both give the same matrix for f32 and i16 over strided,
+    //! padded and degenerate geometries. Not for production use.
+
+    use super::ConvGeometry;
+
+    /// Per-element `im2col`: one bounds test per column-matrix element.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` or `dst` disagree with the geometry's element
+    /// counts.
+    pub fn im2col_into_ref<T: Copy + Default>(src: &[T], geom: &ConvGeometry, dst: &mut [T]) {
+        assert_eq!(src.len(), geom.in_c * geom.in_h * geom.in_w, "input size mismatch");
+        assert_eq!(dst.len(), geom.col_rows() * geom.col_cols(), "column buffer size mismatch");
+        let (oh, ow) = (geom.out_h(), geom.out_w());
+        let cols = oh * ow;
+        let (ih, iw) = (geom.in_h as isize, geom.in_w as isize);
+        for c in 0..geom.in_c {
+            for ky in 0..geom.kh {
+                for kx in 0..geom.kw {
+                    let row = (c * geom.kh + ky) * geom.kw + kx;
+                    for oy in 0..oh {
+                        let sy = (oy * geom.stride + ky) as isize - geom.pad as isize;
+                        for ox in 0..ow {
+                            let sx = (ox * geom.stride + kx) as isize - geom.pad as isize;
+                            let val = if sy >= 0 && sy < ih && sx >= 0 && sx < iw {
+                                src[(c * geom.in_h + sy as usize) * geom.in_w + sx as usize]
+                            } else {
+                                T::default()
+                            };
+                            dst[row * cols + oy * ow + ox] = val;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,6 +336,21 @@ mod tests {
         assert_eq!(cols.as_slice()[0], 0.0);
         // Row 4 (kernel tap (1,1)) for output (0,0) reads image (0,0) = 1.
         assert_eq!(cols.as_slice()[4 * 4], 1.0);
+    }
+
+    #[test]
+    fn rows_on_both_sides_of_the_stack_row_limit_match_the_reference() {
+        // A padded row of exactly MAX_ROW elements is built on the stack,
+        // one element wider on the heap.
+        for in_w in [MAX_ROW - 2, MAX_ROW - 1] {
+            let g = ConvGeometry { in_c: 2, in_h: 3, in_w, kh: 3, kw: 3, stride: 1, pad: 1 };
+            let src: Vec<f32> = (0..2 * 3 * in_w).map(|x| x as f32).collect();
+            let len = g.col_rows() * g.col_cols();
+            let (mut got, mut want) = (vec![1.0; len], vec![2.0; len]);
+            im2col_into(&src, &g, &mut got);
+            reference::im2col_into_ref(&src, &g, &mut want);
+            assert_eq!(got, want, "in_w {in_w}");
+        }
     }
 
     #[test]

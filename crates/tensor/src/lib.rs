@@ -6,9 +6,10 @@
 //! lowering used by convolution layers, seeded weight initializers, the
 //! 16-bit fixed-point format used by the simulated accelerator cores
 //! ([`fixed::Fixed16`]) together with its first-class inference kernels
-//! (per-tensor symmetric scales in [`quant`], i16/i32 register-blocked
-//! GEMM in [`qmatmul`], i16 `im2col`), and sparsity/norm statistics used
-//! by the structured-sparsification pipeline.
+//! (per-tensor symmetric scales in [`quant`], the i16/i32 instance of the
+//! register-tile GEMM in [`qmatmul`], and the element-generic `im2col`),
+//! and sparsity/norm statistics used by the structured-sparsification
+//! pipeline.
 //!
 //! It also hosts the deterministic parallel execution engine ([`par`],
 //! configured by [`ExecConfig`] or the `LTS_THREADS` environment variable)

@@ -120,7 +120,8 @@ pub fn stripe_ranges(total: usize, parts: usize) -> Vec<Range<usize>> {
 
 /// Runs `f` once per stripe of the rows of `out`, in parallel.
 ///
-/// `out` is treated as a row-major matrix with rows of `row_len` elements.
+/// `out` is treated as a row-major matrix with rows of `row_len` elements
+/// of any `Send` type (f32 outputs, the i16 kernel's i32 accumulators).
 /// The rows are split into one contiguous stripe per worker and
 /// `f(first_row, stripe)` is invoked with the index of the stripe's first
 /// row and the mutable stripe data. `f` must compute each row from the row
@@ -130,25 +131,7 @@ pub fn stripe_ranges(total: usize, parts: usize) -> Vec<Range<usize>> {
 ///
 /// Panics if `row_len` is zero or does not divide `out.len()`, or if `f`
 /// panics on any worker.
-pub fn par_row_stripes<F>(out: &mut [f32], row_len: usize, f: F)
-where
-    F: Fn(usize, &mut [f32]) + Sync,
-{
-    par_row_stripes_of(out, row_len, f)
-}
-
-/// Element-type-generic form of [`par_row_stripes`].
-///
-/// Identical stripe decomposition and scheduling, for any `Send` element
-/// type — the i16/i32 fixed-point kernels stripe their `i32` accumulator
-/// matrices through this, while `par_row_stripes` (which delegates here)
-/// keeps the established `f32` API.
-///
-/// # Panics
-///
-/// Panics if `row_len` is zero or does not divide `out.len()`, or if `f`
-/// panics on any worker.
-pub fn par_row_stripes_of<T, F>(out: &mut [T], row_len: usize, f: F)
+pub fn par_row_stripes<T, F>(out: &mut [T], row_len: usize, f: F)
 where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,

@@ -103,12 +103,18 @@ impl QuantParams {
         self.max_code
     }
 
-    /// Quantizes one value: round to nearest, saturate at the symmetric
-    /// `±max_code` range (the most-negative i16 code is never emitted, so
-    /// negation can't overflow downstream).
+    /// Quantizes one value: round to nearest (ties away from zero),
+    /// saturate at the symmetric `±max_code` range (the most-negative i16
+    /// code is never emitted, so negation can't overflow downstream); NaN
+    /// maps to 0. Without a libm call, the clamped quotient is truncated
+    /// and moved one code away from zero when its (exact) fraction is at
+    /// least one half, which equals `round` then clamp for every input.
     pub fn quantize(&self, x: f32) -> i16 {
-        let scaled = (x / self.scale).round();
-        scaled.clamp(-(self.max_code as f32), self.max_code as f32) as i16
+        let max = self.max_code as f32;
+        let scaled = (x / self.scale).clamp(-max, max);
+        let t = scaled as i32;
+        let frac = scaled - t as f32;
+        (t + i32::from(frac >= 0.5) - i32::from(frac <= -0.5)) as i16
     }
 
     /// Recovers the real value of one quantized unit, exactly.
@@ -164,6 +170,55 @@ mod tests {
         // Out-of-calibration values saturate instead of wrapping.
         assert_eq!(p.quantize(1e9), i16::MAX);
         assert_eq!(p.quantize(-1e9), -i16::MAX);
+    }
+
+    #[test]
+    fn quantize_equals_the_rounding_formula_everywhere() {
+        // The libm-free rounding against `round` then clamp: ties k ± 0.5,
+        // the neighbours of every tie and of every code boundary near
+        // ±max_code, ±0, subnormals, ±inf, NaN and saturating inputs, at
+        // unit scale (so quotients are the inputs) and at a headroom scale.
+        let by_formula = |p: &QuantParams, x: f32| {
+            let m = p.max_code() as f32;
+            (x / p.scale()).round().clamp(-m, m) as i16
+        };
+        let mut inputs = vec![
+            0.0,
+            -0.0,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            f32::from_bits(1),
+            -f32::from_bits(1),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+            f32::MAX,
+            f32::MIN,
+            1e9,
+            -1e9,
+        ];
+        for k in (0..40).chain(1000..1040).chain(32700..32800) {
+            for x in [k as f32 + 0.5, k as f32, k as f32 + 0.25, k as f32 + 0.75] {
+                for y in [x, x.next_up(), x.next_down()] {
+                    inputs.extend([y, -y]);
+                }
+            }
+        }
+        for p in [
+            QuantParams::from_min_max(-32767.0, 32767.0),
+            QuantParams::from_min_max_with_headroom(-1.0, 1.0, 27.7),
+            QuantParams::q78(),
+        ] {
+            let m = p.max_code() as f32 * p.scale();
+            for step in -40..=40 {
+                let x = m + step as f32 * p.scale() / 4.0;
+                inputs.extend([x, -x, x.next_up(), -x.next_up(), x.next_down(), -x.next_down()]);
+            }
+            for &x in &inputs {
+                assert_eq!(p.quantize(x), by_formula(&p, x), "{x} ({:#x}) at {p:?}", x.to_bits());
+            }
+        }
     }
 
     #[test]

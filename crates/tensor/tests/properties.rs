@@ -1,8 +1,9 @@
 //! Property-based tests for the tensor crate.
 
-use lts_tensor::im2col::{col2im, im2col, im2col_into, im2row_i16_into, ConvGeometry};
+use lts_tensor::im2col::reference::im2col_into_ref;
+use lts_tensor::im2col::{col2im, im2col, im2col_into, ConvGeometry};
 use lts_tensor::matmul::{matmul, matmul_a_bt, matmul_at_b, transpose};
-use lts_tensor::qmatmul::{matmul_a_bt_i16_into, reference};
+use lts_tensor::qmatmul::{matmul_i16_into, reference};
 use lts_tensor::{ops, stats, Fixed16, QuantParams, Shape, Tensor};
 use proptest::prelude::*;
 
@@ -223,63 +224,79 @@ proptest! {
 
     #[test]
     fn i16_kernel_bit_identical_to_naive_oracle(
-        m in 1usize..5, k in 1usize..260, n in 1usize..70,
+        m in 1usize..5, k in 1usize..260, n in 1usize..70, extreme in 0usize..3,
         pool in i16_strategy(5 * 260 + 260 * 70)
     ) {
-        // n sweeps across the NR_DOT = 8 dot group and its scalar tail,
-        // with full-range i16 operands so accumulator wrap-around is
-        // exercised. Wrapping i32
-        // accumulation is associative, so the blocked kernel must equal
-        // the naive serial oracle *exactly*, bit for bit.
-        let a = &pool[..m * k];
-        let bt = &pool[5 * 260..5 * 260 + n * k];
+        // n sweeps across the 32-, 16- and 8-wide tiles and the padded
+        // remainder, k across the 128-deep panel, with full-range i16
+        // operands so accumulators wrap; one case in three pins A to
+        // i16::MIN and B to i16::MIN or i16::MAX, the largest products.
+        // Wrapping i32 accumulation is associative, so the tiled kernel
+        // must equal the naive serial oracle *exactly*, bit for bit.
+        let mut a = pool[..m * k].to_vec();
+        let mut b = pool[5 * 260..5 * 260 + k * n].to_vec();
+        if extreme > 0 {
+            a.fill(i16::MIN);
+            b.fill(if extreme == 1 { i16::MIN } else { i16::MAX });
+        }
         let (mut c, mut cr) = (vec![1i32; m * n], vec![2i32; m * n]);
-        matmul_a_bt_i16_into(a, bt, &mut c, m, k, n);
-        reference::matmul_a_bt_i16_into_ref(a, bt, &mut cr, m, k, n);
-        prop_assert_eq!(&c, &cr, "a_bt_i16 {}x{}x{}", m, k, n);
+        matmul_i16_into(&a, &b, &mut c, m, k, n);
+        reference::matmul_i16_into_ref(&a, &b, &mut cr, m, k, n);
+        prop_assert_eq!(&c, &cr, "i16 {}x{}x{}", m, k, n);
     }
 
     #[test]
     fn i16_kernel_skips_zero_blocks_bit_identically(
         dims in (1usize..40, 1usize..400, 1usize..80),
         pattern in (1usize..90, 1usize..90, 0usize..180),
+        blocks in (1usize..17, 1usize..60, 0u64..u64::MAX),
         zero_rows in 0u64..u64::MAX,
         pool in i16_strategy(40 * 400 + 400 * 80)
     ) {
-        let ((m, k, n), (run, gap, phase)) = (dims, pattern);
-        // A's rows alternate nonzero runs and zero gaps of random lengths
-        // (the merge threshold is 32 taps, so gaps fall on both sides of
-        // it), shifted per row so runs start and end anywhere; some rows
-        // are all zero. n crosses the NR_DOT group; operands are
-        // full-range so sums wrap.
+        let ((m, k, n), (run, gap, phase), (cores, taps, keep)) = (dims, pattern, blocks);
+        // Half the cases cut A's rows into nonzero runs and zero gaps of
+        // random lengths (the gap threshold is 32, so gaps fall on both
+        // sides of it), shifted per row so runs start and end anywhere.
+        // The other half mask them like SS_Mask: `cores` producer blocks
+        // of `taps` each, a random subset kept per row (hop-local
+        // layouts keep a few). Some rows are all zero; n crosses every
+        // tile width, and the output width 10 of a classifier runs
+        // whenever n is 10 or 42; operands are full-range so sums wrap.
         let mut a = pool[..m * k].to_vec();
         for (i, row) in a.chunks_exact_mut(k).enumerate() {
             let all_zero = (zero_rows >> (i % 64)) & 1 == 1 && i % 3 == 0;
             for (p, x) in row.iter_mut().enumerate() {
-                if all_zero || (p + phase + 7 * i) % (run + gap) >= run {
+                let masked = if phase % 2 == 0 {
+                    (p + phase + 7 * i) % (run + gap) >= run
+                } else {
+                    let block = (p / taps) % cores;
+                    (keep >> ((block + 5 * i) % 64)) & 1 == 0
+                };
+                if all_zero || masked {
                     *x = 0;
                 }
             }
         }
-        let bt = &pool[40 * 400..40 * 400 + n * k];
+        let b = &pool[40 * 400..40 * 400 + k * n];
         let (mut c, mut cr) = (vec![1i32; m * n], vec![2i32; m * n]);
-        matmul_a_bt_i16_into(&a, bt, &mut c, m, k, n);
-        reference::matmul_a_bt_i16_into_ref(&a, bt, &mut cr, m, k, n);
-        prop_assert_eq!(&c, &cr, "a_bt_i16 {}x{}x{} run {} gap {}", m, k, n, run, gap);
+        matmul_i16_into(&a, b, &mut c, m, k, n);
+        reference::matmul_i16_into_ref(&a, b, &mut cr, m, k, n);
+        prop_assert_eq!(&c, &cr, "i16 {}x{}x{} run {} gap {}", m, k, n, run, gap);
     }
 
     #[test]
-    fn im2row_is_the_transpose_of_im2col(
-        image in (1usize..3, 1usize..4, 1usize..10, 1usize..10),
-        kernel in (1usize..7, 1usize..7, 1usize..4, 0usize..3),
-        pool in collection::vec(-300i16..300, 2 * 3 * 9 * 9)
+    fn segment_unroll_equals_the_reference_loop(
+        image in (1usize..5, 1usize..10, 1usize..34),
+        kernel in (1usize..6, 1usize..6, 1usize..4, 0usize..4),
+        pool in collection::vec(-300i16..300, 4 * 9 * 33)
     ) {
-        let ((groups, icg, in_h, in_w), (kh, kw, stride, pad)) = (image, kernel);
-        // Strided, padded, non-square geometries, kernel widths on and
-        // off the unroll's specialised 3 and 5, each group's channel
-        // slice unrolled separately as the grouped convolution does.
+        let ((in_c, in_h, in_w), (kh, kw, stride, pad)) = (image, kernel);
+        // Strided, padded, non-square geometries, including maps smaller
+        // than the kernel (which only the padding lets fit), and output
+        // widths on and off the unroll's fixed 8, 16 and 32; both element
+        // types must match the per-element loop exactly.
         let geom = ConvGeometry {
-            in_c: icg,
+            in_c,
             in_h,
             in_w,
             kh: 1 + (kh - 1) % (in_h + 2 * pad),
@@ -287,23 +304,38 @@ proptest! {
             stride,
             pad,
         };
-        let (rows, cols) = (geom.col_rows(), geom.col_cols());
-        let image = &pool[..groups * icg * in_h * in_w];
-        for slice in image.chunks_exact(icg * in_h * in_w) {
-            let f: Vec<f32> = slice.iter().map(|&x| x as f32).collect();
-            let mut by_col = vec![9.0f32; rows * cols];
-            im2col_into(&f, &geom, &mut by_col);
-            let mut by_row = vec![9i16; rows * cols];
-            im2row_i16_into(slice, &geom, &mut by_row);
-            for r in 0..rows {
-                for pos in 0..cols {
-                    prop_assert_eq!(
-                        by_row[pos * rows + r] as f32,
-                        by_col[r * cols + pos],
-                        "{:?} tap {} position {}", geom, r, pos
-                    );
-                }
-            }
+        let len = geom.col_rows() * geom.col_cols();
+        let q = &pool[..in_c * in_h * in_w];
+        let (mut got, mut want) = (vec![9i16; len], vec![7i16; len]);
+        im2col_into(q, &geom, &mut got);
+        im2col_into_ref(q, &geom, &mut want);
+        prop_assert_eq!(&got, &want, "i16 {:?}", geom);
+        let f: Vec<f32> = q.iter().map(|&x| f32::from(x) * 0.5).collect();
+        let (mut got, mut want) = (vec![9.0f32; len], vec![7.0f32; len]);
+        im2col_into(&f, &geom, &mut got);
+        im2col_into_ref(&f, &geom, &mut want);
+        prop_assert_eq!(&got, &want, "f32 {:?}", geom);
+    }
+
+    #[test]
+    fn quantize_equals_round_then_clamp_on_any_bits(
+        bits in collection::vec(0u32..=u32::MAX, 64),
+        codes in collection::vec(-33000.0f32..33000.0, 64),
+        amax in 1e-3f32..1e3, head in 1.0f32..40.0
+    ) {
+        // Any f32 bit pattern (NaN, ±inf, subnormals included), and
+        // quotients near every code, half-way points and the saturation
+        // bound, at a random scale and accumulator headroom: the
+        // libm-free rounding must give exactly the `round` and `clamp`
+        // codes.
+        let p = QuantParams::from_min_max_with_headroom(-amax, amax, head);
+        let m = p.max_code() as f32;
+        let near = codes
+            .iter()
+            .flat_map(|&q| [q, q.trunc() + 0.5, q / head].map(|v| v * p.scale()));
+        for x in bits.into_iter().map(f32::from_bits).chain(near) {
+            let want = (x / p.scale()).round().clamp(-m, m) as i16;
+            prop_assert_eq!(p.quantize(x), want, "{} at {:?}", x, p);
         }
     }
 

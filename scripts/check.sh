@@ -28,8 +28,9 @@ cargo clippy --offline --workspace --all-targets -- -D warnings -D clippy::perf
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "==> hot-path smoke (stepper-equivalence properties, optimized build)"
+echo "==> hot-path smoke (stepper-equivalence and kernel bit-identity properties, optimized build)"
 cargo test --release --offline -q -p lts-noc --test equivalence
+cargo test --release --offline -q -p lts-tensor --test properties
 
 echo "==> obs smoke (<1% disabled-span overhead on a 256x256 GEMM, exact cycle sums on the evaluate and stepper tracks, optimized build)"
 cargo test --release --offline -q -p lts-tensor --test disabled_span_overhead
@@ -61,15 +62,16 @@ grep -q '^sim usage: [1-9][0-9]* transitions simulated' "$MCM_FAULT_LOG"
 echo "==> quant smoke (i16 fast path: accuracy within tolerance of f32, 2 bytes/value traffic)"
 LTS_EFFORT=quick cargo run --release --offline -p lts-bench --bin quant_sweep
 
-echo "==> pairs smoke (HEAD vs the working tree on noc_sweep and serve_fault: identical deterministic metrics, 0 failed checks)"
+echo "==> pairs smoke (HEAD vs the working tree on noc_sweep, serve_fault and infer_sparse: identical deterministic metrics, 0 failed checks)"
 # Two smoke-size pairs plus the traced pair per workload; the ledger goes
 # to a temporary directory, since a ledger is never overwritten.
 PAIRS_LOG="$(mktemp)"
 LTS_BENCH_DIR="$(mktemp -d)" \
     cargo run --release --offline -q -p lts-bench --bin bench_history -- \
-    pairs HEAD --workload noc_sweep --workload serve_fault --smoke | tee "$PAIRS_LOG"
+    pairs HEAD --workload noc_sweep --workload serve_fault --workload infer_sparse --smoke \
+    | tee "$PAIRS_LOG"
 # Each gate must hold once per workload.
-test "$(grep -c '^exact diff (seed 1, traced): 0 of [1-9][0-9]* deterministic metrics differ$' "$PAIRS_LOG")" -eq 2
-test "$(grep -c '^failed checks: parent 0/[1-9][0-9]*, change 0/[1-9][0-9]*$' "$PAIRS_LOG")" -eq 2
+test "$(grep -c '^exact diff (seed 1, traced): 0 of [1-9][0-9]* deterministic metrics differ$' "$PAIRS_LOG")" -eq 3
+test "$(grep -c '^failed checks: parent 0/[1-9][0-9]*, change 0/[1-9][0-9]*$' "$PAIRS_LOG")" -eq 3
 
 echo "All checks passed."
