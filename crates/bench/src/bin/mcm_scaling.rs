@@ -6,9 +6,9 @@
 //! (intra- vs inter-chip) traversals and the pipelined pass's NoC and
 //! compute energy; a closing line gives simulation and simcache totals.
 //!
-//! Analytic + simulation, no training. Run:
+//! Analytic + simulation, no training. `LTS_EFFORT=quick` sweeps 1 → 2
+//! chiplets for a smoke pass. Run:
 //! `cargo run --release -p lts-bench --bin mcm_scaling`
-//! (`LTS_MCM_MAX_CHIPLETS=2` caps the sweep for a smoke pass).
 //!
 //! # Panics
 //!
@@ -16,6 +16,7 @@
 //! count — that is the experiment's acceptance invariant.
 
 use lts_bench::{banner, effort_from_env};
+use lts_core::experiment::EffortPreset;
 use lts_core::scale_chiplets;
 use lts_core::simcache::{self, SimUsage};
 use lts_nn::descriptor::{convnet_spec, lenet_spec, mlp_spec};
@@ -24,27 +25,15 @@ use std::collections::HashMap;
 /// Cores per chiplet: the paper's Table II chip.
 const CORES_PER_CHIPLET: usize = 16;
 
-fn chiplet_counts() -> Vec<usize> {
-    let max = std::env::var("LTS_MCM_MAX_CHIPLETS")
-        .ok()
-        .map(|v| {
-            v.parse::<usize>()
-                .unwrap_or_else(|_| panic!("LTS_MCM_MAX_CHIPLETS must be an integer, got `{v}`"))
-                .max(1)
-        })
-        .unwrap_or(8);
-    [1usize, 2, 4, 8].into_iter().filter(|&n| n <= max).collect()
-}
-
 fn main() {
     let preset = effort_from_env();
     banner("Extension — multi-chip-module throughput scaling", &preset);
-    let counts = chiplet_counts();
+    let counts: &[usize] = if preset == EffortPreset::quick() { &[1, 2] } else { &[1, 2, 4, 8] };
     simcache::reset();
     let mut sim = SimUsage::default();
 
     for spec in [mlp_spec(), lenet_spec(), convnet_spec()] {
-        let rows = scale_chiplets(&spec, &HashMap::new(), CORES_PER_CHIPLET, &counts)
+        let rows = scale_chiplets(&spec, &HashMap::new(), CORES_PER_CHIPLET, counts)
             .expect("mcm scaling sweep");
         println!(
             "  {:<10} {:>8} {:>6} {:>12} {:>12} {:>12} {:>10} {:>10} {:>12} {:>12} {:>10} {:>12} \
@@ -108,7 +97,4 @@ fn main() {
         sim.cycles_fast_forwarded,
         sim.cycles_replicated
     );
-    if counts.len() < 4 {
-        println!("note: sweep capped at {:?} chiplets (LTS_MCM_MAX_CHIPLETS)", counts);
-    }
 }

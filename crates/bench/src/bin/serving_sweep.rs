@@ -8,11 +8,14 @@
 //! 2. a 2× overload stream sheds at admission, but every request it
 //!    *does* serve still lands within the budget;
 //! 3. a mid-stream core death degrades gracefully — detection plus
-//!    replanning shows up as a bounded throughput dip, never a halt.
+//!    replanning shows up as a bounded throughput dip, never a halt; on a
+//!    4-chiplet package a whole-chiplet death rides through the same way,
+//!    and the traditional profile restages onto one pipeline stage per
+//!    surviving chiplet.
 //!
 //! The binary exits nonzero if any cell violates its contract.
 //! `LTS_EFFORT=quick` trims the sweep to the three contract cells plus a
-//! burst and a controller cell. Run:
+//! burst, a chiplet-death and a controller cell. Run:
 //! `cargo run --release -p lts-bench --bin serving_sweep`
 //!
 //! Results are bit-reproducible at any `LTS_THREADS`: arrivals are
@@ -21,8 +24,8 @@
 use lts_core::serve::service_capacity_rpmc;
 use lts_core::simcache::{self, SimUsage};
 use lts_core::{
-    run_serving, ArrivalConfig, ArrivalProcess, ControllerConfig, ServingConfig, ServingReport,
-    ServingStrategy, StreamFault,
+    chiplet_stream_fault, run_serving, ArrivalConfig, ArrivalProcess, ControllerConfig,
+    ServingConfig, ServingReport, ServingStrategy, StreamFault,
 };
 
 /// Which regime contract a cell must satisfy.
@@ -34,7 +37,9 @@ enum Contract {
     Overload,
     /// Bursty arrivals: everything accounted for, stream keeps serving.
     Burst,
-    /// Mid-stream core death: one recovery, bounded QPS dip, no halt.
+    /// Mid-stream core or chiplet death: one recovery, bounded QPS dip,
+    /// no halt, and after a chiplet death one traditional stage per
+    /// surviving chiplet.
     FaultRide,
     /// SLO controller engaged: at least one strategy switch, no halt.
     Controller,
@@ -46,16 +51,20 @@ struct Cell {
     contract: Contract,
 }
 
-/// A cell driven by a Poisson stream at `load` × the strategy's
-/// saturated service capacity.
+/// `strategy` batching up to four requests on the paper's 16-core chip.
+fn chip(strategy: ServingStrategy) -> ServingConfig {
+    ServingConfig { strategy, max_batch: 4, ..ServingConfig::default() }
+}
+
+/// A cell driven by a Poisson stream at `load` × the saturated service
+/// capacity of `config`.
 fn poisson_cell(
     label: &str,
     load: f64,
-    strategy: ServingStrategy,
+    mut config: ServingConfig,
     horizon: u64,
     contract: Contract,
 ) -> Cell {
-    let mut config = ServingConfig { strategy, max_batch: 4, ..ServingConfig::default() };
     let capacity = service_capacity_rpmc(&config).expect("service capacity");
     config.arrivals = ArrivalConfig {
         process: ArrivalProcess::Poisson { rate_rpmc: capacity * load },
@@ -70,14 +79,14 @@ fn cells(effort: &str, horizon: u64) -> Vec<Cell> {
         poisson_cell(
             "poisson-0.4x/traditional",
             0.4,
-            ServingStrategy::Traditional,
+            chip(ServingStrategy::Traditional),
             horizon,
             Contract::SubSaturation,
         ),
         poisson_cell(
             "poisson-2.0x/traditional",
             2.0,
-            ServingStrategy::Traditional,
+            chip(ServingStrategy::Traditional),
             horizon,
             Contract::Overload,
         ),
@@ -85,7 +94,7 @@ fn cells(effort: &str, horizon: u64) -> Vec<Cell> {
             let mut c = poisson_cell(
                 "burst-0.3x-2.0x/ss-mask",
                 0.3,
-                ServingStrategy::SsMask,
+                chip(ServingStrategy::SsMask),
                 horizon,
                 Contract::Burst,
             );
@@ -104,7 +113,7 @@ fn cells(effort: &str, horizon: u64) -> Vec<Cell> {
             let mut c = poisson_cell(
                 "poisson-0.6x/traditional/core-death@1.2M",
                 0.6,
-                ServingStrategy::Traditional,
+                chip(ServingStrategy::Traditional),
                 horizon,
                 Contract::FaultRide,
             );
@@ -113,9 +122,21 @@ fn cells(effort: &str, horizon: u64) -> Vec<Cell> {
         },
         {
             let mut c = poisson_cell(
+                "poisson-0.6x/mcm-4x4/chiplet-2@1.2M",
+                0.6,
+                ServingConfig { cores: 4, chiplets: 4, ..chip(ServingStrategy::Traditional) },
+                horizon,
+                Contract::FaultRide,
+            );
+            c.config.faults =
+                vec![chiplet_stream_fault(&c.config, 2, 1_200_000).expect("chiplet stream fault")];
+            c
+        },
+        {
+            let mut c = poisson_cell(
                 "poisson-3.0x/controller",
                 3.0,
-                ServingStrategy::Traditional,
+                chip(ServingStrategy::Traditional),
                 horizon,
                 Contract::Controller,
             );
@@ -131,38 +152,30 @@ fn cells(effort: &str, horizon: u64) -> Vec<Cell> {
         cells.push(poisson_cell(
             "poisson-0.4x/ss",
             0.4,
-            ServingStrategy::Ss,
+            chip(ServingStrategy::Ss),
             horizon,
             Contract::SubSaturation,
         ));
         cells.push(poisson_cell(
             "poisson-1.5x/structure",
             1.5,
-            ServingStrategy::Structure,
+            chip(ServingStrategy::Structure),
             horizon,
             Contract::Overload,
         ));
-        cells.push({
-            let mut c =
-                ServingConfig { cores: 16, chiplets: 2, max_batch: 4, ..ServingConfig::default() };
-            let capacity = service_capacity_rpmc(&c).expect("mcm capacity");
-            c.arrivals = ArrivalConfig {
-                process: ArrivalProcess::Poisson { rate_rpmc: capacity * 0.4 },
-                horizon_cycles: horizon,
-                seed: 2019,
-            };
-            Cell {
-                label: "poisson-0.4x/mcm-2x16".into(),
-                config: c,
-                contract: Contract::SubSaturation,
-            }
-        });
+        cells.push(poisson_cell(
+            "poisson-0.4x/mcm-2x16",
+            0.4,
+            ServingConfig { chiplets: 2, ..chip(ServingStrategy::Traditional) },
+            horizon,
+            Contract::SubSaturation,
+        ));
     }
     cells
 }
 
 /// Contract violations for one cell (empty = the cell passed).
-fn check(contract: Contract, r: &ServingReport) -> Vec<String> {
+fn check(cell: &Cell, r: &ServingReport) -> Vec<String> {
     let mut v = Vec::new();
     if r.outcomes.total() as usize != r.offered {
         v.push(format!("{} outcomes for {} offered requests", r.outcomes.total(), r.offered));
@@ -173,7 +186,7 @@ fn check(contract: Contract, r: &ServingReport) -> Vec<String> {
     if r.served() == 0 {
         v.push("no request was served".into());
     }
-    match contract {
+    match cell.contract {
         Contract::SubSaturation => {
             if r.outcomes.shed > 0 {
                 v.push(format!("{} sheds below saturation", r.outcomes.shed));
@@ -212,6 +225,19 @@ fn check(contract: Contract, r: &ServingReport) -> Vec<String> {
                     ));
                 }
             }
+            let c = &cell.config;
+            if c.chiplets > 1 {
+                let dead: usize = c.faults.iter().map(|f| f.dead_cores.len()).sum();
+                let survivors = c.chiplets - dead / c.cores;
+                match r.strategies.iter().find(|s| s.strategy == ServingStrategy::Traditional) {
+                    Some(s) if s.stages != survivors => v.push(format!(
+                        "traditional profile reports {} stages on {survivors} survivor chiplets",
+                        s.stages
+                    )),
+                    None => v.push("traditional profile missing from the degraded ladder".into()),
+                    _ => {}
+                }
+            }
         }
         Contract::Controller => {
             if r.controller_events.is_empty() {
@@ -239,7 +265,7 @@ fn main() {
     let mut rows: Vec<(String, ServingReport)> = Vec::new();
     for cell in &cells {
         let r = run_serving(&cell.config).expect("serving run");
-        for problem in check(cell.contract, &r) {
+        for problem in check(cell, &r) {
             violations.push(format!("{}: {problem}", cell.label));
         }
         sim.merge(&r.sim);

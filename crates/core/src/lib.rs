@@ -17,11 +17,12 @@
 //!   schedule;
 //! * [`experiment`] — one runner per table/figure of the evaluation
 //!   section (Tables I, III–VI; Figs. 6–8; the §III motivation claim);
-//! * [`degradation`] — the fail-operational extension: fault rate ×
-//!   core-failure sweeps over all three strategies on a faulty mesh;
-//! * [`chaos`] — the chaos soak: randomized mid-flight fault schedules
-//!   against the online recovery path, asserting bounded output loss or
-//!   a typed error — never a panic or hang;
+//! * [`degradation`] — the three-strategy workload ladder the fault and
+//!   serving harnesses sweep;
+//! * [`fault_matrix`] — the fail-operational extension: one matrix of
+//!   (strategy, package, fault) cells with degradation, chaos and
+//!   chiplet-loss slices, each with its contract as a predicate over
+//!   rows — bounded output loss or a typed error, never a panic or hang;
 //! * [`mcm`] — multi-chip-module scale-out: chiplet-count sweeps that
 //!   pit stage-pipelined [`lts_partition::McmPlan`] schedules against
 //!   whole-network replication for package throughput;
@@ -37,8 +38,8 @@
 //!   request streams, bounded-queue admission with deadline shedding,
 //!   layer-group pipelining, SLO-driven strategy switching with
 //!   hysteresis, and graceful degradation under mid-stream faults;
-//! * [`outcome`] — the typed request/trial outcome vocabulary shared by
-//!   the chaos soak and the serving simulator;
+//! * [`outcome`] — the typed request/cell outcome vocabulary shared by
+//!   the fault matrix and the serving simulator;
 //! * [`report`] — ASCII rendering of tables and weight-group matrices.
 //!
 //! # Examples
@@ -59,10 +60,10 @@
 #![deny(clippy::print_stdout, clippy::print_stderr)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-pub mod chaos;
 pub mod degradation;
 pub mod error;
 pub mod experiment;
+pub mod fault_matrix;
 pub mod interlayer;
 pub mod mcm;
 pub mod outcome;
@@ -75,8 +76,7 @@ pub mod simcache;
 pub mod strategy;
 pub mod system;
 
-pub use chaos::{chaos_soak, outcome_histogram, ChaosConfig, ChaosRow};
-pub use degradation::{fault_sweep, workloads, FaultSweepConfig, FaultSweepRow, Workload};
+pub use degradation::{workloads, Workload};
 pub use error::CoreError;
 pub use mcm::{scale_chiplets, McmScalingRow, ScaleMode};
 pub use outcome::{Outcome, OutcomeHistogram};

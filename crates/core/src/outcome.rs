@@ -1,20 +1,26 @@
-//! One typed request/trial outcome vocabulary shared by the chaos soak
-//! ([`crate::chaos`]) and the online serving simulator ([`crate::serve`]).
+//! One typed request/cell outcome vocabulary shared by the fault matrix
+//! ([`crate::fault_matrix`]) and the online serving simulator
+//! ([`crate::serve`]).
 //!
 //! Both harnesses previously grew their own ad-hoc outcome strings; this
 //! module replaces them with a single closed enum so aggregate
-//! histograms from a chaos soak and a serving run can be compared,
-//! merged, and asserted against the same vocabulary.
+//! histograms from a fault-matrix slice and a serving run can be
+//! compared, merged, and asserted against the same vocabulary, and
+//! [`Outcome::from_failure`] is the one place typed NoC failures become
+//! outcomes.
 
+use crate::{CoreError, Result};
+use lts_noc::NocError;
 use serde::{Deserialize, Serialize};
 
-/// How one request (serving) or one trial (chaos soak) ended.
+/// How one request (serving) or one cell (fault matrix) ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Outcome {
     /// Completed within the latency budget on the healthy system.
     Served,
     /// Completed, but only by riding the online recovery path after a
-    /// mid-flight fault (a chaos trial that ends `Ok` is `Recovered`).
+    /// mid-flight fault (a fault-matrix cell whose mid-flight schedule
+    /// ends `Ok` is `Recovered`).
     Recovered,
     /// Dropped by admission control or deadline-based load shedding
     /// before any compute was spent on it.
@@ -58,6 +64,22 @@ impl Outcome {
     pub fn is_success(self) -> bool {
         matches!(self, Outcome::Served | Outcome::Recovered)
     }
+
+    /// The fail-operational outcome of a run that failed with `error`:
+    /// [`Outcome::Unreachable`] when the fault set disconnected the
+    /// survivors, [`Outcome::CycleLimit`] when the watchdog tripped.
+    ///
+    /// # Errors
+    ///
+    /// Any other error comes back unchanged: it is a harness failure, not
+    /// an outcome.
+    pub fn from_failure(error: CoreError) -> Result<Outcome> {
+        match error {
+            CoreError::Noc(NocError::Unreachable { .. }) => Ok(Outcome::Unreachable),
+            CoreError::Noc(NocError::CycleLimitExceeded { .. }) => Ok(Outcome::CycleLimit),
+            other => Err(other),
+        }
+    }
 }
 
 impl std::fmt::Display for Outcome {
@@ -66,8 +88,9 @@ impl std::fmt::Display for Outcome {
     }
 }
 
-/// Aggregate counts over a set of outcomes — the shared shape of a chaos
-/// soak's trial histogram and a serving run's request histogram.
+/// Aggregate counts over a set of outcomes — the shared shape of a
+/// fault-matrix slice's cell histogram and a serving run's request
+/// histogram.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OutcomeHistogram {
     /// Requests/trials that completed within budget, fault-free.
@@ -146,6 +169,16 @@ impl OutcomeHistogram {
     }
 }
 
+impl FromIterator<Outcome> for OutcomeHistogram {
+    fn from_iter<I: IntoIterator<Item = Outcome>>(outcomes: I) -> Self {
+        let mut h = OutcomeHistogram::default();
+        for o in outcomes {
+            h.record(o);
+        }
+        h
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,13 +189,25 @@ mod tests {
         for o in Outcome::ALL {
             assert!(seen.insert(o.as_str()), "duplicate label {}", o);
         }
-        // Legacy chaos strings survive the migration.
+        // Legacy outcome strings survive the migration.
         assert_eq!(Outcome::Unreachable.as_str(), "unreachable");
         assert_eq!(Outcome::CycleLimit.as_str(), "cycle-limit");
         assert!(Outcome::Served.is_success());
         assert!(Outcome::Recovered.is_success());
         assert!(!Outcome::Shed.is_success());
         assert!(!Outcome::DeadlineMiss.is_success());
+    }
+
+    #[test]
+    fn typed_noc_failures_become_outcomes_and_other_errors_pass_through() {
+        let unreachable = CoreError::Noc(NocError::Unreachable { src: 0, dst: 3 });
+        assert_eq!(Outcome::from_failure(unreachable).unwrap(), Outcome::Unreachable);
+        let watchdog = CoreError::Noc(NocError::CycleLimitExceeded { limit: 9, undelivered: 1 });
+        assert_eq!(Outcome::from_failure(watchdog).unwrap(), Outcome::CycleLimit);
+        let bad = CoreError::BadConfig("no".into());
+        assert!(matches!(Outcome::from_failure(bad), Err(CoreError::BadConfig(_))));
+        let h: OutcomeHistogram = [Outcome::Served, Outcome::Unreachable].into_iter().collect();
+        assert_eq!(h.render(), "served=1 unreachable=1");
     }
 
     #[test]

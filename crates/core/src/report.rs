@@ -1,6 +1,5 @@
 //! ASCII rendering of experiment results in the paper's table layouts.
 
-use crate::degradation::{outcome, FaultSweepRow};
 use crate::experiment::{GroupMatrix, ScaleRow, SparsifiedRow, StructureRow};
 use lts_partition::comm::{format_bytes, VolumeRow};
 
@@ -133,52 +132,6 @@ pub fn render_table5(rows: &[ScaleRow]) -> String {
         })
         .collect();
     render_table(&["Cores", "n", "Accu.", "Speedup", "Comm speedup", "Comm energy red."], &data)
-}
-
-/// Degradation-sweep layout: one row per (strategy, fault rate, dead
-/// set) cell. Cells that did not complete show their outcome in place
-/// of measurements.
-pub fn render_fault_sweep(rows: &[FaultSweepRow]) -> String {
-    let data: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            let dead = if r.dead_cores.is_empty() {
-                "-".to_string()
-            } else {
-                r.dead_cores.iter().map(usize::to_string).collect::<Vec<_>>().join(",")
-            };
-            let (latency, energy) = if r.outcome == outcome::OK {
-                (format!("{:.3}x", r.latency_vs_healthy), format!("{:.3}x", r.energy_vs_healthy))
-            } else {
-                ("-".to_string(), "-".to_string())
-            };
-            vec![
-                r.strategy.clone(),
-                format!("{:.0e}", r.fault_rate),
-                dead,
-                r.survivors.to_string(),
-                r.outcome.clone(),
-                latency,
-                energy,
-                r.retransmitted_packets.to_string(),
-                format!("{:.1}%", r.lost_output_fraction * 100.0),
-            ]
-        })
-        .collect();
-    render_table(
-        &[
-            "Strategy",
-            "Drop rate",
-            "Dead cores",
-            "Surv.",
-            "Outcome",
-            "Latency",
-            "Energy",
-            "Retx",
-            "Lost out.",
-        ],
-        &data,
-    )
 }
 
 /// Fig. 6(b)-style rendering: `#` for surviving groups, `.` for pruned,

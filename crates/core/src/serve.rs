@@ -50,18 +50,16 @@
 //! RNG, a single-threaded event loop, and NoC work memoized through the
 //! cross-sweep cache.
 
-use crate::chaos::splitmix;
-use crate::degradation::{grouped_convnet_spec, hop_local_weights};
+use crate::degradation::{workloads, Workload};
+use crate::fault_matrix::splitmix;
 use crate::outcome::{Outcome, OutcomeHistogram};
-use crate::recovery::{detection_latency, run_with_recovery, InferenceFault};
+use crate::recovery::{detection_latency, run_with_recovery, static_replan, InferenceFault};
 use crate::simcache::{self, SimUsage};
 use crate::system::SystemModel;
 use crate::{CoreError, Result};
-use lts_nn::descriptor::{convnet_spec, NetworkSpec};
+use lts_nn::descriptor::NetworkSpec;
 use lts_noc::traffic::{periodic, Message};
-use lts_noc::{
-    FaultModel, MonitorConfig, NocConfig, NocError, SimReport, Simulator, Topo, Topology,
-};
+use lts_noc::{FaultModel, MonitorConfig, NocConfig, SimReport, Simulator, Topo, Topology};
 use lts_partition::{group_occupancy, partition_stages, FailureDomain, Plan, StagePlacement};
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::Entry;
@@ -580,13 +578,6 @@ impl ServingReport {
     }
 }
 
-/// One strategy's workload: spec + weights, kept for replans and
-/// recovery runs.
-struct ServeWorkload {
-    spec: NetworkSpec,
-    weights: HashMap<String, Vec<f32>>,
-}
-
 /// A runnable service profile: the measured pipeline shape of one
 /// strategy on the current (possibly degraded) system.
 #[derive(Clone)]
@@ -610,18 +601,15 @@ struct ServiceProfile {
     saturation: f64,
 }
 
-/// Builds the four-strategy workload set (ladder order) for
-/// `cores`-core chips.
-fn serve_workloads(cores: usize) -> Result<Vec<ServeWorkload>> {
-    let dense = convnet_spec();
-    let groups = (1..=cores).rev().find(|g| 32 % g == 0 && 64 % g == 0).unwrap_or(1);
-    let mask_weights = hop_local_weights(&dense, cores)?;
-    Ok(vec![
-        ServeWorkload { spec: dense.clone(), weights: HashMap::new() },
-        ServeWorkload { spec: grouped_convnet_spec(groups), weights: HashMap::new() },
-        ServeWorkload { spec: dense.clone(), weights: uniform_sparse_weights(&dense, cores)? },
-        ServeWorkload { spec: dense, weights: mask_weights },
-    ])
+/// The four-strategy serving ladder for `cores`-core chips: the
+/// [`workloads`] ladder with the distance-blind SS rung inserted before
+/// the hop-local one.
+fn serve_workloads(cores: usize) -> Result<Vec<Workload>> {
+    let mut ladder = workloads(cores)?;
+    let dense = ladder[0].spec.clone();
+    let weights = uniform_sparse_weights(&dense, cores)?;
+    ladder.insert(2, Workload { strategy: "ss", network: "ConvNet", spec: dense, weights });
+    Ok(ladder)
 }
 
 /// Distance-blind synthetic SS weights: half the off-diagonal
@@ -695,20 +683,21 @@ impl Platform {
 /// system (typed unreachable/cycle-limit evaluation failures).
 fn build_profile(
     platform: &Platform,
-    w: &ServeWorkload,
+    w: &Workload,
     dead: &[usize],
     usage: &mut SimUsage,
 ) -> Result<Option<ServiceProfile>> {
     let (domain, ids) = platform.domain(dead);
-    let replan = domain.replan(&w.spec, None, 0, &ids, &w.weights, 2)?;
-    let fault = domain.fault_model(&ids);
-    let report =
-        match platform.model.clone().with_fault_model(fault.clone()).evaluate_replan(&replan) {
-            Ok(report) => report,
-            Err(CoreError::Noc(NocError::Unreachable { .. }))
-            | Err(CoreError::Noc(NocError::CycleLimitExceeded { .. })) => return Ok(None),
-            Err(e) => return Err(e),
-        };
+    let (replan, report) =
+        static_replan(&platform.model, &domain, &w.spec, &w.weights, &ids, |f| f)?;
+    let report = match report {
+        Ok(report) => report,
+        Err(e) => {
+            Outcome::from_failure(e)?;
+            return Ok(None);
+        }
+    };
+    let fault = domain.fault_model(&replan.dead);
     usage.merge(&report.sim);
     // On a package the pipeline groups are the chiplet stages, each as
     // wide as a chiplet; on a chip they split the measured per-layer
@@ -893,7 +882,7 @@ impl ServeState {
     fn new(
         config: &ServingConfig,
         platform: &Platform,
-        workloads: &[ServeWorkload],
+        workloads: &[Workload],
     ) -> Result<ServeState> {
         let mut sim = SimUsage::default();
         let mut profiles = Vec::with_capacity(workloads.len());
@@ -976,7 +965,7 @@ impl ServeState {
     fn rebuild_profiles(
         &mut self,
         platform: &Platform,
-        workloads: &[ServeWorkload],
+        workloads: &[Workload],
         at: u64,
     ) -> Result<()> {
         for (i, w) in workloads.iter().enumerate() {
@@ -1106,7 +1095,7 @@ impl ServeState {
         &mut self,
         config: &ServingConfig,
         platform: &Platform,
-        workloads: &[ServeWorkload],
+        workloads: &[Workload],
     ) -> Result<()> {
         let obs = lts_obs::enabled();
         let track = if obs { Some(lts_obs::cycle_track_named("core.serve")) } else { None };
@@ -1246,19 +1235,12 @@ impl ServeState {
                             &deltas,
                         );
                     }
-                    Err(CoreError::Noc(NocError::Unreachable { .. })) => {
-                        self.fail_batch(&batch, Outcome::Unreachable, f.at_cycle);
+                    Err(e) => {
+                        self.fail_batch(&batch, Outcome::from_failure(e)?, f.at_cycle);
                         self.phase_bounds.push(f.at_cycle);
                         self.halted_at = Some(f.at_cycle);
                         break 'serve;
                     }
-                    Err(CoreError::Noc(NocError::CycleLimitExceeded { .. })) => {
-                        self.fail_batch(&batch, Outcome::CycleLimit, f.at_cycle);
-                        self.phase_bounds.push(f.at_cycle);
-                        self.halted_at = Some(f.at_cycle);
-                        break 'serve;
-                    }
-                    Err(e) => return Err(e),
                 }
                 self.dead_all.extend_from_slice(&f.dead_cores);
                 self.dead_all.sort_unstable();

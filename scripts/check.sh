@@ -39,10 +39,14 @@ cargo test --release --offline -q -p lts-core --test cycle_accounting
 echo "==> fault-injection smoke (dead router + 0.5% flit drops must still deliver)"
 cargo run --release --offline --example fault_injection
 
-echo "==> chaos smoke (mid-flight core deaths: bounded loss or typed outcome, never a panic/hang)"
-LTS_EFFORT=quick cargo run --release --offline -p lts-bench --bin chaos_soak
+echo "==> fault-matrix smoke (degradation, chaos and chiplet-loss slices meet their contracts; stdout byte-identical at 1 and 2 threads)"
+MATRIX_LOG="$(mktemp)"
+LTS_EFFORT=quick LTS_THREADS=1 cargo run --release --offline -p lts-bench --bin fault_matrix | tee "$MATRIX_LOG"
+LTS_EFFORT=quick LTS_THREADS=2 cargo run --release --offline -q -p lts-bench --bin fault_matrix | cmp - "$MATRIX_LOG"
+# The usage line must count real simulations, not only cache answers.
+grep -q '^sim usage: [1-9][0-9]* transitions simulated' "$MATRIX_LOG"
 
-echo "==> serving smoke (open-loop streams: sub-saturation serves all, 2x overload sheds within budget, mid-stream core death rides through)"
+echo "==> serving smoke (open-loop streams: sub-saturation serves all, 2x overload sheds within budget, mid-stream core and chiplet deaths ride through)"
 SERVE_LOG="$(mktemp)"
 LTS_EFFORT=quick cargo run --release --offline -p lts-bench --bin serving_sweep | tee "$SERVE_LOG"
 # The usage line must count real simulations, not only cache answers.
@@ -52,12 +56,7 @@ echo "==> trainer kill-and-resume round-trip (bit-identical weights after crash 
 cargo run --release --offline --example trainer_resume
 
 echo "==> mcm smoke (1->2 chiplet scaling sweep: monotone throughput, per-hop-class + simcache accounting)"
-LTS_MCM_MAX_CHIPLETS=2 cargo run --release --offline -p lts-bench --bin mcm_scaling
-
-echo "==> mcm-fault smoke (mid-inference chiplet death: hierarchical detection, survivor restaging, serving ride-through)"
-MCM_FAULT_LOG="$(mktemp)"
-LTS_EFFORT=quick cargo run --release --offline -p lts-bench --bin mcm_fault_sweep | tee "$MCM_FAULT_LOG"
-grep -q '^sim usage: [1-9][0-9]* transitions simulated' "$MCM_FAULT_LOG"
+LTS_EFFORT=quick cargo run --release --offline -p lts-bench --bin mcm_scaling
 
 echo "==> quant smoke (i16 fast path: accuracy within tolerance of f32, 2 bytes/value traffic)"
 LTS_EFFORT=quick cargo run --release --offline -p lts-bench --bin quant_sweep

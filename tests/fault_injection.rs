@@ -2,34 +2,40 @@
 //!
 //! Two guarantees from the robustness work are checked end to end:
 //!
-//! 1. the degradation sweep is bit-identical at any execution-engine
-//!    worker count (`LTS_THREADS`) — fault schedules are stateless hash
-//!    draws and the NoC simulator is single-threaded;
-//! 2. the zero-fault sweep cells match the fault-free system model
+//! 1. fault-matrix rows are bit-identical at any execution-engine worker
+//!    count (`LTS_THREADS`) — fault schedules are stateless hash draws
+//!    and the NoC simulator is single-threaded;
+//! 2. the zero-fault static cells match the fault-free system model
 //!    exactly, so turning the fault machinery on costs nothing when no
 //!    faults are configured.
 
-use learn_to_scale::core::degradation::{fault_sweep, outcome, FaultSweepConfig, FaultSweepRow};
-use learn_to_scale::core::SystemModel;
+use learn_to_scale::core::fault_matrix::{run, Cell, Fault, Row};
+use learn_to_scale::core::{Outcome, SystemModel};
 use learn_to_scale::partition::{FailureDomain, Plan};
 use learn_to_scale::tensor::par::{install, ExecConfig};
 use std::collections::HashMap;
 
-fn config() -> FaultSweepConfig {
-    FaultSweepConfig {
-        cores: 16,
-        fault_rates: vec![0.0, 1e-3],
-        dead_core_sets: vec![vec![], vec![5, 10]],
-        seed: 23,
+/// Every rung × drop rate {0, 1e-3} × dead set {none, {5, 10}} on the
+/// 16-core mesh, seed 23.
+fn cells() -> Vec<Cell> {
+    let mut cells = Vec::new();
+    for rung in 0..3 {
+        for drop_rate in [0.0, 1e-3] {
+            for dead in [vec![], vec![5, 10]] {
+                let fault = Fault::Static { dead, drop_rate, seed: 23 };
+                cells.push(Cell { rung, chiplets: 1, cores: 16, fault });
+            }
+        }
     }
+    cells
 }
 
 #[test]
-fn sweep_is_bit_identical_across_worker_counts() {
-    let mut runs: Vec<Vec<FaultSweepRow>> = Vec::new();
+fn matrix_rows_are_bit_identical_across_worker_counts() {
+    let mut runs: Vec<Vec<Row>> = Vec::new();
     for threads in [1usize, 2, 4, 8] {
         install(ExecConfig::new(threads));
-        runs.push(fault_sweep(&config()).expect("sweep"));
+        runs.push(run(&cells()).expect("fault matrix"));
     }
     install(ExecConfig::from_env());
     for (i, run) in runs.iter().enumerate().skip(1) {
@@ -38,25 +44,25 @@ fn sweep_is_bit_identical_across_worker_counts() {
 }
 
 #[test]
-fn zero_fault_cells_match_the_fault_free_model_exactly() {
-    let rows = fault_sweep(&config()).expect("sweep");
+fn zero_fault_static_cells_match_the_fault_free_model_exactly() {
+    let rows = run(&cells()).expect("fault matrix");
     // The traditional strategy's healthy cell, recomputed independently
     // through the plain (pre-fault-model) evaluation path.
     let spec = learn_to_scale::nn::descriptor::convnet_spec();
     let plan = Plan::dense(&spec, 16, 2).expect("plan");
     let healthy = SystemModel::paper(16).expect("model").evaluate(&plan).expect("evaluate");
-    let cell = rows
-        .iter()
-        .find(|r| r.strategy == "traditional" && r.fault_rate == 0.0 && r.dead_cores.is_empty())
-        .expect("healthy traditional cell");
-    assert_eq!(cell.outcome, outcome::OK);
-    assert_eq!(cell.total_cycles, healthy.total_cycles);
-    assert_eq!(cell.comm_cycles, healthy.comm_cycles);
-    assert_eq!(cell.traffic_bytes, healthy.traffic_bytes);
-    assert_eq!(cell.noc_energy_pj, healthy.noc_energy_pj);
-    assert_eq!(cell.latency_vs_healthy, 1.0);
-    assert_eq!(cell.energy_vs_healthy, 1.0);
-    assert_eq!(cell.retransmitted_packets, 0);
+    let cell = &rows[0];
+    assert_eq!(cell.strategy, "traditional");
+    assert_eq!(cell.cell.fault, Fault::Static { dead: vec![], drop_rate: 0.0, seed: 23 });
+    assert_eq!(cell.outcome, Outcome::Served);
+    let r = cell.recovery.as_ref().expect("healthy traditional cell");
+    assert_eq!(r.report.total_cycles, healthy.total_cycles);
+    assert_eq!(r.report.comm_cycles, healthy.comm_cycles);
+    assert_eq!(r.report.traffic_bytes, healthy.traffic_bytes);
+    assert_eq!(r.report.noc_energy_pj, healthy.noc_energy_pj);
+    assert_eq!(r.overhead_vs_fault_free(), 1.0);
+    assert_eq!(r.energy_vs_fault_free(), 1.0);
+    assert_eq!(r.report.faults.packets_retransmitted, 0);
     assert!(!healthy.faults.any());
 }
 
