@@ -226,8 +226,10 @@ macro_rules! prop_assert_ne {
     ($left:expr, $right:expr, $($fmt:tt)+) => { assert_ne!($left, $right, $($fmt)+) };
 }
 
-/// Declares property tests: each `fn name(arg in strategy, ...) { body }`
-/// becomes a `#[test]` that runs the body over `cases` generated inputs.
+/// Declares property tests: each `#[test] fn name(arg in strategy, ...)
+/// { body }` becomes a test that runs the body over `cases` generated
+/// inputs. As in upstream proptest, the `#[test]` attribute is written on
+/// the function and passed through; the macro adds none of its own.
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($cfg:expr)] $($rest:tt)*) => {
@@ -247,7 +249,6 @@ macro_rules! __proptest_fns {
     (($cfg:expr);) => {};
     (($cfg:expr); $(#[$meta:meta])* fn $name:ident($($arg:ident in $strat:expr),+ $(,)?) $body:block $($rest:tt)*) => {
         $(#[$meta])*
-        #[test]
         fn $name() {
             let __cfg: $crate::test_runner::ProptestConfig = $cfg;
             for __case in 0..__cfg.cases {
@@ -271,16 +272,19 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
 
+        #[test]
         fn ranges_stay_in_bounds(x in 0usize..10, y in -1.0f32..1.0) {
             prop_assert!(x < 10);
             prop_assert!((-1.0..1.0).contains(&y));
         }
 
+        #[test]
         fn vec_sizes_respected(v in collection::vec(0u64..5, 3), w in collection::vec(0u64..5, 1..4)) {
             prop_assert_eq!(v.len(), 3);
             prop_assert!((1..4).contains(&w.len()));
         }
 
+        #[test]
         fn tuples_and_prop_map(p in (0usize..4, 0usize..4).prop_map(|(a, b)| a * 10 + b)) {
             prop_assert!(p <= 33);
         }

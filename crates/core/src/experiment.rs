@@ -605,18 +605,28 @@ pub fn combined_strategy_rows(preset: &EffortPreset) -> Result<Vec<CombinedRow>>
 /// One row of the throughput-vs-latency extension experiment.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ParallelismRow {
-    /// `data` (one independent inference per core, DaDianNao/TPU style)
-    /// or `model` (this paper: one inference split across all cores).
+    /// `data` (one independent inference per core, DaDianNao/TPU style),
+    /// `layer pipeline` (contiguous layer stages on separate cores — the
+    /// §II-B alternative) or `model` (this paper: one inference split
+    /// across all cores).
     pub mode: String,
     /// Latency of one inference, in cycles.
     pub latency_cycles: u64,
     /// Sustained throughput in inferences per million cycles.
     pub throughput_per_mcycle: f64,
+    /// The slowest pipeline stage over the mean stage (`Some` only for
+    /// the layer pipeline).
+    pub imbalance: Option<f64>,
 }
 
 /// Extension: the §I distinction between throughput-oriented data-level
 /// parallelism and the paper's latency-oriented single-pass model
-/// parallelism, quantified on one network/core count.
+/// parallelism, quantified on one network/core count, with the §II-B
+/// inter-layer pipeline between them. The pipeline cuts the per-layer
+/// compute cycles of the single-core pass into at most `cores` stages
+/// ([`lts_partition::StagePipeline::partition`]) and charges nothing for
+/// moving activations between stages, so its latency (the single-core
+/// pass) is a lower bound and its throughput an upper bound.
 ///
 /// # Errors
 ///
@@ -628,6 +638,9 @@ pub fn parallelism_tradeoff(
     let model = SystemModel::paper(cores)?;
     // Data parallelism: every core runs the whole network by itself.
     let single = model.evaluate(&lts_partition::Plan::dense(spec, 1, 2)?)?;
+    // Layer pipelining: contiguous stages of the single-core pass.
+    let compute: Vec<u64> = single.layers.iter().map(|l| l.compute_cycles).collect();
+    let pipeline = lts_partition::StagePipeline::partition(spec, &compute, cores)?;
     // Model parallelism: one pass split across all cores.
     let split = model.evaluate(&lts_partition::Plan::dense(spec, cores, 2)?)?;
     Ok(vec![
@@ -635,11 +648,19 @@ pub fn parallelism_tradeoff(
             mode: "data (1 net/core)".into(),
             latency_cycles: single.total_cycles,
             throughput_per_mcycle: cores as f64 / single.total_cycles as f64 * 1e6,
+            imbalance: None,
+        },
+        ParallelismRow {
+            mode: format!("layer pipeline ({} stages)", pipeline.ranges.len()),
+            latency_cycles: pipeline.latency(),
+            throughput_per_mcycle: 1e6 / pipeline.interval() as f64,
+            imbalance: Some(pipeline.imbalance()),
         },
         ParallelismRow {
             mode: format!("model ({cores}-way split)"),
             latency_cycles: split.total_cycles,
             throughput_per_mcycle: 1.0 / split.total_cycles as f64 * 1e6,
+            imbalance: None,
         },
     ])
 }
@@ -791,12 +812,26 @@ mod tests {
     #[test]
     fn parallelism_tradeoff_shows_the_latency_throughput_tension() {
         let rows = parallelism_tradeoff(&lts_nn::descriptor::lenet_spec(), 16).unwrap();
-        assert_eq!(rows.len(), 2);
-        let (data, model) = (&rows[0], &rows[1]);
+        assert_eq!(rows.len(), 3);
+        let (data, pipe, model) = (&rows[0], &rows[1], &rows[2]);
         // Model parallelism must cut latency...
         assert!(model.latency_cycles < data.latency_cycles);
         // ...at some cost in aggregate throughput.
         assert!(model.throughput_per_mcycle < data.throughput_per_mcycle);
+        // The layer pipeline keeps the single-core latency and, with
+        // unevenly sized layers, cannot reach data-parallel throughput.
+        assert_eq!(pipe.latency_cycles, data.latency_cycles);
+        assert!(pipe.throughput_per_mcycle < data.throughput_per_mcycle);
+    }
+
+    #[test]
+    fn layer_pipelining_a_cnn_shows_the_papers_load_imbalance() {
+        // The paper's §II-B objection: conv layers dwarf everything else,
+        // so contiguous stages cannot balance.
+        let rows = parallelism_tradeoff(&lts_nn::descriptor::alexnet_spec(), 16).unwrap();
+        let imbalance = rows[1].imbalance.expect("the pipeline row reports its imbalance");
+        assert!(imbalance > 1.5, "AlexNet stages should be visibly unbalanced, got {imbalance}");
+        assert!(rows[0].imbalance.is_none() && rows[2].imbalance.is_none());
     }
 
     #[test]

@@ -64,7 +64,6 @@ pub mod degradation;
 pub mod error;
 pub mod experiment;
 pub mod fault_matrix;
-pub mod interlayer;
 pub mod mcm;
 pub mod outcome;
 pub mod pipeline;

@@ -23,7 +23,7 @@ use crate::simcache::SimUsage;
 use crate::{CoreError, Result, SystemModel};
 use lts_nn::NetworkSpec;
 use lts_noc::{McmTopology, Topo};
-use lts_partition::McmPlan;
+use lts_partition::{McmPlan, StagePipeline, StagePlacement};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -112,18 +112,11 @@ pub fn scale_chiplets(
         let (model, package) = package_topology(chiplets, cores_per_chiplet)?;
         let mcm_plan = McmPlan::build(spec, &package, weights, 2)?;
         let report = model.evaluate(&mcm_plan.plan)?;
-        let interval = mcm_plan
-            .stages
-            .iter()
-            .map(|stage| {
-                stage
-                    .layers()
-                    .map(|li| report.layers[li].compute_cycles + report.layers[li].comm_cycles)
-                    .sum::<u64>()
-            })
-            .max()
-            .unwrap_or(report.total_cycles)
-            .max(1);
+        let pipeline = StagePipeline::new(
+            mcm_plan.stages.iter().map(StagePlacement::layers).collect(),
+            &report.layer_cycles(),
+        );
+        let interval = pipeline.interval();
         let pipelined = 1e6 / interval as f64;
         let replicated = 1e6 * chiplets as f64 / single_latency as f64;
         let (throughput, mode) = if pipelined > replicated {
@@ -138,8 +131,8 @@ pub fn scale_chiplets(
         rows.push(McmScalingRow {
             chiplets,
             cores_per_chiplet,
-            stages: mcm_plan.stages.len(),
-            latency_cycles: report.total_cycles,
+            stages: pipeline.ranges.len(),
+            latency_cycles: pipeline.latency(),
             interval_cycles: interval,
             pipelined_ipmc: pipelined,
             replicated_ipmc: replicated,

@@ -16,17 +16,18 @@
 //!   meets its deadline (`arrival + latency_budget`). A request that
 //!   cannot meet its deadline even at the front of a fresh batch is
 //!   hopeless and is shed instead of wasting pipeline capacity.
-//! * **Pipelining** — each strategy's plan is split into layer groups
-//!   ([`lts_partition::partition_stages`] on the measured per-layer
-//!   cycles; on an MCM package the chiplet stages of
+//! * **Pipelining** — each strategy's plan is split into layer groups,
+//!   a [`lts_partition::StagePipeline`] over the measured per-layer
+//!   cycles (on an MCM package the chiplet stages of
 //!   [`lts_partition::McmPlan`] are used directly). A batch drains with
-//!   initiation interval `max(group cycles)`: request `j` completes at
-//!   `dispatch + latency + j·interval`, plus any measured entry-burst
-//!   contention. A batch's staggered entry burst is a pure function of
-//!   the profile's `(config, fault, messages)` triple, and the bursts of
-//!   every batch size are prefixes of one periodic trace: the contention
-//!   of every size up to `max_batch` comes from one periodic run per
-//!   profile ([`lts_noc::Simulator::run_periodic`]) through the
+//!   the pipeline's initiation interval, its slowest group: request
+//!   `j` completes at `dispatch + latency + j·interval`, plus any
+//!   measured entry-burst contention. A batch's staggered entry burst
+//!   is a pure function of the profile's `(config, fault, messages)`
+//!   triple, and the bursts of every batch size are prefixes of one
+//!   periodic trace: the contention of every size up to `max_batch`
+//!   comes from one periodic run per profile
+//!   ([`lts_noc::Simulator::run_periodic`]) through the
 //!   [`crate::simcache`], memoised in the serving state until the
 //!   profiles are rebuilt. A size the run declines (its copies overlap)
 //!   is simulated on its own when a batch of that size first forms.
@@ -60,11 +61,10 @@ use crate::{CoreError, Result};
 use lts_nn::descriptor::NetworkSpec;
 use lts_noc::traffic::{periodic, Message};
 use lts_noc::{FaultModel, MonitorConfig, NocConfig, SimReport, Simulator, Topo, Topology};
-use lts_partition::{group_occupancy, partition_stages, FailureDomain, Plan, StagePlacement};
+use lts_partition::{group_occupancy, FailureDomain, Plan, StagePipeline, StagePlacement};
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
-use std::ops::Range;
 
 /// Largest request count one run may generate (memory guard: the whole
 /// stream is materialized up front for determinism).
@@ -582,14 +582,9 @@ impl ServingReport {
 /// strategy on the current (possibly degraded) system.
 #[derive(Clone)]
 struct ServiceProfile {
-    /// Sum of group cycles: single-request latency.
-    latency: u64,
-    /// Slowest group: pipeline initiation interval.
-    interval: u64,
-    /// Layer ranges of the pipeline groups.
-    group_ranges: Vec<Range<usize>>,
-    /// Measured cycles of each group (same order as `group_ranges`).
-    group_cycles: Vec<u64>,
+    /// The pipeline groups (chiplet stages on a package) and their
+    /// measured cycles.
+    pipeline: StagePipeline,
     /// Physical entry-burst messages (first communicating transition).
     entry: Vec<Message>,
     /// Worst per-group core occupancy.
@@ -599,6 +594,13 @@ struct ServiceProfile {
     /// Worst per-layer blocked flits per communication cycle of the
     /// profile's evaluation.
     saturation: f64,
+}
+
+impl ServiceProfile {
+    /// Single-request latency through every group, at least one cycle.
+    fn latency(&self) -> u64 {
+        self.pipeline.latency().max(1)
+    }
 }
 
 /// The four-strategy serving ladder for `cores`-core chips: the
@@ -702,17 +704,21 @@ fn build_profile(
     // On a package the pipeline groups are the chiplet stages, each as
     // wide as a chiplet; on a chip they split the measured per-layer
     // cycles over the whole plan.
-    let (ranges, width) = match domain {
-        FailureDomain::Chiplets(topo) => {
-            (replan.stages.iter().map(StagePlacement::layers).collect(), topo.nodes_per_chiplet())
-        }
-        FailureDomain::Cores(_) => {
-            let costs: Vec<u64> =
-                report.layers.iter().map(|l| l.compute_cycles + l.comm_cycles).collect();
-            (partition_stages(&w.spec, &costs, platform.pipeline_groups), replan.tail.cores)
-        }
+    let layer_cycles = report.layer_cycles();
+    let (pipeline, width) = match domain {
+        FailureDomain::Chiplets(topo) => (
+            StagePipeline::new(
+                replan.stages.iter().map(StagePlacement::layers).collect(),
+                &layer_cycles,
+            ),
+            topo.nodes_per_chiplet(),
+        ),
+        FailureDomain::Cores(_) => (
+            StagePipeline::partition(&w.spec, &layer_cycles, platform.pipeline_groups)?,
+            replan.tail.cores,
+        ),
     };
-    let occupancy = group_occupancy(&replan.tail, &ranges, width);
+    let occupancy = group_occupancy(&replan.tail, &pipeline.ranges, width);
     // The first communicating layer transition: the burst a new request
     // injects when it enters the pipeline.
     let entry = replan
@@ -721,17 +727,6 @@ fn build_profile(
         .iter()
         .find(|lp| !lp.traffic.is_empty())
         .map_or_else(Vec::new, |lp| replan.physical_messages(lp).messages);
-    let group_cycles: Vec<u64> = ranges
-        .iter()
-        .map(|r| {
-            r.clone()
-                .filter_map(|li| report.layers.get(li))
-                .map(|l| l.compute_cycles + l.comm_cycles)
-                .sum()
-        })
-        .collect();
-    let latency: u64 = group_cycles.iter().sum();
-    let interval = group_cycles.iter().copied().max().unwrap_or(latency).max(1);
     let saturation = report
         .layers
         .iter()
@@ -744,10 +739,7 @@ fn build_profile(
         })
         .fold(0.0f64, f64::max);
     Ok(Some(ServiceProfile {
-        latency: latency.max(1),
-        interval,
-        group_ranges: ranges,
-        group_cycles,
+        pipeline,
         entry,
         min_occupancy: occupancy.iter().copied().fold(1.0, f64::min),
         fault,
@@ -783,7 +775,7 @@ pub fn service_capacity_rpmc(config: &ServingConfig) -> Result<f64> {
     let profile = build_profile(&platform, w, &[], &mut usage)?
         .ok_or_else(|| CoreError::BadConfig("strategy cannot run on the healthy system".into()))?;
     let b = config.max_batch as u64;
-    let span = profile.latency + (b - 1) * profile.interval;
+    let span = profile.latency() + (b - 1) * profile.pipeline.interval();
     Ok(b as f64 * 1e6 / span as f64)
 }
 
@@ -896,7 +888,7 @@ impl ServeState {
             ));
         };
         let budget =
-            if config.latency_budget == 0 { initial.latency * 3 } else { config.latency_budget };
+            if config.latency_budget == 0 { initial.latency() * 3 } else { config.latency_budget };
         let noc_saturation = initial.saturation;
         let arrival_times = config.arrivals.times()?;
         let offered = arrival_times.len();
@@ -1072,7 +1064,7 @@ impl ServeState {
         while batch.len() < config.max_batch {
             let Some(&(id, arrival)) = self.queue.front() else { break };
             let j = batch.len() as u64;
-            let predicted = t0 + profile.latency + j * profile.interval;
+            let predicted = t0 + profile.latency() + j * profile.pipeline.interval();
             if predicted > arrival + self.budget {
                 if batch.is_empty() {
                     // Hopeless even at the front of a fresh batch.
@@ -1343,10 +1335,10 @@ impl ServeState {
             .filter_map(|(i, &strategy)| {
                 self.profiles[i].as_ref().map(|p| StrategySummary {
                     strategy,
-                    latency_cycles: p.latency,
-                    interval_cycles: p.interval,
+                    latency_cycles: p.latency(),
+                    interval_cycles: p.pipeline.interval(),
                     min_stage_occupancy: p.min_occupancy,
-                    stages: p.group_ranges.len(),
+                    stages: p.pipeline.ranges.len(),
                     batches: self.batch_counts[i].0,
                     requests: self.batch_counts[i].1,
                 })
@@ -1392,7 +1384,7 @@ fn completion_of(
     contention: u64,
     deltas: &[(u64, u64)],
 ) -> u64 {
-    let mut c = t0 + profile.latency + j * profile.interval + contention;
+    let mut c = t0 + profile.latency() + j * profile.pipeline.interval() + contention;
     for &(at, delta) in deltas {
         if c > at {
             c += delta;
@@ -1416,16 +1408,8 @@ fn windowed_p95(window: &VecDeque<u64>) -> u64 {
 /// group being executed when the fault struck, clamped strictly
 /// mid-network so the recovery is always mid-flight.
 fn fault_boundary_layer(profile: &ServiceProfile, spec: &NetworkSpec, rel: u64) -> usize {
-    let mut acc = 0u64;
-    let mut group = profile.group_ranges.len().saturating_sub(1);
-    for (g, cycles) in profile.group_cycles.iter().enumerate() {
-        acc += cycles;
-        if rel < acc {
-            group = g;
-            break;
-        }
-    }
-    let start = profile.group_ranges.get(group).map(|r| r.start).unwrap_or(1);
+    let pipeline = &profile.pipeline;
+    let start = pipeline.ranges.get(pipeline.stage_at(rel)).map_or(1, |r| r.start);
     start.clamp(1, spec.layers.len().saturating_sub(1).max(1))
 }
 
@@ -1453,15 +1437,16 @@ fn periodic_contention(
     // An error stops the periodic run short of some sizes. They are all
     // left to `batch_contention` then, where a size meets the error only
     // if a run of its own copies does.
+    let interval = profile.pipeline.interval();
     let prefixes =
-        simcache::run_periodic_cached(&mut sim, &profile.entry, profile.interval, max_batch, usage)
+        simcache::run_periodic_cached(&mut sim, &profile.entry, interval, max_batch, usage)
             .unwrap_or_default();
     let mut sizes = vec![None; max_batch + 1];
     // Prefix 1, one request's burst alone, is the baseline.
     let Some(Some(base)) = prefixes.first() else { return Ok(sizes) };
     for (batch, prefix) in (1..).zip(&prefixes) {
         if let Some(report) = prefix {
-            sizes[batch] = Some(contention(base, report, batch, profile.interval));
+            sizes[batch] = Some(contention(base, report, batch, interval));
         }
     }
     Ok(sizes)
@@ -1479,13 +1464,14 @@ fn batch_contention(
     let config = *platform.model.noc_config();
     let mut sim = Simulator::with_faults(config, profile.fault.clone())?;
     let base = simcache::run_cached(&mut sim, &config, &profile.fault, &profile.entry, usage)?;
-    let Some(messages) = periodic(&profile.entry, profile.interval, batch) else {
+    let interval = profile.pipeline.interval();
+    let Some(messages) = periodic(&profile.entry, interval, batch) else {
         return Err(CoreError::BadConfig("entry-burst inject cycles overflow".into()));
     };
     // The staggered burst is a pure triple too: the stream around it
     // decides only when it runs, never what it simulates.
     let report = simcache::run_cached(&mut sim, &config, &profile.fault, &messages, usage)?;
-    Ok(contention(&base, &report, batch, profile.interval))
+    Ok(contention(&base, &report, batch, interval))
 }
 
 /// Splits the run into phases at the applied fault cycles and

@@ -68,6 +68,12 @@ pub struct SystemReport {
 }
 
 impl SystemReport {
+    /// Per-layer latency: each layer's compute plus its visible
+    /// communication, in cycles (these sum to `total_cycles`).
+    pub fn layer_cycles(&self) -> Vec<u64> {
+        self.layers.iter().map(|l| l.compute_cycles + l.comm_cycles).collect()
+    }
+
     /// Fraction of the single pass spent communicating.
     pub fn comm_share(&self) -> f64 {
         if self.total_cycles == 0 {

@@ -28,6 +28,6 @@ pub mod traffic;
 
 pub use distance::{hop_mask, hop_power_mask, two_level_mask};
 pub use domain::{FailureDomain, LostGroups, Replan};
-pub use mcm::{group_occupancy, partition_stages, McmPlan, StagePlacement};
+pub use mcm::{group_occupancy, partition_stages, McmPlan, StagePipeline, StagePlacement};
 pub use ownership::OwnershipMap;
 pub use plan::{LayerPlan, Plan, PlanError};

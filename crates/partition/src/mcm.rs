@@ -116,7 +116,7 @@ impl McmPlan {
         let per_chip = topo.nodes_per_chiplet();
         let total = Topology::nodes(topo);
         let costs: Vec<u64> = spec.layers.iter().map(|l| l.macs()).collect();
-        let ranges = partition_stages(spec, &costs, order.len());
+        let ranges = partition_stages(spec, &costs, order.len())?;
 
         let mut ownership: Option<OwnershipMap> = seed;
         // The chiplet holding the previous layer's outputs (sources of the
@@ -223,14 +223,27 @@ pub fn group_occupancy(plan: &Plan, groups: &[Range<usize>], width: usize) -> Ve
 /// such cuts than stages. Ties break toward earlier cuts, so the result
 /// is deterministic.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `spec` has no layers or `costs` a different length.
-pub fn partition_stages(spec: &NetworkSpec, costs: &[u64], stages: usize) -> Vec<Range<usize>> {
+/// [`PlanError::BadConfig`] if `spec` has no layers or `costs` a
+/// different length.
+pub fn partition_stages(
+    spec: &NetworkSpec,
+    costs: &[u64],
+    stages: usize,
+) -> Result<Vec<Range<usize>>, PlanError> {
     let allowed: Vec<bool> = spec.layers.iter().map(|l| l.has_weights()).collect();
     let n = costs.len();
-    assert!(n > 0, "cannot partition zero layers");
-    assert_eq!(allowed.len(), n, "one cost per layer");
+    if allowed.is_empty() {
+        return Err(PlanError::BadConfig("cannot partition a network with no layers".into()));
+    }
+    if allowed.len() != n {
+        return Err(PlanError::BadConfig(format!(
+            "{} stage costs for a {}-layer network",
+            n,
+            allowed.len()
+        )));
+    }
     let usable_cuts = allowed.iter().skip(1).filter(|&&a| a).count();
     let k = stages.clamp(1, usable_cuts + 1);
     let mut prefix = vec![0u64; n + 1];
@@ -268,7 +281,81 @@ pub fn partition_stages(spec: &NetworkSpec, costs: &[u64], stages: usize) -> Vec
         bounds.push(i);
     }
     bounds.reverse();
-    bounds.windows(2).map(|w| w[0]..w[1]).collect()
+    Ok(bounds.windows(2).map(|w| w[0]..w[1]).collect())
+}
+
+/// A network cut into contiguous layer stages that run as a pipeline:
+/// one request occupies each stage in turn, and a new one may enter every
+/// initiation interval. This is the one model of stage-pipelined timing —
+/// package stages on chiplets, serving's layer groups on a chip and the
+/// inter-layer pipeline the paper argues against (§II-B) all derive their
+/// latency, interval and balance here.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StagePipeline {
+    /// Layer index ranges of the stages, in execution order.
+    pub ranges: Vec<Range<usize>>,
+    /// Cycles of each stage (same order as `ranges`).
+    pub stage_cycles: Vec<u64>,
+}
+
+impl StagePipeline {
+    /// The pipeline over the given stage `ranges`, each stage costing the
+    /// sum of its layers' `layer_cycles`. Layers past the end of
+    /// `layer_cycles` cost nothing, so a degraded plan whose tail is
+    /// shorter than the ranges still yields a pipeline.
+    pub fn new(ranges: Vec<Range<usize>>, layer_cycles: &[u64]) -> StagePipeline {
+        let stage_cycles =
+            ranges.iter().map(|r| r.clone().filter_map(|li| layer_cycles.get(li)).sum()).collect();
+        StagePipeline { ranges, stage_cycles }
+    }
+
+    /// The pipeline that cuts `spec` into at most `stages` stages,
+    /// balancing `layer_cycles` with [`partition_stages`].
+    ///
+    /// # Errors
+    ///
+    /// As [`partition_stages`].
+    pub fn partition(
+        spec: &NetworkSpec,
+        layer_cycles: &[u64],
+        stages: usize,
+    ) -> Result<StagePipeline, PlanError> {
+        Ok(StagePipeline::new(partition_stages(spec, layer_cycles, stages)?, layer_cycles))
+    }
+
+    /// Single-request latency: every stage in sequence, in cycles.
+    pub fn latency(&self) -> u64 {
+        self.stage_cycles.iter().sum()
+    }
+
+    /// Initiation interval: the slowest stage's cycles, at least 1.
+    pub fn interval(&self) -> u64 {
+        self.stage_cycles.iter().copied().max().unwrap_or(0).max(1)
+    }
+
+    /// Load imbalance: the slowest stage over the mean of the non-empty
+    /// stages (1.0 = perfectly balanced, 0.0 with no non-empty stage).
+    pub fn imbalance(&self) -> f64 {
+        let busy: Vec<u64> = self.stage_cycles.iter().copied().filter(|&c| c > 0).collect();
+        if busy.is_empty() {
+            return 0.0;
+        }
+        let mean = busy.iter().sum::<u64>() as f64 / busy.len() as f64;
+        self.interval() as f64 / mean
+    }
+
+    /// The stage a request is in `offset` cycles after entering the
+    /// pipeline; offsets at or past the latency map to the last stage.
+    pub fn stage_at(&self, offset: u64) -> usize {
+        let mut end = 0u64;
+        for (s, &cycles) in self.stage_cycles.iter().enumerate() {
+            end += cycles;
+            if offset < end {
+                return s;
+            }
+        }
+        self.stage_cycles.len().saturating_sub(1)
+    }
 }
 
 #[cfg(test)]
@@ -287,14 +374,17 @@ mod tests {
     #[test]
     fn partition_balances_uniform_costs() {
         let spec = linear_stack(4);
-        assert_eq!(partition_stages(&spec, &[4, 4, 4, 4], 2), vec![0..2, 2..4]);
-        assert_eq!(partition_stages(&spec, &[4, 4, 4, 4], 4), vec![0..1, 1..2, 2..3, 3..4]);
+        assert_eq!(partition_stages(&spec, &[4, 4, 4, 4], 2).unwrap(), vec![0..2, 2..4]);
+        assert_eq!(
+            partition_stages(&spec, &[4, 4, 4, 4], 4).unwrap(),
+            vec![0..1, 1..2, 2..3, 3..4]
+        );
     }
 
     #[test]
     fn partition_isolates_the_dominant_layer() {
         // One huge layer: it gets a stage to itself.
-        let ranges = partition_stages(&linear_stack(4), &[1, 100, 1, 1], 2);
+        let ranges = partition_stages(&linear_stack(4), &[1, 100, 1, 1], 2).unwrap();
         let sums: Vec<u64> =
             ranges.iter().map(|r| r.clone().map(|i| [1u64, 100, 1, 1][i]).sum()).collect();
         assert!(sums.iter().max().unwrap() <= &102);
@@ -303,7 +393,7 @@ mod tests {
 
     #[test]
     fn more_stages_than_layers_caps_at_layers() {
-        let ranges = partition_stages(&linear_stack(2), &[5, 5], 8);
+        let ranges = partition_stages(&linear_stack(2), &[5, 5], 8).unwrap();
         assert_eq!(ranges, vec![0..1, 1..2]);
     }
 
@@ -317,7 +407,7 @@ mod tests {
             .conv("conv2", 4, 3, 1, 1, 1)
             .pool("pool2", 2, 2)
             .build();
-        assert_eq!(partition_stages(&spec, &[10, 1, 10, 1], 2), vec![0..2, 2..4]);
+        assert_eq!(partition_stages(&spec, &[10, 1, 10, 1], 2).unwrap(), vec![0..2, 2..4]);
         // With no weighted layer after the first, nothing may be cut.
         let spec = SpecBuilder::new("c", (3, 8, 8))
             .conv("conv1", 4, 3, 1, 1, 1)
@@ -325,7 +415,65 @@ mod tests {
             .relu()
             .flatten()
             .build();
-        assert_eq!(partition_stages(&spec, &[10, 1, 10, 1], 4), vec![0..4]);
+        assert_eq!(partition_stages(&spec, &[10, 1, 10, 1], 4).unwrap(), vec![0..4]);
+    }
+
+    #[test]
+    fn partitioning_an_empty_network_is_a_typed_error() {
+        let empty = SpecBuilder::new("empty", (8, 1, 1)).build();
+        assert!(matches!(partition_stages(&empty, &[], 2), Err(PlanError::BadConfig(_))));
+    }
+
+    #[test]
+    fn partitioning_with_a_wrong_cost_count_is_a_typed_error() {
+        let spec = linear_stack(3);
+        assert!(matches!(partition_stages(&spec, &[1, 2], 2), Err(PlanError::BadConfig(_))));
+        assert!(matches!(
+            StagePipeline::partition(&spec, &[1, 2, 3, 4], 2),
+            Err(PlanError::BadConfig(_))
+        ));
+    }
+
+    #[test]
+    fn stage_pipeline_derives_latency_interval_and_imbalance() {
+        let p = StagePipeline::new(vec![0..1, 1..3, 3..4], &[4, 1, 1, 6]);
+        assert_eq!(p.stage_cycles, vec![4, 2, 6]);
+        assert_eq!(p.latency(), 12);
+        assert_eq!(p.interval(), 6);
+        assert_eq!(p.imbalance(), 6.0 / 4.0);
+        // Empty stages count toward neither the mean nor the interval.
+        let sparse = StagePipeline::new(vec![0..2, 2..2], &[3, 3]);
+        assert_eq!((sparse.latency(), sparse.interval(), sparse.imbalance()), (6, 6, 1.0));
+        // A zero-cycle pipeline still admits one request per cycle.
+        let idle = StagePipeline::new(vec![0..1, 1..1], &[0]);
+        assert_eq!((idle.latency(), idle.interval(), idle.imbalance()), (0, 1, 0.0));
+    }
+
+    #[test]
+    fn stage_pipeline_tolerates_ranges_past_the_measured_layers() {
+        // A degraded tail measured fewer layers than the ranges name.
+        let p = StagePipeline::new(vec![0..2, 2..5], &[2, 3, 4]);
+        assert_eq!(p.stage_cycles, vec![5, 4]);
+    }
+
+    #[test]
+    fn stage_at_walks_the_stages_in_order() {
+        let p = StagePipeline::new(vec![0..1, 1..2, 2..3], &[10, 0, 5]);
+        assert_eq!(p.stage_at(0), 0);
+        assert_eq!(p.stage_at(9), 0);
+        assert_eq!(p.stage_at(10), 2, "a zero-cycle stage is never current");
+        assert_eq!(p.stage_at(14), 2);
+        assert_eq!(p.stage_at(15), 2, "past the latency is the last stage");
+        assert_eq!(StagePipeline::new(Vec::new(), &[]).stage_at(3), 0);
+    }
+
+    #[test]
+    fn partitioned_pipeline_matches_its_ranges() {
+        let spec = linear_stack(4);
+        let p = StagePipeline::partition(&spec, &[1, 100, 1, 1], 2).unwrap();
+        assert_eq!(p.ranges, partition_stages(&spec, &[1, 100, 1, 1], 2).unwrap());
+        assert_eq!(p.latency(), 103);
+        assert_eq!(p.interval(), *p.stage_cycles.iter().max().unwrap());
     }
 
     #[test]

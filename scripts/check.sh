@@ -58,6 +58,11 @@ cargo run --release --offline --example trainer_resume
 echo "==> mcm smoke (1->2 chiplet scaling sweep: monotone throughput, per-hop-class + simcache accounting)"
 LTS_EFFORT=quick cargo run --release --offline -p lts-bench --bin mcm_scaling
 
+echo "==> extension smoke (data, layer-pipeline and intra-layer rows; stdout byte-identical at 1 and 2 threads)"
+EXT_LOG="$(mktemp)"
+LTS_THREADS=1 cargo run --release --offline -p lts-bench --bin extension_throughput_latency | tee "$EXT_LOG"
+LTS_THREADS=2 cargo run --release --offline -q -p lts-bench --bin extension_throughput_latency | cmp - "$EXT_LOG"
+
 echo "==> quant smoke (i16 fast path: accuracy within tolerance of f32, 2 bytes/value traffic)"
 LTS_EFFORT=quick cargo run --release --offline -p lts-bench --bin quant_sweep
 
