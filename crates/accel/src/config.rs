@@ -85,4 +85,21 @@ mod tests {
         c.tn = 0;
         c.assert_valid();
     }
+
+    #[test]
+    fn default_is_the_diannao_core() {
+        assert_eq!(CoreConfig::default(), CoreConfig::diannao());
+    }
+
+    #[test]
+    #[should_panic(expected = "clock must be positive")]
+    fn zero_clock_panics() {
+        CoreConfig { clock_ghz: 0.0, ..CoreConfig::diannao() }.assert_valid();
+    }
+
+    #[test]
+    #[should_panic(expected = "dram bandwidth must be positive")]
+    fn zero_dram_bandwidth_panics() {
+        CoreConfig { dram_bytes_per_cycle: 0.0, ..CoreConfig::diannao() }.assert_valid();
+    }
 }

@@ -348,4 +348,110 @@ mod tests {
         let full = model().layer_cost(layer, 32);
         assert!(full.energy_pj > 1.5 * half.energy_pj);
     }
+
+    #[test]
+    fn linear_cycles_match_tile_formula() {
+        // 100 inputs, 10 outputs: one Tn tile of outputs, ceil(100/16) = 7
+        // input tiles, one position.
+        let spec = SpecBuilder::new("n", (100, 1, 1)).linear("ip", 10).build();
+        let c = model().layer_cost(spec.layer("ip").unwrap(), 10);
+        assert_eq!(c.compute_cycles, 7);
+        assert_eq!(c.macs, 1000);
+        assert_eq!(c.memory_cycles, 0, "resident weights, buffers not exceeded");
+        assert_eq!(c.cycles, 7);
+    }
+
+    #[test]
+    fn pool_cost_counts_window_comparisons_on_tn_lanes() {
+        // 8 channels of 8x8 pooled 2x2 -> 8 x 4 x 4 outputs, 4 compares each.
+        let spec = SpecBuilder::new("n", (8, 8, 8)).pool("p", 2, 2).build();
+        let c = model().layer_cost(spec.layer("p").unwrap(), 8);
+        let ops = 8 * 4 * 4 * 4;
+        assert_eq!(c.macs, ops);
+        assert_eq!(c.compute_cycles, ops.div_ceil(16));
+        assert_eq!(c.cycles, c.compute_cycles);
+        assert_eq!((c.memory_cycles, c.dram_bytes), (0, 0));
+        // Reads every input of its channels once, writes every output once.
+        assert_eq!(c.sram_bytes, (8 * 8 * 8 + 8 * 4 * 4) * 2);
+    }
+
+    #[test]
+    fn activation_costs_one_pass_at_tn_lanes_and_no_memory() {
+        let spec = SpecBuilder::new("n", (4, 5, 5)).relu().build();
+        let layer = &spec.layers[0];
+        let c = model().layer_cost(layer, 4);
+        assert_eq!(c.macs, 100);
+        assert_eq!(c.cycles, 100u64.div_ceil(16));
+        assert_eq!((c.dram_bytes, c.sram_bytes), (0, 0));
+        let e = ComputeEnergyModel::default();
+        assert_eq!(c.energy_pj, e.op_pj * 100.0);
+    }
+
+    #[test]
+    fn flatten_is_free() {
+        let spec = SpecBuilder::new("n", (4, 5, 5)).flatten().build();
+        let layer = &spec.layers[0];
+        assert_eq!(model().layer_cost(layer, layer.out_dims.0), LayerCost::zero());
+    }
+
+    #[test]
+    #[should_panic(expected = "assigned 33 of 32 output units")]
+    fn over_assignment_panics() {
+        let spec = SpecBuilder::new("n", (16, 8, 8)).conv("c", 32, 3, 1, 1, 1).build();
+        model().layer_cost(spec.layer("c").unwrap(), 33);
+    }
+
+    #[test]
+    fn zero_is_the_identity_of_accumulate() {
+        let spec = SpecBuilder::new("n", (16, 8, 8)).conv("c", 32, 3, 1, 1, 1).build();
+        let c = model().layer_cost(spec.layer("c").unwrap(), 32);
+        let mut total = LayerCost::zero();
+        total.accumulate(&c);
+        assert_eq!(total, c);
+        total.accumulate(&LayerCost::zero());
+        assert_eq!(total, c);
+        total.accumulate(&c);
+        assert_eq!(total.cycles, 2 * c.cycles);
+        assert_eq!(total.macs, 2 * c.macs);
+        assert_eq!(total.energy_pj, 2.0 * c.energy_pj);
+    }
+
+    #[test]
+    fn oversized_feature_maps_spill_to_dram_even_with_resident_weights() {
+        // 64 x 32 x 32 inputs = 128 KB against a 32 KB data buffer.
+        let spec = SpecBuilder::new("n", (64, 32, 32)).conv("c", 64, 3, 1, 1, 1).build();
+        let c = model().layer_cost(spec.layer("c").unwrap(), 64);
+        let input = 64 * 32 * 32 * 2u64;
+        let output = 64 * 32 * 32 * 2u64;
+        let dbuf = 32 * 1024u64;
+        assert_eq!(c.dram_bytes, (input - dbuf) + (output - dbuf));
+        assert_eq!(c.memory_cycles, (c.dram_bytes as f64 / 12.8).ceil() as u64);
+    }
+
+    #[test]
+    fn energy_is_the_weighted_sum_of_events() {
+        let energy = ComputeEnergyModel {
+            mac_pj: 1.0,
+            op_pj: 0.0,
+            sram_pj_per_byte: 2.0,
+            dram_pj_per_byte: 5.0,
+        };
+        let m = CoreModel::with_energy(CoreConfig::diannao(), energy).with_resident_weights(false);
+        let spec = SpecBuilder::new("n", (64, 1, 1)).linear("ip", 32).build();
+        let c = m.layer_cost(spec.layer("ip").unwrap(), 32);
+        assert_eq!(c.dram_bytes, 64 * 32 * 2, "streamed weights only");
+        let expected = c.macs as f64 + 2.0 * c.sram_bytes as f64 + 5.0 * c.dram_bytes as f64;
+        assert_eq!(c.energy_pj, expected);
+    }
+
+    #[test]
+    fn wider_pe_array_shortens_compute() {
+        let spec = SpecBuilder::new("n", (32, 8, 8)).conv("c", 32, 3, 1, 1, 1).build();
+        let layer = spec.layer("c").unwrap();
+        let wide = CoreModel::new(CoreConfig { tn: 32, ti: 32, ..CoreConfig::diannao() });
+        let base = model().layer_cost(layer, 32);
+        let fast = wide.layer_cost(layer, 32);
+        assert_eq!(base.macs, fast.macs, "the work is the same");
+        assert_eq!(base.compute_cycles, 4 * fast.compute_cycles);
+    }
 }

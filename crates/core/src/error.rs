@@ -79,4 +79,15 @@ mod tests {
         fn assert_bounds<T: Send + Sync>() {}
         assert_bounds::<CoreError>();
     }
+
+    #[test]
+    fn source_exposes_the_wrapped_error() {
+        let e: CoreError = PlanError::BadConfig("z".into()).into();
+        let source = e.source().expect("plan errors wrap a source");
+        assert_eq!(source.to_string(), PlanError::BadConfig("z".into()).to_string());
+        assert!(CoreError::BadConfig("w".into()).source().is_none());
+        let e: CoreError = NocError::BadConfig("y".into()).into();
+        assert!(e.source().is_some());
+        assert_eq!(CoreError::BadConfig("w".into()).to_string(), "bad experiment configuration: w");
+    }
 }

@@ -239,4 +239,42 @@ mod tests {
         assert_eq!(o, Outcome::Shed);
         assert_eq!(back, h);
     }
+
+    #[test]
+    fn every_variant_has_its_own_bucket() {
+        let h: OutcomeHistogram = Outcome::ALL
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &o)| std::iter::repeat_n(o, i + 1))
+            .collect();
+        for (i, &o) in Outcome::ALL.iter().enumerate() {
+            assert_eq!(h.count(o), i as u64 + 1, "{o}");
+        }
+        assert_eq!(h.total(), 21);
+        assert_eq!(h.successes(), 1 + 2);
+        assert_eq!(
+            h.render(),
+            "served=1 recovered=2 shed=3 deadline-miss=4 unreachable=5 cycle-limit=6"
+        );
+    }
+
+    #[test]
+    fn merging_an_empty_histogram_changes_nothing() {
+        let h: OutcomeHistogram = [Outcome::Shed, Outcome::CycleLimit].into_iter().collect();
+        let mut merged = h;
+        merged.merge(&OutcomeHistogram::default());
+        assert_eq!(merged, h);
+        let mut from_empty = OutcomeHistogram::default();
+        from_empty.merge(&h);
+        assert_eq!(from_empty, h);
+    }
+
+    #[test]
+    fn display_matches_as_str_and_failures_are_not_successes() {
+        for o in Outcome::ALL {
+            assert_eq!(o.to_string(), o.as_str());
+        }
+        assert!(!Outcome::Unreachable.is_success());
+        assert!(!Outcome::CycleLimit.is_success());
+    }
 }

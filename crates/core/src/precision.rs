@@ -66,4 +66,14 @@ mod tests {
         assert_eq!(Precision::F32.to_string(), "f32");
         assert_eq!(Precision::I16.to_string(), "i16");
     }
+
+    #[test]
+    fn precisions_round_trip_through_serde_and_differ() {
+        for p in [Precision::F32, Precision::I16] {
+            let json = serde_json::to_string(&p).unwrap();
+            assert_eq!(serde_json::from_str::<Precision>(&json).unwrap(), p);
+        }
+        assert_ne!(Precision::F32, Precision::I16);
+        assert_ne!(Precision::F32.label(), Precision::I16.label());
+    }
 }

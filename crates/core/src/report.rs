@@ -263,4 +263,24 @@ mod tests {
         assert!(s.contains("| SS_Mask* |"), "{s}");
         assert!(s.contains("* no λ kept accuracy within tolerance"), "{s}");
     }
+
+    #[test]
+    fn render_table_pads_short_rows_and_drops_extra_cells() {
+        let t = render_table(
+            &["name", "value"],
+            &[vec!["only".into()], vec!["a".into(), "b".into(), "ignored".into()]],
+        );
+        let lines: Vec<&str> = t.lines().collect();
+        assert_eq!(lines[0], "| name | value |");
+        assert_eq!(lines[1], "|------|-------|");
+        assert_eq!(lines[2], "| only |       |");
+        assert_eq!(lines[3], "| a    | b     |");
+        assert!(!t.contains("ignored"));
+    }
+
+    #[test]
+    fn render_table_without_rows_is_header_and_rule() {
+        let t = render_table(&["x", "yy"], &[]);
+        assert_eq!(t, "| x | yy |\n|---|----|");
+    }
 }

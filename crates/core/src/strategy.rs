@@ -108,4 +108,37 @@ mod tests {
     fn default_mask_power_is_linear() {
         assert_eq!(SparsityScheme::mask(), SparsityScheme::SsMask { power: 1.0 });
     }
+
+    #[test]
+    fn display_is_the_label() {
+        let strategies = [
+            Strategy::Traditional,
+            Strategy::StructureLevel { groups: 4 },
+            Strategy::Sparsified {
+                scheme: SparsityScheme::SsMask { power: 2.0 },
+                lambda: 0.1,
+                prune: PruneCriterion::RmsBelow(0.5),
+            },
+        ];
+        for s in strategies {
+            assert_eq!(s.to_string(), s.label());
+        }
+        assert_eq!(SparsityScheme::Ss.to_string(), "SS");
+        // The mask power does not change the table label.
+        assert_eq!(SparsityScheme::SsMask { power: 3.0 }.to_string(), "SS_Mask");
+    }
+
+    #[test]
+    fn strategies_round_trip_through_serde() {
+        let s = Strategy::Sparsified {
+            scheme: SparsityScheme::SsMask { power: 1.5 },
+            lambda: 0.02,
+            prune: PruneCriterion::RmsBelow(0.01),
+        };
+        let json = serde_json::to_string(&s).unwrap();
+        assert_eq!(serde_json::from_str::<Strategy>(&json).unwrap(), s);
+        let grouped = Strategy::StructureLevel { groups: 8 };
+        let json = serde_json::to_string(&grouped).unwrap();
+        assert_eq!(serde_json::from_str::<Strategy>(&json).unwrap(), grouped);
+    }
 }

@@ -128,4 +128,59 @@ mod tests {
     fn label_count_must_match() {
         Dataset::new(Tensor::zeros(Shape::d4(2, 1, 2, 2)), vec![0]);
     }
+
+    /// `n` samples of 1x2x2 whose pixels count up from zero.
+    fn counting(n: usize) -> Dataset {
+        let images =
+            Tensor::from_vec(Shape::d4(n, 1, 2, 2), (0..n * 4).map(|v| v as f32).collect())
+                .unwrap();
+        Dataset::new(images, (0..n).collect())
+    }
+
+    #[test]
+    fn empty_dataset_has_no_classes() {
+        let d = toy(0);
+        assert!(d.is_empty());
+        assert_eq!(d.classes(), 0);
+        assert!(d.take(5).is_empty());
+    }
+
+    #[test]
+    fn image_dims_drop_the_batch_axis() {
+        let d = Dataset::new(Tensor::zeros(Shape::d4(3, 2, 5, 7)), vec![0, 1, 0]);
+        assert_eq!(d.image_dims(), (2, 5, 7));
+    }
+
+    #[test]
+    fn take_keeps_the_leading_pixels_and_labels() {
+        let d = counting(5);
+        let t = d.take(2);
+        assert_eq!(t.images.as_slice(), &[0., 1., 2., 3., 4., 5., 6., 7.]);
+        assert_eq!(t.labels, vec![0, 1]);
+        assert_eq!(t.image_dims(), d.image_dims());
+    }
+
+    #[test]
+    fn split_halves_concatenate_to_the_original() {
+        let d = counting(6);
+        for k in 0..=6 {
+            let (a, b) = d.split_at(k);
+            let mut pixels = a.images.as_slice().to_vec();
+            pixels.extend_from_slice(b.images.as_slice());
+            assert_eq!(pixels, d.images.as_slice(), "split at {k}");
+            assert_eq!([a.labels, b.labels].concat(), d.labels);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond 3 samples")]
+    fn split_past_the_end_panics() {
+        toy(3).split_at(4);
+    }
+
+    #[test]
+    #[should_panic(expected = "NCHW")]
+    fn images_must_be_rank_four() {
+        Dataset::new(Tensor::zeros(Shape::d3(2, 2, 2)), vec![0, 0]);
+    }
 }

@@ -345,4 +345,63 @@ mod tests {
         assert_eq!(tt.train.len(), 12);
         assert_eq!(tt.test.len(), 6);
     }
+
+    #[test]
+    fn same_seed_and_rng_give_the_same_dataset() {
+        let a = gen(0.7).dataset(6, &mut init::rng(9));
+        let b = gen(0.7).dataset(6, &mut init::rng(9));
+        assert_eq!(a, b);
+        let c = gen(0.7).dataset(6, &mut init::rng(10));
+        assert_ne!(a.images, c.images);
+        assert_eq!(a.labels, c.labels, "labels are round-robin, not drawn");
+    }
+
+    #[test]
+    fn every_sample_is_standardized_under_noise_and_jitter() {
+        let g = SynthGenerator::new(SynthConfig::hard((3, 6, 6), 5), 11);
+        let mut rng = init::rng(4);
+        for _ in 0..10 {
+            let (img, class) = g.sample(&mut rng);
+            assert!(class < 5);
+            assert_eq!(img.shape().dims(), &[3, 6, 6]);
+            assert!(lts_tensor::stats::mean(img.as_slice()).abs() < 1e-5);
+            assert!((lts_tensor::stats::rms(img.as_slice()) - 1.0).abs() < 1e-4);
+        }
+    }
+
+    #[test]
+    fn hard_tasks_are_noisier_than_easy_ones() {
+        let easy = SynthConfig::easy((1, 8, 8), 10);
+        let hard = SynthConfig::hard((1, 8, 8), 10);
+        assert!(hard.noise_sigma > easy.noise_sigma);
+        assert!(hard.gain_jitter > easy.gain_jitter);
+        assert!(hard.translate_px > easy.translate_px);
+        assert_eq!((hard.dims, hard.classes), (easy.dims, easy.classes));
+    }
+
+    #[test]
+    fn smoothing_keeps_constants_and_lowers_variation() {
+        let flat = Tensor::full(Shape::d3(1, 4, 4), 3.0);
+        assert_eq!(smooth(&flat), flat);
+        let mut rng = init::rng(8);
+        let rough = init::normal(Shape::d3(2, 8, 8), 0.0, 1.0, &mut rng);
+        let smoothed = smooth(&rough);
+        let spread = |t: &Tensor| {
+            let m = lts_tensor::stats::mean(t.as_slice());
+            lts_tensor::stats::rms(&t.as_slice().iter().map(|v| v - m).collect::<Vec<_>>())
+        };
+        assert!(spread(&smoothed) < spread(&rough));
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one class")]
+    fn zero_classes_panics() {
+        SynthGenerator::new(SynthConfig::easy((1, 4, 4), 0), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "image must have pixels")]
+    fn pixelless_images_panic() {
+        SynthGenerator::new(SynthConfig::easy((1, 0, 4), 2), 0);
+    }
 }

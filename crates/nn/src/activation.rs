@@ -114,4 +114,23 @@ mod tests {
         r.forward(&Tensor::zeros(Shape::d1(2))).unwrap();
         assert!(r.backward(&Tensor::zeros(Shape::d1(3))).is_err());
     }
+
+    #[test]
+    fn spec_is_a_shape_preserving_activation() {
+        let r = Relu::new("act", (3, 4, 5));
+        let spec = r.spec();
+        assert_eq!(spec.name, "act");
+        assert_eq!(spec.kind, LayerKind::Activation);
+        assert_eq!((spec.in_dims, spec.out_dims), ((3, 4, 5), (3, 4, 5)));
+        assert!(!spec.has_weights());
+    }
+
+    #[test]
+    fn backward_uses_the_latest_forward() {
+        let mut r = Relu::new("r", (1, 1, 2));
+        r.forward(&Tensor::from_slice_1d(&[1.0, -1.0])).unwrap();
+        r.forward(&Tensor::from_slice_1d(&[-1.0, 1.0])).unwrap();
+        let g = r.backward(&Tensor::from_slice_1d(&[5.0, 7.0])).unwrap();
+        assert_eq!(g.as_slice(), &[0.0, 7.0]);
+    }
 }

@@ -131,4 +131,40 @@ mod tests {
         let out = softmax_cross_entropy(&logits, &[0, 0]).unwrap();
         assert_eq!(out.correct, 1);
     }
+
+    #[test]
+    fn huge_logits_stay_finite() {
+        let logits = Tensor::from_vec(Shape::d2(1, 3), vec![1000.0, 0.0, -1000.0]).unwrap();
+        let right = softmax_cross_entropy(&logits, &[0]).unwrap();
+        assert!(right.loss.is_finite() && right.loss < 1e-6);
+        assert!(right.grad.as_slice().iter().all(|g| g.is_finite()));
+        // A confidently wrong answer is capped by the probability floor.
+        let wrong = softmax_cross_entropy(&logits, &[2]).unwrap();
+        assert!(wrong.loss.is_finite());
+        assert!((wrong.loss - (1e-12f32).ln().abs()).abs() < 1e-3, "{}", wrong.loss);
+    }
+
+    #[test]
+    fn gradient_is_averaged_over_the_batch() {
+        let row = [0.4, -0.1, 0.7];
+        let one = Tensor::from_vec(Shape::d2(1, 3), row.to_vec()).unwrap();
+        let single = softmax_cross_entropy(&one, &[1]).unwrap();
+        let four = Tensor::from_vec(Shape::d2(4, 3), row.repeat(4)).unwrap();
+        let batch = softmax_cross_entropy(&four, &[1; 4]).unwrap();
+        assert!((batch.loss - single.loss).abs() < 1e-6);
+        for b in 0..4 {
+            for c in 0..3 {
+                let g = batch.grad.as_slice()[b * 3 + c];
+                assert!((4.0 * g - single.grad.as_slice()[c]).abs() < 1e-6);
+            }
+        }
+    }
+
+    #[test]
+    fn empty_batch_has_zero_correct() {
+        let logits = Tensor::zeros(Shape::d2(0, 3));
+        let out = softmax_cross_entropy(&logits, &[]).unwrap();
+        assert_eq!(out.correct, 0);
+        assert!(out.grad.is_empty());
+    }
 }

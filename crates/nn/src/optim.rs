@@ -136,4 +136,38 @@ mod tests {
         assert!((decayed.lr - 0.1).abs() < 1e-7);
         assert_eq!(decayed.momentum, 0.5);
     }
+
+    #[test]
+    fn zero_learning_rate_leaves_weights_but_clears_gradients() {
+        let opt = Sgd::new(0.0, 0.9, 0.5).unwrap();
+        let mut p = param(vec![1.0, -2.0], vec![3.0, 4.0]);
+        opt.step(&mut [&mut p]);
+        assert_eq!(p.value.as_slice(), &[1.0, -2.0]);
+        assert!(p.grad.as_slice().iter().all(|&g| g == 0.0));
+    }
+
+    #[test]
+    fn step_updates_every_parameter_given() {
+        let opt = Sgd::new(1.0, 0.0, 0.0).unwrap();
+        let mut a = param(vec![1.0], vec![0.5]);
+        let mut b = param(vec![2.0, 3.0], vec![1.0, -1.0]);
+        opt.step(&mut [&mut a, &mut b]);
+        assert_eq!(a.value.as_slice(), &[0.5]);
+        assert_eq!(b.value.as_slice(), &[1.0, 4.0]);
+    }
+
+    #[test]
+    fn every_bad_hyper_parameter_is_named() {
+        let cases = [
+            (Sgd::new(f32::INFINITY, 0.0, 0.0), "lr"),
+            (Sgd::new(0.1, -0.5, 0.0), "momentum"),
+            (Sgd::new(0.1, 0.0, -1.0), "weight_decay"),
+        ];
+        for (result, name) in cases {
+            match result {
+                Err(NnError::BadConfig(msg)) => assert!(msg.starts_with(name), "{msg}"),
+                other => panic!("{name}: expected BadConfig, got {other:?}"),
+            }
+        }
+    }
 }

@@ -150,4 +150,36 @@ mod tests {
         p.zero_grad();
         assert!(p.grad.as_slice().iter().all(|&x| x == 0.0));
     }
+
+    #[test]
+    fn freezing_accumulates_across_calls() {
+        let mut p = Param::new(Tensor::ones(Shape::d1(5)));
+        assert!(p.frozen_mask().is_none());
+        p.freeze_indices(&[0]);
+        p.freeze_indices(&[4, 0]);
+        assert_eq!(p.frozen_mask().unwrap(), &[true, false, false, false, true]);
+        assert_eq!(p.frozen_count(), 2);
+        assert_eq!(p.value.as_slice(), &[0.0, 1.0, 1.0, 1.0, 0.0]);
+    }
+
+    #[test]
+    fn apply_freeze_without_a_mask_changes_nothing() {
+        let mut p = Param::new(Tensor::full(Shape::d1(3), 2.0));
+        p.grad.fill(1.0);
+        p.apply_freeze();
+        assert_eq!(p.value.as_slice(), &[2.0; 3]);
+        assert_eq!(p.grad.as_slice(), &[1.0; 3]);
+        assert!(!p.is_frozen(2));
+    }
+
+    #[test]
+    fn zeros_builds_an_all_zero_parameter_of_the_shape() {
+        let p = Param::zeros(Shape::d2(2, 3));
+        assert_eq!(p.len(), 6);
+        assert!(!p.is_empty());
+        assert_eq!(p.grad.shape(), p.value.shape());
+        assert_eq!(p.momentum.shape(), p.value.shape());
+        assert!(p.value.as_slice().iter().all(|&v| v == 0.0));
+        assert!(Param::zeros(Shape::d1(0)).is_empty());
+    }
 }

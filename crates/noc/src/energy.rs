@@ -176,4 +176,38 @@ mod tests {
         // Zero hops still costs the endpoint events.
         assert!(m.flit_hop_energy_pj(1, 0) > 0.0);
     }
+
+    #[test]
+    fn each_component_is_count_times_coefficient() {
+        let m = EnergyModel::default();
+        let r = m.evaluate(&events(), 0, 16);
+        assert_eq!(r.buffer_pj, 100.0 * 1.6 + 100.0 * 1.2);
+        assert_eq!(r.crossbar_pj, 100.0 * 2.4);
+        assert_eq!(r.arbiter_pj, 50.0 * 0.1);
+        assert_eq!(r.link_pj, 60.0 * 2.0);
+        assert_eq!(r.leakage_pj, 0.0);
+        assert_eq!(r.dynamic_pj(), r.total_pj());
+    }
+
+    #[test]
+    fn leakage_is_power_times_makespan_times_routers() {
+        // 1 mW per router for 1000 cycles at 1 GHz on 16 routers:
+        // 1e-3 W x 1e-6 s x 16 = 16 nJ.
+        let m = EnergyModel::default();
+        let r = m.evaluate(&EventCounts::default(), 1000, 16);
+        assert!((r.leakage_pj - 16_000.0).abs() < 1e-6, "{}", r.leakage_pj);
+        // A faster clock finishes the same cycles sooner and leaks less.
+        let fast = EnergyModel { clock_ghz: 2.0, ..m }.evaluate(&EventCounts::default(), 1000, 16);
+        assert!((fast.leakage_pj - 8_000.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn flit_hop_energy_has_the_documented_closed_form() {
+        let m = EnergyModel::default();
+        let endpoint = 1.6 + 1.2 + 2.4;
+        let per_hop = 1.6 + 1.2 + 2.4 + 2.0 + 0.1;
+        assert!((m.flit_hop_energy_pj(1, 0) - endpoint).abs() < 1e-12);
+        assert!((m.flit_hop_energy_pj(3, 5) - 3.0 * (5.0 * per_hop + endpoint)).abs() < 1e-9);
+        assert_eq!(m.flit_hop_energy_pj(0, 7), 0.0);
+    }
 }

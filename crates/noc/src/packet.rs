@@ -163,4 +163,40 @@ mod tests {
         let flits: Vec<Flit> = p.flit_sequence().collect();
         assert!(flits[0].is_head && flits[0].is_tail);
     }
+
+    #[test]
+    fn empty_message_still_sends_one_flit() {
+        let config = NocConfig::paper_16core();
+        let mut next = 0;
+        let packets = packetize(0, 3, 4, 0, &config, &mut next);
+        assert_eq!(packets.len(), 1);
+        assert_eq!(packets[0].flits, 1);
+        assert_eq!(next, 1);
+    }
+
+    #[test]
+    fn packetize_into_reuses_the_buffer_and_matches_packetize() {
+        let config = NocConfig::paper_16core();
+        let mut out =
+            vec![PacketDescriptor { id: 99, message: 9, src: 9, dst: 9, flits: 9, yx: true }];
+        let mut next_a = 5;
+        packetize_into(7, 0, 15, 64 * 41, &config, &mut next_a, &mut out);
+        let mut next_b = 5;
+        assert_eq!(out, packetize(7, 0, 15, 64 * 41, &config, &mut next_b));
+        assert_eq!(next_a, next_b);
+        assert_eq!(out.iter().map(|p| p.flits).sum::<u64>(), 41);
+        let ids: Vec<PacketId> = out.iter().map(|p| p.id).collect();
+        assert_eq!(ids, vec![5, 6, 7]);
+    }
+
+    #[test]
+    fn flit_sequence_carries_packet_identity_in_order() {
+        let p = PacketDescriptor { id: 4, message: 2, src: 0, dst: 6, flits: 4, yx: true };
+        let flits: Vec<Flit> = p.flit_sequence().collect();
+        assert_eq!(flits.iter().map(|f| f.seq).collect::<Vec<_>>(), vec![0, 1, 2, 3]);
+        for f in &flits {
+            assert_eq!((f.packet, f.message, f.dst, f.yx), (4, 2, 6, true));
+            assert_eq!((f.attempt, f.poisoned), (0, false));
+        }
+    }
 }

@@ -325,4 +325,82 @@ mod tests {
         assert!(s.contains("[ 3]"), "{s}");
         assert!(s.contains("hottest link: node 0 South (9 flits)"), "{s}");
     }
+
+    fn report_with_links(link_flits: Vec<u64>) -> SimReport {
+        SimReport {
+            makespan: 10,
+            messages_delivered: 0,
+            bytes_delivered: 0,
+            flits_delivered: 0,
+            message_latencies: vec![],
+            blocked_flit_cycles: 0,
+            events: EventCounts::default(),
+            link_flits,
+            intra_chip_traversals: 0,
+            inter_chip_traversals: 0,
+            faults: FaultStats::default(),
+            cycles_simulated: 0,
+            cycles_fast_forwarded: 0,
+        }
+    }
+
+    #[test]
+    fn fault_stats_any_sees_every_counter() {
+        assert!(!FaultStats::default().any());
+        let one_each = [
+            FaultStats { flits_dropped: 1, ..FaultStats::default() },
+            FaultStats { flits_corrupted: 1, ..FaultStats::default() },
+            FaultStats { packets_rejected: 1, ..FaultStats::default() },
+            FaultStats { packets_retransmitted: 1, ..FaultStats::default() },
+            FaultStats { duplicate_packets: 1, ..FaultStats::default() },
+            FaultStats { flits_lost: 1, ..FaultStats::default() },
+        ];
+        assert!(one_each.iter().all(FaultStats::any));
+    }
+
+    #[test]
+    fn fault_stats_merge_sums_every_counter() {
+        let a = FaultStats {
+            flits_dropped: 1,
+            flits_corrupted: 2,
+            packets_rejected: 3,
+            packets_retransmitted: 4,
+            duplicate_packets: 5,
+            flits_lost: 6,
+        };
+        let mut total = FaultStats::default();
+        total.merge(&a);
+        assert_eq!(total, a, "merging into zero copies");
+        total.merge(&a);
+        assert_eq!(
+            total,
+            FaultStats {
+                flits_dropped: 2,
+                flits_corrupted: 4,
+                packets_rejected: 6,
+                packets_retransmitted: 8,
+                duplicate_packets: 10,
+                flits_lost: 12,
+            }
+        );
+    }
+
+    #[test]
+    fn evenly_loaded_links_have_unit_imbalance() {
+        let r = report_with_links(vec![5, 0, 5, 5, 0, 5]);
+        assert_eq!(r.max_link_flits(), 5);
+        assert_eq!(r.link_imbalance(), 1.0);
+        let hot = report_with_links(vec![9, 0, 1, 1, 0, 1]);
+        assert_eq!(hot.link_imbalance(), 9.0 / 3.0);
+    }
+
+    #[test]
+    fn idle_heatmap_names_no_hottest_link() {
+        let mesh = crate::topology::Mesh2d::new(2, 1);
+        let s = render_link_heatmap(&report_with_links(vec![0; 8]), &mesh);
+        assert!(s.contains("[ 0]0"), "{s}");
+        assert!(s.contains("[ 1]0"), "{s}");
+        assert!(!s.contains("hottest"), "{s}");
+        assert_eq!(s.lines().count(), 2, "header plus one mesh row: {s}");
+    }
 }

@@ -105,4 +105,36 @@ mod tests {
         let row = dense_volumes(&alexnet_spec(), 16).unwrap();
         assert!(row.layer("conv1").is_none());
     }
+
+    #[test]
+    fn format_bytes_switches_units_at_the_binary_boundaries() {
+        assert_eq!(format_bytes(0), "0B");
+        assert_eq!(format_bytes(1023), "1023B");
+        assert_eq!(format_bytes(1024), "1K");
+        assert_eq!(format_bytes(1024 * 1024 - 1), "1024K");
+        assert_eq!(format_bytes(1024 * 1024), "1.0M");
+        assert_eq!(format_bytes(1536 * 1024), "1.5M");
+    }
+
+    #[test]
+    fn one_core_moves_no_data() {
+        let row = dense_volumes(&lenet_spec(), 1).unwrap();
+        assert_eq!(row.total(), 0, "{row:?}");
+        assert_eq!(row.network, lenet_spec().name);
+    }
+
+    #[test]
+    fn total_sums_the_rows_and_lookup_misses_unknown_layers() {
+        let row =
+            VolumeRow { network: "toy".into(), layers: vec![("a".into(), 10), ("b".into(), 32)] };
+        assert_eq!(row.total(), 42);
+        assert_eq!(row.layer("b"), Some(32));
+        assert_eq!(row.layer("c"), None);
+        assert_eq!(VolumeRow { network: "none".into(), layers: vec![] }.total(), 0);
+    }
+
+    #[test]
+    fn zero_cores_is_a_typed_error() {
+        assert!(dense_volumes(&lenet_spec(), 0).is_err());
+    }
 }

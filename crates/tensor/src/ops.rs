@@ -153,4 +153,26 @@ mod tests {
         assert_eq!(argmax(&[]), None);
         assert_eq!(argmax(&[-5.0]), Some((0, -5.0)));
     }
+
+    #[test]
+    fn same_length_different_shape_is_a_mismatch() {
+        let a = Tensor::zeros(Shape::d2(2, 3));
+        let b = Tensor::zeros(Shape::d2(3, 2));
+        for result in [add(&a, &b), sub(&a, &b), mul(&a, &b)] {
+            assert!(matches!(result, Err(TensorError::ShapeMismatch { .. })));
+        }
+    }
+
+    #[test]
+    fn failed_axpy_leaves_the_target_untouched() {
+        let x = t(&[1.0, 1.0, 1.0]);
+        let mut y = t(&[1.0, 2.0]);
+        assert!(axpy(2.0, &x, &mut y).is_err());
+        assert_eq!(y.as_slice(), &[1.0, 2.0]);
+    }
+
+    #[test]
+    fn argmax_of_all_negative_values_is_the_least_negative() {
+        assert_eq!(argmax(&[-3.0, -1.0, -2.0, -1.0]), Some((1, -1.0)));
+    }
 }

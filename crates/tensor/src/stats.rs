@@ -97,4 +97,34 @@ mod tests {
     fn mean_is_average() {
         assert_eq!(mean(&[1.0, 2.0, 3.0]), 2.0);
     }
+
+    #[test]
+    fn norms_accumulate_in_double_precision() {
+        // Squares of 1e20 overflow f32; the f64 accumulator does not.
+        let big = [1e20f32, 1e20];
+        let l2 = l2_norm(&big);
+        assert!(l2.is_finite());
+        assert!((l2 / 1e20 - 2f32.sqrt()).abs() < 1e-6);
+        assert!((rms(&big) / 1e20 - 1.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn tensor_l2_matches_the_flat_norm() {
+        let t = Tensor::from_vec(crate::Shape::d2(2, 2), vec![1.0, 2.0, 2.0, 4.0]).unwrap();
+        assert_eq!(tensor_l2(&t), l2_norm(t.as_slice()));
+        assert_eq!(tensor_l2(&t), 5.0);
+    }
+
+    #[test]
+    fn empty_slices_have_zero_statistics() {
+        assert_eq!(l1_norm(&[]), 0.0);
+        assert_eq!(mean(&[]), 0.0);
+        assert_eq!(count_zeros(&[]), 0);
+    }
+
+    #[test]
+    fn negative_zero_counts_as_zero() {
+        assert_eq!(count_zeros(&[-0.0, 0.0, 1.0]), 2);
+        assert!(is_all_zero(&[-0.0]));
+    }
 }
