@@ -86,12 +86,14 @@ pub fn sum(a: &Tensor) -> f32 {
 
 /// Index and value of the maximum element of a flat slice.
 ///
-/// Ties resolve to the lowest index; an empty slice yields `None`.
+/// Ties resolve to the lowest index; an empty slice yields `None`. A NaN
+/// never beats a finite value, wherever it sits: it is the result only
+/// when every element is NaN, and then the first one is.
 pub fn argmax(values: &[f32]) -> Option<(usize, f32)> {
     let mut best: Option<(usize, f32)> = None;
     for (i, &v) in values.iter().enumerate() {
         match best {
-            Some((_, bv)) if v <= bv => {}
+            Some((_, bv)) if v <= bv || v.is_nan() => {}
             _ => best = Some((i, v)),
         }
     }
@@ -174,5 +176,15 @@ mod tests {
     #[test]
     fn argmax_of_all_negative_values_is_the_least_negative() {
         assert_eq!(argmax(&[-3.0, -1.0, -2.0, -1.0]), Some((1, -1.0)));
+    }
+
+    #[test]
+    fn argmax_never_lets_a_nan_beat_a_finite_value() {
+        assert_eq!(argmax(&[1.0, f32::NAN]), Some((0, 1.0)));
+        assert_eq!(argmax(&[f32::NAN, 1.0]), Some((1, 1.0)));
+        assert_eq!(argmax(&[2.0, f32::NAN, 3.0, f32::NAN]), Some((2, 3.0)));
+        let (i, v) = argmax(&[f32::NAN, f32::NAN]).unwrap();
+        assert_eq!(i, 0);
+        assert!(v.is_nan());
     }
 }
