@@ -23,6 +23,8 @@
 //! Results are bit-reproducible at any `LTS_THREADS`: schedules are
 //! stateless hash draws and the NoC simulator is single-threaded.
 
+use lts_bench::effort_from_env;
+use lts_core::experiment::EffortPreset;
 use lts_core::fault_matrix::{self, Row, Slice};
 use lts_core::report::render_table;
 use lts_core::simcache;
@@ -32,12 +34,8 @@ use lts_core::OutcomeHistogram;
 const SEED: u64 = 2019;
 
 fn main() {
-    let effort = std::env::var("LTS_EFFORT").unwrap_or_else(|_| "paper".into());
-    let quick = match effort.as_str() {
-        "quick" => true,
-        "paper" => false,
-        other => panic!("LTS_EFFORT must be `quick` or `paper`, got `{other}`"),
-    };
+    let quick = effort_from_env() == EffortPreset::quick();
+    let effort = if quick { "quick" } else { "paper" };
     println!("=== Learn-to-Scale reproduction: fault matrix (inference faults) ===");
     println!("(effort: {effort}, seed {SEED})\n");
 

@@ -21,6 +21,8 @@
 //! Results are bit-reproducible at any `LTS_THREADS`: arrivals are
 //! stateless hash draws and the serving event loop is single-threaded.
 
+use lts_bench::effort_from_env;
+use lts_core::experiment::EffortPreset;
 use lts_core::serve::service_capacity_rpmc;
 use lts_core::simcache::{self, SimUsage};
 use lts_core::{
@@ -74,7 +76,7 @@ fn poisson_cell(
     Cell { label: label.to_string(), config, contract }
 }
 
-fn cells(effort: &str, horizon: u64) -> Vec<Cell> {
+fn cells(quick: bool, horizon: u64) -> Vec<Cell> {
     let mut cells = vec![
         poisson_cell(
             "poisson-0.4x/traditional",
@@ -148,7 +150,7 @@ fn cells(effort: &str, horizon: u64) -> Vec<Cell> {
             c
         },
     ];
-    if effort == "paper" {
+    if !quick {
         cells.push(poisson_cell(
             "poisson-0.4x/ss",
             0.4,
@@ -249,19 +251,15 @@ fn check(cell: &Cell, r: &ServingReport) -> Vec<String> {
 }
 
 fn main() {
-    let effort = std::env::var("LTS_EFFORT").unwrap_or_else(|_| "paper".into());
-    let horizon = match effort.as_str() {
-        "quick" => 4_000_000u64,
-        "paper" => 6_000_000,
-        other => panic!("LTS_EFFORT must be `quick` or `paper`, got `{other}`"),
-    };
+    let quick = effort_from_env() == EffortPreset::quick();
+    let (effort, horizon) = if quick { ("quick", 4_000_000u64) } else { ("paper", 6_000_000) };
     println!("=== Learn-to-Scale reproduction: online serving sweep (fail-operational) ===");
     println!("(effort: {effort}, {horizon}-cycle horizon, seed 2019)");
 
     simcache::reset();
     let mut sim = SimUsage::default();
     let mut violations: Vec<String> = Vec::new();
-    let cells = cells(&effort, horizon);
+    let cells = cells(quick, horizon);
     let mut rows: Vec<(String, ServingReport)> = Vec::new();
     for cell in &cells {
         let r = run_serving(&cell.config).expect("serving run");
