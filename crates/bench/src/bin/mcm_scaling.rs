@@ -27,7 +27,7 @@ const CORES_PER_CHIPLET: usize = 16;
 
 fn main() {
     let preset = effort_from_env();
-    banner("Extension — multi-chip-module throughput scaling", &preset);
+    banner("Extension — multi-chip-module throughput scaling", Some(&preset));
     let counts: &[usize] = if preset == EffortPreset::quick() { &[1, 2] } else { &[1, 2, 4, 8] };
     simcache::reset();
     let mut sim = SimUsage::default();

@@ -24,7 +24,7 @@ use lts_nn::{models, Network};
 
 fn main() {
     let preset = effort_from_env();
-    banner("quantization sweep — i16 fast path vs f32 reference", &preset);
+    banner("quantization sweep — i16 fast path vs f32 reference", Some(&preset));
     let mnist = presets::synth_mnist(preset.train_samples, preset.test_samples, preset.seed);
     let imagenet =
         presets::synth_imagenet10(preset.train_samples, preset.test_samples, preset.seed);

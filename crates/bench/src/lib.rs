@@ -1,10 +1,12 @@
-//! Shared helpers for the benchmark/regeneration binaries.
+//! Shared helpers for the regeneration binaries.
 //!
-//! Every binary regenerates one table or figure of the paper; see
-//! `DESIGN.md` for the experiment index and `EXPERIMENTS.md` for recorded
-//! paper-vs-measured values. The effort level is chosen with the
+//! `paper_tables` regenerates the paper's tables and figures by name; the
+//! other binaries sweep the extensions (faults, serving, multi-chip
+//! packages, quantization, ablations) and `bench_history` judges host
+//! time. See `DESIGN.md` for the experiment index and `EXPERIMENTS.md` for
+//! recorded paper-vs-measured values. The effort level is chosen with the
 //! `LTS_EFFORT` environment variable (`quick` or `paper`, default
-//! `paper`).
+//! `paper`), parsed once by [`effort_from_env`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,13 +28,17 @@ pub fn effort_from_env() -> EffortPreset {
     }
 }
 
-/// Prints the standard experiment banner.
-pub fn banner(what: &str, preset: &EffortPreset) {
+/// Prints the standard experiment banner, with the training effort when
+/// the run trains networks.
+pub fn banner(what: &str, preset: Option<&EffortPreset>) {
     println!("=== Learn-to-Scale reproduction: {what} ===");
-    println!(
-        "(effort: {} train / {} test samples, {} epochs, seed {})\n",
-        preset.train_samples, preset.test_samples, preset.epochs, preset.seed
-    );
+    if let Some(p) = preset {
+        println!(
+            "(effort: {} train / {} test samples, {} epochs, seed {})",
+            p.train_samples, p.test_samples, p.epochs, p.seed
+        );
+    }
+    println!();
 }
 
 #[cfg(test)]

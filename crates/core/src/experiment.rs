@@ -1,11 +1,18 @@
-//! One runner per table/figure of the paper's evaluation section.
+//! The paper's results as one list of named tables.
 //!
-//! Every runner is deterministic in its [`EffortPreset`] and returns plain
-//! data rows; the `lts-bench` binaries print them in the paper's layout
-//! and `EXPERIMENTS.md` records paper-vs-measured values.
+//! [`PAPER_TABLES`] lists the §III-B communication share, Table I,
+//! Tables III–VI, Fig. 6(b) and two extensions (the combined strategy and
+//! the throughput/latency tradeoff). Each table runs deterministically in
+//! its [`EffortPreset`] into [`TableRows`], which render in the paper's
+//! layout ([`TableRows::render`]) and check the table's shape claim
+//! ([`TableRows::violations`]). `paper_tables <table>…` in `lts-bench`
+//! runs them, and `EXPERIMENTS.md` records paper-vs-measured values.
 
 use crate::pipeline::{
-    plan_for_precision, train_baseline, train_sparsified, PipelineConfig, SparsifiedOutcome,
+    plan_for_precision, train_baseline, train_sparsified, PipelineConfig, TrainedOutcome,
+};
+use crate::report::{
+    render_group_matrix, render_table, render_table1, render_table3, render_table4,
 };
 use crate::strategy::SparsityScheme;
 use crate::system::{SystemModel, SystemReport};
@@ -103,6 +110,324 @@ pub mod train_presets {
 }
 
 // ---------------------------------------------------------------------------
+// The table list
+// ---------------------------------------------------------------------------
+
+/// One of the paper's results.
+#[derive(Debug, Clone, Copy)]
+pub struct PaperTable {
+    /// The selector name (`table3`, `fig6`, …).
+    pub name: &'static str,
+    /// Whether the table trains networks, and so depends on the preset;
+    /// the others are analytic plus simulation.
+    pub trains: bool,
+    /// Runs the table (propagating training/plan/simulation errors).
+    pub run: fn(&EffortPreset) -> Result<TableRows>,
+}
+
+const fn table(
+    name: &'static str,
+    trains: bool,
+    run: fn(&EffortPreset) -> Result<TableRows>,
+) -> PaperTable {
+    PaperTable { name, trains, run }
+}
+
+/// Every table, in the order the paper tells its claims.
+pub const PAPER_TABLES: [PaperTable; 9] = [
+    table("motivation", false, |_| motivation_comm_share().map(TableRows::Motivation)),
+    table("table1", false, |_| table1_rows(16).map(TableRows::Table1)),
+    table("table3", true, |p| table3_rows(p).map(TableRows::Table3)),
+    table("table4", true, |p| table4_rows(p).map(TableRows::Table4)),
+    table("table5", true, |p| table5_rows(p).map(TableRows::Table5)),
+    table("table6", true, |p| table6_rows(p).map(TableRows::Table6)),
+    table("fig6", true, |p| fig6_matrix(p).map(TableRows::Fig6)),
+    table("combined", true, |p| combined_strategy_rows(p).map(TableRows::Combined)),
+    table("tradeoff", false, |_| {
+        let specs = [lts_nn::descriptor::lenet_spec(), lts_nn::descriptor::alexnet_spec()];
+        let nets = specs.iter().map(|s| Ok((s.name.clone(), parallelism_tradeoff(s, 16)?)));
+        nets.collect::<Result<_>>().map(TableRows::Tradeoff)
+    }),
+];
+
+/// The rows one [`PaperTable`] produced.
+#[derive(Debug, Clone, PartialEq)]
+pub enum TableRows {
+    /// AlexNet's single-pass report on 16 cores.
+    Motivation(SystemReport),
+    /// One volume row per network.
+    Table1(Vec<VolumeRow>),
+    /// Parallel#1, #2 and #3 on 16 cores.
+    Table3(Vec<StructureRow>),
+    /// Baseline, SS and SS_Mask per network.
+    Table4(Vec<SparsifiedRow>),
+    /// Parallel#3 against Parallel#1 per core count.
+    Table5(Vec<StructureRow>),
+    /// Baseline, SS and SS_Mask per core count.
+    Table6(Vec<SparsifiedRow>),
+    /// The ip2 group-norm matrix.
+    Fig6(GroupMatrix),
+    /// Traditional, Grouped and Grouped+SS_Mask.
+    Combined(Vec<SparsifiedRow>),
+    /// Data, layer-pipeline and model rows per network.
+    Tradeoff(Vec<(String, Vec<ParallelismRow>)>),
+}
+
+/// The mesh Fig. 6(b)'s 16 cores sit on.
+fn fig6_mesh() -> lts_noc::Mesh2d {
+    lts_noc::Mesh2d::new(4, 4)
+}
+
+impl TableRows {
+    /// A caption, the rows in the paper's layout, and the paper's values
+    /// (or, for an extension, the expected shape) for comparison.
+    pub fn render(&self) -> String {
+        let (title, body, paper) = match self {
+            Self::Motivation(r) => {
+                let layers: Vec<Vec<String>> = r
+                    .layers
+                    .iter()
+                    .filter(|l| l.compute_cycles > 0 || l.comm_cycles > 0)
+                    .map(|l| {
+                        let cycles = [l.compute_cycles, l.comm_cycles, l.traffic_bytes];
+                        [l.name.clone()].into_iter().chain(cycles.map(|c| c.to_string())).collect()
+                    })
+                    .collect();
+                let body = format!(
+                    "single-pass latency: {} cycles ({} compute + {} communication)\n\
+                     communication share: {:.1}%\n{}",
+                    r.total_cycles,
+                    r.compute_cycles,
+                    r.comm_cycles,
+                    r.comm_share() * 100.0,
+                    render_table(&["Layer", "Compute", "Comm", "Traffic (B)"], &layers)
+                );
+                let title = "§III-B — AlexNet communication share (16 cores)";
+                (title, body, "Paper: ~23% of the single pass is communication.")
+            }
+            Self::Table1(rows) => (
+                "Table I — data moving volume (traditional, 16 cores)",
+                render_table1(rows),
+                "Paper (bytes; the formula is documented in EXPERIMENTS.md):
+  MLP      Ip1 28K  Ip2/3 17K
+  LeNet    Conv2 225K  Ip1 57K  Ip2/3 29K
+  ConvNet  Conv2 450K  Conv3 113K  Ip1 57K
+  AlexNet  Conv2 2M  Conv3 2.4M  Conv4 1.8M  Conv5 1.8M  Ip1 450K  Ip2/3 57K
+  VGG19    Conv2 42M  Conv3 22M  Conv4 11M  Conv5 5.4M  Ip1 1.4M  Ip2/3 57K",
+            ),
+            Self::Table3(rows) => (
+                "Table III / Fig. 7 — structure-level parallelization (16 cores)",
+                render_table3(rows),
+                "Paper: Parallel#1 acc 0.726 1x | Parallel#2 acc 0.698 4.9x | Parallel#3 acc 0.742 4.6x
+Paper Fig. 7: comm energy reduction 91% (#2), 88% (#3)",
+            ),
+            Self::Table4(rows) => (
+                "Table IV — communication-aware sparsified parallelization (16 cores)",
+                render_table4(rows),
+                "Paper (accuracy / traffic / speedup / energy reduction):
+  MLP      SS 98.38% 30% 1.40x 59%   SS_Mask 98.36% 11% 1.59x 81%
+  LeNet    SS 98.98% 82% 1.20x 15%   SS_Mask 98.60% 23% 1.51x 89%
+  ConvNet  SS 80.15% 46% 1.19x 25%   SS_Mask 79.61% 35% 1.32x 55%
+  CaffeNet SS 55.02% 98% 1.02x 17%   SS_Mask 54.21% 57% 1.10x 38%",
+            ),
+            Self::Table5(rows) => (
+                "Table V / Fig. 8 — structure-level scalability (Parallel#3)",
+                render_table3(rows),
+                "Paper: 4 cores 0.694 2.7x | 8 cores 0.718 4.6x | 16 cores 0.742 6.0x | 32 cores 0.722 6.9x
+Paper Fig. 8: computation speedup/energy grow with cores; communication series stay roughly flat.",
+            ),
+            Self::Table6(rows) => (
+                "Table VI — sparsified parallelization of LeNet on 8 and 32 cores",
+                render_table4(rows),
+                "Paper (accuracy / traffic / speedup / energy reduction):
+  8 cores  SS 98.9% 80% 1.20x 10%   SS_Mask 98.9% 68% 1.22x 32%
+  32 cores SS 98.7% 32% 1.49x 34%   SS_Mask 98.6% 18% 1.58x 56%",
+            ),
+            Self::Fig6(m) => {
+                let mesh = fig6_mesh();
+                let body = format!(
+                    "{}mean hop distance of surviving off-diagonal groups: {:.2} (mesh mean: {:.2})",
+                    render_group_matrix(m),
+                    m.mean_surviving_distance(&mesh),
+                    mesh.mean_distance()
+                );
+                let title = "Fig. 6(b) — final group-level weight matrix (MLP/ip2, SS_Mask, 16 cores)";
+                (title, body, "Paper: diagonal groups survive; long-distance groups are pruned away.")
+            }
+            Self::Combined(rows) => (
+                "Extension — Grouped + SS_Mask combined (ConvNet, 16 cores)",
+                render_table4(rows),
+                "Expected shape: grouping removes the conv transitions; SS_Mask then
+removes most of what remains (the FC transition), compounding the win.",
+            ),
+            Self::Tradeoff(nets) => {
+                let mut lines = Vec::new();
+                for (name, rows) in nets {
+                    lines.push(format!("{name}:"));
+                    lines.extend(rows.iter().map(|r| {
+                        let imbalance = r
+                            .imbalance
+                            .map_or_else(String::new, |x| format!("   load imbalance {x:.2}x"));
+                        format!(
+                            "  {:<26} latency {:>9} cycles   throughput {:>8.2} inf/Mcycle{imbalance}",
+                            r.mode, r.latency_cycles, r.throughput_per_mcycle
+                        )
+                    }));
+                }
+                (
+                    "Extension — data vs layer-pipeline vs model parallelism (16 cores)",
+                    lines.join("\n"),
+                    "Expected shape: model parallelism answers sooner at lower peak throughput; the
+layer pipeline keeps one core's latency (a lower bound: stage transfers are
+free here), and its slowest stage runs above the mean.",
+                )
+            }
+        };
+        format!("{title}\n{body}\n{paper}")
+    }
+
+    /// The parts of the table's shape claim its rows break; empty when they
+    /// keep it. Table IV claims nothing yet: its shape does not reproduce
+    /// (ROADMAP item 1).
+    pub fn violations(&self) -> Vec<String> {
+        // (holds, claim) per check. A missing row reads NaN, which fails.
+        let checks: Vec<(bool, String)> = match self {
+            Self::Motivation(r) => {
+                let share = r.comm_share();
+                vec![((share - 0.23).abs() <= 0.05, format!("share {share:.3} is 0.23 ± 0.05"))]
+            }
+            Self::Table1(rows) => {
+                let total = |n: &str| rows.iter().find(|r| r.network == n).map(VolumeRow::total);
+                let order = ["VGG19", "AlexNet", "ConvNet", "LeNet", "MLP"];
+                let check = |w: &[&str]| {
+                    let ok = total(w[1]).is_some() && total(w[0]) > total(w[1]);
+                    (ok, format!("{} total > {} total", w[0], w[1]))
+                };
+                order.windows(2).map(check).collect()
+            }
+            Self::Table3(rows) => {
+                let speedup =
+                    |n: &str| rows.iter().find(|r| r.name == n).map_or(f64::NAN, |r| r.speedup);
+                let (p2, p3) = (speedup("Parallel#2"), speedup("Parallel#3"));
+                vec![(p2 >= p3 && p3 > 1.0, format!("speedup #2 {p2:.3} >= #3 {p3:.3} > 1"))]
+            }
+            Self::Table4(_) => Vec::new(),
+            Self::Table5(rows) => {
+                let per_core = |r: &StructureRow| r.speedup / r.cores as f64;
+                let check = |w: &[StructureRow]| {
+                    let ok = w[1].speedup > w[0].speedup && per_core(&w[1]) < per_core(&w[0]);
+                    (
+                        ok,
+                        format!(
+                            "speedup rises sublinearly from {} to {} cores",
+                            w[0].cores, w[1].cores
+                        ),
+                    )
+                };
+                rows.windows(2).map(check).collect()
+            }
+            Self::Table6(rows) => {
+                let traffic = |cores: usize, scheme: &str| {
+                    let row = rows.iter().find(|r| r.cores == cores && r.scheme == scheme);
+                    row.map_or(f64::NAN, |r| r.traffic_rate)
+                };
+                let (ss8, mask8) = (traffic(8, "SS"), traffic(8, "SS_Mask"));
+                let (ss32, mask32) = (traffic(32, "SS"), traffic(32, "SS_Mask"));
+                vec![
+                    (mask8 < ss8, format!("8 cores: SS_Mask traffic {mask8:.3} < SS {ss8:.3}")),
+                    (
+                        mask32 < ss32,
+                        format!("32 cores: SS_Mask traffic {mask32:.3} < SS {ss32:.3}"),
+                    ),
+                    (mask32 < mask8, "SS_Mask traffic falls from 8 to 32 cores".into()),
+                ]
+            }
+            Self::Fig6(m) => {
+                let mesh = fig6_mesh();
+                let (d, mean) = (m.mean_surviving_distance(&mesh), mesh.mean_distance());
+                vec![(d < mean, format!("surviving distance {d:.2} < mesh mean {mean:.2}"))]
+            }
+            Self::Combined(rows) => {
+                let t: Vec<f64> = rows.iter().map(|r| r.traffic_rate).collect();
+                let ok = t.len() == 3 && t.windows(2).all(|w| w[1] < w[0]);
+                vec![(ok, format!("traffic {t:?} falls Traditional > Grouped > Grouped+SS_Mask"))]
+            }
+            Self::Tradeoff(nets) => nets
+                .iter()
+                .flat_map(|(name, rows)| {
+                    let [data, pipe, model] = &rows[..] else {
+                        return vec![(false, format!("{name}: data, pipeline and model rows"))];
+                    };
+                    vec![
+                        (
+                            model.latency_cycles < data.latency_cycles,
+                            format!("{name}: model latency < data"),
+                        ),
+                        (
+                            model.throughput_per_mcycle < data.throughput_per_mcycle,
+                            format!("{name}: model throughput < data"),
+                        ),
+                        (
+                            pipe.imbalance.is_some_and(|x| x > 1.0),
+                            format!("{name}: pipeline imbalance > 1"),
+                        ),
+                    ]
+                })
+                .collect(),
+        };
+        checks
+            .into_iter()
+            .filter(|(ok, _)| !ok)
+            .map(|(_, claim)| format!("claim does not hold: {claim}"))
+            .collect()
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Shared steps of the trained tables
+// ---------------------------------------------------------------------------
+
+/// One trained network's test accuracy and single-pass report.
+struct Pass {
+    accuracy: f32,
+    report: SystemReport,
+}
+
+/// Plans a trained network at the configured precision (sparsity-aware
+/// when `sparse`) and simulates one pass on `model`.
+fn simulate(
+    model: &SystemModel,
+    network: &Network,
+    sparse: bool,
+    config: &PipelineConfig,
+) -> Result<SystemReport> {
+    model.evaluate(&plan_for_precision(network, model.cores(), sparse, true, config.precision)?)
+}
+
+/// Trains `network` densely, or with the group Lasso of `sparsify`'s
+/// `(scheme, λ, prune rule)` then pruned, and [`simulate`]s it.
+fn train_and_simulate(
+    network: Network,
+    data: &TrainTest,
+    config: &PipelineConfig,
+    model: &SystemModel,
+    sparsify: Option<(SparsityScheme, f32, PruneCriterion)>,
+) -> Result<Pass> {
+    let (network, accuracy) = match sparsify {
+        None => {
+            let o = train_baseline(network, data, config)?;
+            (o.network, o.test_accuracy)
+        }
+        Some((scheme, lambda, prune)) => {
+            let o = train_sparsified(network, data, config, model.cores(), scheme, lambda, prune)?;
+            (o.network, o.test_accuracy)
+        }
+    };
+    let report = simulate(model, &network, sparsify.is_some(), config)?;
+    Ok(Pass { accuracy, report })
+}
+
+// ---------------------------------------------------------------------------
 // Table I
 // ---------------------------------------------------------------------------
 
@@ -126,21 +451,23 @@ pub fn table1_rows(cores: usize) -> Result<Vec<VolumeRow>> {
 }
 
 // ---------------------------------------------------------------------------
-// Table III / Fig. 7 — structure-level parallelization
+// Table III / Fig. 7 and Table V / Fig. 8 — structure-level parallelization
 // ---------------------------------------------------------------------------
 
-/// One Table III row.
+/// One Table III or Table V row.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StructureRow {
     /// Variant name (Parallel#1/2/3).
     pub name: String,
+    /// Core count.
+    pub cores: usize,
     /// Conv kernel counts (conv1-conv2-conv3).
     pub kernels: [usize; 3],
     /// Grouping degree `n`.
     pub groups: usize,
     /// Test accuracy.
     pub accuracy: f32,
-    /// Single-pass speedup vs Parallel#1.
+    /// Single-pass speedup vs Parallel#1 on the same core count.
     pub speedup: f64,
     /// Normalized communication speedup vs Parallel#1 (Fig. 7 right axis
     /// counterpart; ∞ when the variant eliminates all traffic).
@@ -151,88 +478,113 @@ pub struct StructureRow {
     pub total_energy_reduction: f64,
 }
 
+/// Parallel#1's and #2's conv kernel counts; Parallel#3 widens them.
+const KERNELS: [usize; 3] = [64, 128, 256];
+/// Parallel#3's wider kernels, which buy back the accuracy grouping costs.
+const WIDE_KERNELS: [usize; 3] = [64, 160, 320];
+
+/// The ImageNet10 stand-in and the ConvNet training configuration the
+/// structure-level tables and the combined extension share.
+fn imagenet10(preset: &EffortPreset) -> (TrainTest, PipelineConfig) {
+    let (lr, mul) = train_presets::CONVNET;
+    (
+        presets::synth_imagenet10(preset.train_samples, preset.test_samples, preset.seed),
+        preset.pipeline_config_with(lr, mul),
+    )
+}
+
+/// A ConvNet variant: its name, conv kernel counts and grouping degree.
+type Variant = (&'static str, [usize; 3], usize);
+
+impl StructureRow {
+    /// `variant` on `cores` cores, compared with Parallel#1's `base`.
+    fn versus(
+        (name, kernels, groups): Variant,
+        cores: usize,
+        pass: &Pass,
+        base: &SystemReport,
+    ) -> Self {
+        let report = &pass.report;
+        Self {
+            name: name.into(),
+            cores,
+            kernels,
+            groups,
+            accuracy: pass.accuracy,
+            speedup: report.speedup_vs(base),
+            comm_speedup: if report.comm_cycles == 0 {
+                f64::INFINITY
+            } else {
+                base.comm_cycles as f64 / report.comm_cycles as f64
+            },
+            comm_energy_reduction: report.noc_energy_reduction_vs(base),
+            total_energy_reduction: 1.0
+                - report.total_energy_pj() / base.total_energy_pj().max(f64::MIN_POSITIVE),
+        }
+    }
+}
+
 /// Table III / Fig. 7: the three ConvNet variants on 16 cores.
 ///
 /// # Errors
 ///
 /// Propagates training/plan/simulation errors.
 pub fn table3_rows(preset: &EffortPreset) -> Result<Vec<StructureRow>> {
-    let (lr, mul) = train_presets::CONVNET;
-    table3_rows_with_config(preset, &preset.pipeline_config_with(lr, mul))
+    let (data, config) = imagenet10(preset);
+    let cores = 16;
+    let model = SystemModel::paper(cores)?;
+    let variants: [Variant; 3] = [
+        ("Parallel#1", KERNELS, 1),
+        ("Parallel#2", KERNELS, cores),
+        ("Parallel#3", WIDE_KERNELS, cores),
+    ];
+    let mut rows = Vec::with_capacity(variants.len());
+    let mut base = None;
+    for variant @ (_, kernels, groups) in variants {
+        let network = models::convnet_variant(kernels, groups, preset.seed)?;
+        let pass = train_and_simulate(network, &data, &config, &model, None)?;
+        let base = base.get_or_insert_with(|| pass.report.clone());
+        rows.push(StructureRow::versus(variant, cores, &pass, base));
+    }
+    Ok(rows)
 }
 
-/// [`table3_rows`] under an explicit pipeline configuration — the hook the
-/// quantization sweep uses to rerun the structure-level strategy at
-/// another deployment precision.
+/// Table V / Fig. 8: Parallel#3 on 4, 8, 16 and 32 cores, each against
+/// Parallel#1 on the same core count. Parallel#1 has one group whatever
+/// the core count, so it trains once and is simulated on each.
 ///
 /// # Errors
 ///
 /// Propagates training/plan/simulation errors.
-pub fn table3_rows_with_config(
-    preset: &EffortPreset,
-    config: &PipelineConfig,
-) -> Result<Vec<StructureRow>> {
-    structure_rows_for_cores(preset, config, 16, true)
-}
-
-fn structure_rows_for_cores(
-    preset: &EffortPreset,
-    config: &PipelineConfig,
-    cores: usize,
-    include_parallel2: bool,
-) -> Result<Vec<StructureRow>> {
-    let data = presets::synth_imagenet10(preset.train_samples, preset.test_samples, preset.seed);
-    let config = *config;
-    let model = SystemModel::paper(cores)?;
-
-    let mut variants: Vec<(String, [usize; 3], usize)> =
-        vec![("Parallel#1".into(), [64, 128, 256], 1)];
-    if include_parallel2 {
-        variants.push(("Parallel#2".into(), [64, 128, 256], cores));
-    }
-    variants.push(("Parallel#3".into(), [64, 160, 320], cores));
-
-    let mut rows = Vec::with_capacity(variants.len());
-    let mut baseline_report: Option<SystemReport> = None;
-    for (name, kernels, groups) in variants {
-        let _variant_probe = lts_obs::span(&format!("experiment.variant.{name}"));
-        let net = models::convnet_variant(kernels, groups, preset.seed)?;
-        let outcome = train_baseline(net, &data, &config)?;
-        let plan = plan_for_precision(&outcome.network, cores, false, true, config.precision)?;
-        let report = model.evaluate(&plan)?;
-        let base = baseline_report.get_or_insert_with(|| report.clone());
-        let comm_speedup = if report.comm_cycles == 0 {
-            f64::INFINITY
-        } else {
-            base.comm_cycles as f64 / report.comm_cycles as f64
-        };
-        rows.push(StructureRow {
-            name,
-            kernels,
-            groups,
-            accuracy: outcome.test_accuracy,
-            speedup: report.speedup_vs(base),
-            comm_speedup,
-            comm_energy_reduction: report.noc_energy_reduction_vs(base),
-            total_energy_reduction: 1.0
-                - report.total_energy_pj() / base.total_energy_pj().max(f64::MIN_POSITIVE),
-        });
-    }
-    Ok(rows)
+pub fn table5_rows(preset: &EffortPreset) -> Result<Vec<StructureRow>> {
+    let (data, config) = imagenet10(preset);
+    let parallel1 =
+        train_baseline(models::convnet_variant(KERNELS, 1, preset.seed)?, &data, &config)?;
+    // Each core count is an independent train+simulate run; fan them out
+    // on the engine and collect in fixed core-count order.
+    par::par_map(&[4usize, 8, 16, 32], |_, &cores| {
+        let model = SystemModel::paper(cores)?;
+        let base = simulate(&model, &parallel1.network, false, &config)?;
+        let network = models::convnet_variant(WIDE_KERNELS, cores, preset.seed)?;
+        let pass = train_and_simulate(network, &data, &config, &model, None)?;
+        Ok(StructureRow::versus(("Parallel#3", WIDE_KERNELS, cores), cores, &pass, &base))
+    })
+    .into_iter()
+    .collect()
 }
 
 // ---------------------------------------------------------------------------
 // Table IV / Table VI — communication-aware sparsified parallelization
 // ---------------------------------------------------------------------------
 
-/// One Table IV/VI row.
+/// One Table IV/VI row, or one row of the combined extension.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SparsifiedRow {
     /// Network name.
     pub network: String,
     /// Core count.
     pub cores: usize,
-    /// `Baseline`, `SS` or `SS_Mask`.
+    /// `Baseline`, `SS` or `SS_Mask` (or a combined-extension strategy).
     pub scheme: String,
     /// Test accuracy.
     pub accuracy: f32,
@@ -242,18 +594,47 @@ pub struct SparsifiedRow {
     pub speedup: f64,
     /// NoC energy reduction vs the baseline.
     pub energy_reduction: f64,
-    /// Whether the row's accuracy is within the tolerance of the baseline.
-    /// `false` marks a fallback: no λ met the floor, so the row is the
-    /// most accurate run instead.
+    /// Whether the row's accuracy is within [`ACCURACY_TOLERANCE`] of the
+    /// baseline. `false` marks a fallback: no λ met the floor, so the row
+    /// is the most accurate run instead. Rows that choose no λ (baselines
+    /// and the combined extension) read `true`.
     pub within_tolerance: bool,
 }
+
+impl SparsifiedRow {
+    /// `scheme`'s run of `network` on `cores` cores, compared with `base`.
+    fn versus(
+        network: &str,
+        cores: usize,
+        scheme: &str,
+        pass: &Pass,
+        base: &SystemReport,
+        within_tolerance: bool,
+    ) -> Self {
+        let report = &pass.report;
+        Self {
+            network: network.into(),
+            cores,
+            scheme: scheme.into(),
+            accuracy: pass.accuracy,
+            traffic_rate: report.traffic_rate_vs(base),
+            speedup: report.speedup_vs(base),
+            energy_reduction: report.noc_energy_reduction_vs(base),
+            within_tolerance,
+        }
+    }
+}
+
+/// Maximum accuracy drop below the baseline a sparsified run may show and
+/// still be chosen.
+pub const ACCURACY_TOLERANCE: f32 = 0.02;
 
 /// Per-network group-Lasso hyper-parameters.
 ///
 /// Mirroring the paper's methodology, λ_g is not a single magic number:
 /// each scheme is trained at every λ in `lambda_grid` and the run with the
 /// **lowest NoC traffic whose accuracy stays within
-/// `accuracy_tolerance` of the baseline** is reported. This is what "let
+/// [`ACCURACY_TOLERANCE`] of the baseline** is reported. This is what "let
 /// the network learn a configuration that is both accurate and
 /// communication-reduced" means operationally.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -263,8 +644,6 @@ pub struct SparsifyParams {
     pub lambda_grid: Vec<f32>,
     /// Prune rule applied after training.
     pub prune: PruneCriterion,
-    /// Maximum allowed accuracy drop below the baseline.
-    pub accuracy_tolerance: f32,
 }
 
 impl Default for SparsifyParams {
@@ -272,74 +651,51 @@ impl Default for SparsifyParams {
         Self {
             lambda_grid: vec![0.5, 1.0, 2.0, 4.0],
             prune: PruneCriterion::RmsBelowRelative(0.35),
-            accuracy_tolerance: 0.02,
         }
     }
 }
 
-/// Runs Baseline / SS / SS_Mask for one network builder and returns the
-/// three rows.
-///
-/// # Errors
-///
-/// Propagates training/plan/simulation errors.
-pub fn sparsified_experiment(
-    network_name: &str,
-    build: impl Fn(u64) -> lts_nn::Result<Network> + Sync,
+/// Baseline / SS / SS_Mask rows of one network on `cores` cores: the
+/// trained `baseline` is simulated there, and each scheme trains a copy of
+/// the untrained `init` at every λ of `params` and keeps one by
+/// [`choose_lambda`].
+fn sparsified_rows(
+    init: &Network,
+    baseline: &TrainedOutcome,
     data: &TrainTest,
     cores: usize,
     config: &PipelineConfig,
-    seed: u64,
-    params: SparsifyParams,
+    params: &SparsifyParams,
 ) -> Result<Vec<SparsifiedRow>> {
-    let config = *config;
+    let name = init.name();
     let model = SystemModel::paper(cores)?;
-
-    // Baseline.
-    let baseline = train_baseline(build(seed)?, data, &config)?;
-    let base_plan = plan_for_precision(&baseline.network, cores, false, true, config.precision)?;
-    let base_report = model.evaluate(&base_plan)?;
-    let mut rows = vec![SparsifiedRow {
-        network: network_name.to_string(),
-        cores,
-        scheme: "Baseline".into(),
+    let base = Pass {
         accuracy: baseline.test_accuracy,
-        traffic_rate: 1.0,
-        speedup: 1.0,
-        energy_reduction: 0.0,
-        within_tolerance: true,
-    }];
-
+        report: simulate(&model, &baseline.network, false, config)?,
+    };
+    let mut rows = vec![SparsifiedRow::versus(name, cores, "Baseline", &base, &base.report, true)];
     for scheme in [SparsityScheme::Ss, SparsityScheme::mask()] {
         // Train the whole λ grid on the execution engine; every run is
         // independent and deterministic, and par_map returns results in
         // grid order regardless of scheduling.
         let candidates = par::par_map(&params.lambda_grid, |_, &lambda| {
-            let outcome =
-                train_sparsified(build(seed)?, data, &config, cores, scheme, lambda, params.prune)?;
-            let plan = plan_for_precision(&outcome.network, cores, true, true, config.precision)?;
-            let report = model.evaluate(&plan)?;
-            Ok::<(f32, SparsifiedOutcome, SystemReport), CoreError>((lambda, outcome, report))
+            let sparsify = Some((scheme, lambda, params.prune));
+            train_and_simulate(init.clone(), data, config, &model, sparsify)
         })
         .into_iter()
         .collect::<Result<Vec<_>>>()?;
-
-        let floor = baseline.test_accuracy - params.accuracy_tolerance;
         let scored: Vec<(f32, u64)> =
-            candidates.iter().map(|(_, o, r)| (o.test_accuracy, r.traffic_bytes)).collect();
-        let (i, within_tolerance) = choose_lambda(&scored, floor)
+            candidates.iter().map(|p| (p.accuracy, p.report.traffic_bytes)).collect();
+        let (i, within) = choose_lambda(&scored, baseline.test_accuracy - ACCURACY_TOLERANCE)
             .ok_or_else(|| CoreError::BadConfig("empty lambda grid".into()))?;
-        let (_, outcome, report) = &candidates[i];
-        rows.push(SparsifiedRow {
-            network: network_name.to_string(),
+        rows.push(SparsifiedRow::versus(
+            name,
             cores,
-            scheme: scheme.label().to_string(),
-            accuracy: outcome.test_accuracy,
-            traffic_rate: report.traffic_rate_vs(&base_report),
-            speedup: report.speedup_vs(&base_report),
-            energy_reduction: report.noc_energy_reduction_vs(&base_report),
-            within_tolerance,
-        });
+            scheme.label(),
+            &candidates[i],
+            &base.report,
+            within,
+        ));
     }
     Ok(rows)
 }
@@ -371,64 +727,44 @@ pub fn choose_lambda(candidates: &[(f32, u64)], floor: f32) -> Option<(usize, bo
 ///
 /// Propagates training/plan/simulation errors.
 pub fn table4_rows(preset: &EffortPreset) -> Result<Vec<SparsifiedRow>> {
-    let mut rows = Vec::new();
     let p = preset;
-
     let mnist = presets::synth_mnist(p.train_samples, p.test_samples, p.seed);
-    let (lr, mul) = train_presets::MLP;
-    rows.extend(sparsified_experiment(
-        "MLP",
-        |s| models::mlp(28 * 28, 10, s),
-        &mnist,
-        16,
-        &p.pipeline_config_with(lr, mul),
-        p.seed,
-        SparsifyParams::default(),
-    )?);
-    let (lr, mul) = train_presets::LENET;
-    rows.extend(sparsified_experiment(
-        "LeNet",
-        |s| models::lenet(10, s),
-        &mnist,
-        16,
-        &p.pipeline_config_with(lr, mul),
-        p.seed,
-        SparsifyParams::default(),
-    )?);
-
-    let (lr, mul) = train_presets::CONVNET;
     let cifar = presets::synth_cifar10(p.train_samples, p.test_samples, p.seed);
-    rows.extend(sparsified_experiment(
-        "ConvNet",
-        |s| models::convnet(10, s),
-        &cifar,
-        16,
-        &p.pipeline_config_with(lr, mul),
-        p.seed,
-        SparsifyParams { lambda_grid: vec![0.5, 1.5, 3.0], ..SparsifyParams::default() },
-    )?);
-
     let imagenet = presets::synth_imagenet_small(p.train_samples, p.test_samples, p.seed);
-    rows.extend(sparsified_experiment(
-        "CaffeNet",
-        |s| models::caffenet_small(10, s),
-        &imagenet,
-        16,
-        &p.pipeline_config_with(lr, mul),
-        p.seed,
-        // CaffeNet sparsifies seven layers at once (conv2–conv5, ip1–ip3)
-        // at a low learning rate: proximal thresholds that suit the small
-        // nets destroy it, so its λ grid sits an order of magnitude lower.
-        SparsifyParams {
-            lambda_grid: vec![0.1, 0.4, 1.2],
-            prune: PruneCriterion::RmsBelowRelative(0.25),
-            ..SparsifyParams::default()
-        },
-    )?);
+    let networks = [
+        (models::mlp(28 * 28, 10, p.seed)?, &mnist, train_presets::MLP, SparsifyParams::default()),
+        (models::lenet(10, p.seed)?, &mnist, train_presets::LENET, SparsifyParams::default()),
+        (
+            models::convnet(10, p.seed)?,
+            &cifar,
+            train_presets::CONVNET,
+            SparsifyParams { lambda_grid: vec![0.5, 1.5, 3.0], ..SparsifyParams::default() },
+        ),
+        (
+            models::caffenet_small(10, p.seed)?,
+            &imagenet,
+            train_presets::CONVNET,
+            // CaffeNet sparsifies seven layers at once (conv2–conv5,
+            // ip1–ip3) at a low learning rate: proximal thresholds that
+            // suit the small nets destroy it, so its λ grid sits an order
+            // of magnitude lower.
+            SparsifyParams {
+                lambda_grid: vec![0.1, 0.4, 1.2],
+                prune: PruneCriterion::RmsBelowRelative(0.25),
+            },
+        ),
+    ];
+    let mut rows = Vec::new();
+    for (init, data, (lr, mul), params) in &networks {
+        let config = p.pipeline_config_with(*lr, *mul);
+        let baseline = train_baseline(init.clone(), data, &config)?;
+        rows.extend(sparsified_rows(init, &baseline, data, 16, &config, params)?);
+    }
     Ok(rows)
 }
 
-/// Table VI: LeNet sparsified on 8 and 32 cores.
+/// Table VI: LeNet sparsified on 8 and 32 cores. The dense baseline does
+/// not depend on the core count, so it trains once for both.
 ///
 /// # Errors
 ///
@@ -437,169 +773,50 @@ pub fn table6_rows(preset: &EffortPreset) -> Result<Vec<SparsifiedRow>> {
     let data = presets::synth_mnist(preset.train_samples, preset.test_samples, preset.seed);
     let (lr, mul) = train_presets::LENET;
     let config = preset.pipeline_config_with(lr, mul);
+    let init = models::lenet(10, preset.seed)?;
+    let baseline = train_baseline(init.clone(), &data, &config)?;
+    let params = SparsifyParams::default();
     let mut rows = Vec::new();
     for cores in [8usize, 32] {
-        rows.extend(sparsified_experiment(
-            "LeNet",
-            |s| models::lenet(10, s),
-            &data,
-            cores,
-            &config,
-            preset.seed,
-            SparsifyParams::default(),
-        )?);
+        rows.extend(sparsified_rows(&init, &baseline, &data, cores, &config, &params)?);
     }
     Ok(rows)
-}
-
-// ---------------------------------------------------------------------------
-// Table V / Fig. 8 — scalability of structure-level parallelization
-// ---------------------------------------------------------------------------
-
-/// One Table V row (plus the Fig. 8 energy series).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ScaleRow {
-    /// Core count (= grouping degree `n`).
-    pub cores: usize,
-    /// Test accuracy of the grouped Parallel#3 variant.
-    pub accuracy: f32,
-    /// Speedup vs the traditional parallelization of the same network on
-    /// the same core count.
-    pub speedup: f64,
-    /// Communication energy reduction vs the same baseline (Fig. 8).
-    pub comm_energy_reduction: f64,
-    /// Communication speedup vs the same baseline (Fig. 8).
-    pub comm_speedup: f64,
-}
-
-/// Table V / Fig. 8: Parallel#3 on 4, 8, 16 and 32 cores.
-///
-/// # Errors
-///
-/// Propagates training/plan/simulation errors.
-pub fn table5_rows(preset: &EffortPreset) -> Result<Vec<ScaleRow>> {
-    // Each core count is an independent train+simulate run; fan them out
-    // on the engine and collect in fixed core-count order.
-    let core_counts = [4usize, 8, 16, 32];
-    let (lr, mul) = train_presets::CONVNET;
-    let config = preset.pipeline_config_with(lr, mul);
-    par::par_map(&core_counts, |_, &cores| {
-        let pair = structure_rows_for_cores(preset, &config, cores, false)?;
-        let p3 = pair
-            .iter()
-            .find(|r| r.name == "Parallel#3")
-            .expect("structure rows always include Parallel#3");
-        Ok(ScaleRow {
-            cores,
-            accuracy: p3.accuracy,
-            speedup: p3.speedup,
-            comm_energy_reduction: p3.comm_energy_reduction,
-            comm_speedup: p3.comm_speedup,
-        })
-    })
-    .into_iter()
-    .collect()
 }
 
 // ---------------------------------------------------------------------------
 // Extension experiments (beyond the paper's tables)
 // ---------------------------------------------------------------------------
 
-/// One row of the combined-strategy extension experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CombinedRow {
-    /// Strategy label.
-    pub scheme: String,
-    /// Test accuracy.
-    pub accuracy: f32,
-    /// NoC traffic vs the traditional baseline.
-    pub traffic_rate: f64,
-    /// Single-pass speedup vs the traditional baseline.
-    pub speedup: f64,
-    /// NoC energy reduction vs the traditional baseline.
-    pub energy_reduction: f64,
-}
-
 /// Extension: §IV-B and §IV-C are orthogonal — grouped conv layers kill
 /// their transitions *by construction*, and the remaining dense layers'
 /// transitions can still be sparsified away with SS_Mask. Compares
-/// Traditional vs Grouped vs Grouped+SS_Mask on the ImageNet10 ConvNet.
+/// Traditional vs Grouped vs Grouped+SS_Mask on the ImageNet10 ConvNet,
+/// each against Traditional.
 ///
 /// # Errors
 ///
 /// Propagates training/plan/simulation errors.
-pub fn combined_strategy_rows(preset: &EffortPreset) -> Result<Vec<CombinedRow>> {
-    let data = presets::synth_imagenet10(preset.train_samples, preset.test_samples, preset.seed);
-    let (lr, mul) = train_presets::CONVNET;
-    let config = preset.pipeline_config_with(lr, mul);
+pub fn combined_strategy_rows(preset: &EffortPreset) -> Result<Vec<SparsifiedRow>> {
+    let (data, config) = imagenet10(preset);
     let cores = 16;
     let model = SystemModel::paper(cores)?;
-
-    // Traditional baseline.
-    let dense =
-        train_baseline(models::convnet_variant([64, 128, 256], 1, preset.seed)?, &data, &config)?;
-    let dense_report = model.evaluate(&plan_for_precision(
-        &dense.network,
-        cores,
-        false,
-        true,
-        config.precision,
-    )?)?;
-    let mut rows = vec![CombinedRow {
-        scheme: "Traditional".into(),
-        accuracy: dense.test_accuracy,
-        traffic_rate: 1.0,
-        speedup: 1.0,
-        energy_reduction: 0.0,
-    }];
-
-    // Structure-level only.
-    let grouped = train_baseline(
-        models::convnet_variant([64, 128, 256], cores, preset.seed)?,
-        &data,
-        &config,
-    )?;
-    let grouped_report = model.evaluate(&plan_for_precision(
-        &grouped.network,
-        cores,
-        false,
-        true,
-        config.precision,
-    )?)?;
-    rows.push(CombinedRow {
-        scheme: format!("Grouped(n={cores})"),
-        accuracy: grouped.test_accuracy,
-        traffic_rate: grouped_report.traffic_rate_vs(&dense_report),
-        speedup: grouped_report.speedup_vs(&dense_report),
-        energy_reduction: grouped_report.noc_energy_reduction_vs(&dense_report),
-    });
-
-    // Combined: the grouped network's remaining dense transitions (into
-    // ip1) sparsified with SS_Mask.
-    let combined = crate::pipeline::train_sparsified(
-        models::convnet_variant([64, 128, 256], cores, preset.seed)?,
-        &data,
-        &config,
-        cores,
-        SparsityScheme::mask(),
-        2.0,
-        PruneCriterion::RmsBelowRelative(0.35),
-    )?;
-    let combined_report = model.evaluate(&plan_for_precision(
-        &combined.network,
-        cores,
-        true,
-        true,
-        config.precision,
-    )?)?;
-    rows.push(CombinedRow {
-        scheme: format!("Grouped(n={cores})+SS_Mask"),
-        accuracy: combined.test_accuracy,
-        traffic_rate: combined_report.traffic_rate_vs(&dense_report),
-        speedup: combined_report.speedup_vs(&dense_report),
-        energy_reduction: combined_report.noc_energy_reduction_vs(&dense_report),
-    });
-    Ok(rows)
+    let variant = |groups| models::convnet_variant(KERNELS, groups, preset.seed);
+    let dense = train_and_simulate(variant(1)?, &data, &config, &model, None)?;
+    let grouped = train_and_simulate(variant(cores)?, &data, &config, &model, None)?;
+    // The grouped network's remaining dense transitions (into ip1)
+    // sparsified with SS_Mask.
+    let mask = Some((SparsityScheme::mask(), 2.0, SparsifyParams::default().prune));
+    let combined = train_and_simulate(variant(cores)?, &data, &config, &model, mask)?;
+    Ok([
+        ("Traditional".to_string(), &dense),
+        (format!("Grouped(n={cores})"), &grouped),
+        (format!("Grouped(n={cores})+SS_Mask"), &combined),
+    ]
+    .iter()
+    .map(|(scheme, pass)| {
+        SparsifiedRow::versus("ConvNet", cores, scheme, pass, &dense.report, true)
+    })
+    .collect())
 }
 
 /// One row of the throughput-vs-latency extension experiment.
@@ -669,19 +886,16 @@ pub fn parallelism_tradeoff(
 // §III-B motivation — AlexNet communication share
 // ---------------------------------------------------------------------------
 
-/// The §III-B claim: the fraction of a single-pass AlexNet inference
-/// spent on inter-core communication on a 16-core CMP (paper: ~23 %).
+/// The §III-B claim: AlexNet's single pass on a 16-core CMP, whose
+/// [`SystemReport::comm_share`] is the fraction spent on inter-core
+/// communication (paper: ~23 %).
 ///
 /// # Errors
 ///
 /// Propagates plan/simulation errors.
-pub fn motivation_comm_share() -> Result<(SystemReport, f64)> {
+pub fn motivation_comm_share() -> Result<SystemReport> {
     let spec = lts_nn::descriptor::alexnet_spec();
-    let model = SystemModel::paper(16)?;
-    let plan = lts_partition::Plan::dense(&spec, 16, 2)?;
-    let report = model.evaluate(&plan)?;
-    let share = report.comm_share();
-    Ok((report, share))
+    SystemModel::paper(16)?.evaluate(&lts_partition::Plan::dense(&spec, 16, 2)?)
 }
 
 // ---------------------------------------------------------------------------
@@ -802,7 +1016,8 @@ mod tests {
 
     #[test]
     fn motivation_comm_share_is_substantial() {
-        let (report, share) = motivation_comm_share().unwrap();
+        let report = motivation_comm_share().unwrap();
+        let share = report.comm_share();
         assert!(report.comm_cycles > 0);
         // The paper reports ~23 %; accept a generous band around it
         // (our core/NoC models are reconstructions).
@@ -832,6 +1047,133 @@ mod tests {
         let imbalance = rows[1].imbalance.expect("the pipeline row reports its imbalance");
         assert!(imbalance > 1.5, "AlexNet stages should be visibly unbalanced, got {imbalance}");
         assert!(rows[0].imbalance.is_none() && rows[2].imbalance.is_none());
+    }
+
+    fn run(name: &str) -> TableRows {
+        let table = PAPER_TABLES.iter().find(|t| t.name == name).expect("a listed table");
+        (table.run)(&EffortPreset::quick()).unwrap()
+    }
+
+    #[test]
+    fn table_names_are_unique_and_only_analytic_tables_skip_training() {
+        for (i, t) in PAPER_TABLES.iter().enumerate() {
+            assert!(PAPER_TABLES[..i].iter().all(|u| u.name != t.name), "{}", t.name);
+        }
+        let analytic: Vec<&str> =
+            PAPER_TABLES.iter().filter(|t| !t.trains).map(|t| t.name).collect();
+        assert_eq!(analytic, ["motivation", "table1", "tradeoff"]);
+    }
+
+    #[test]
+    fn analytic_tables_keep_their_shape_claims() {
+        for name in ["motivation", "table1", "tradeoff"] {
+            let rows = run(name);
+            assert_eq!(rows.violations(), Vec::<String>::new(), "{name}");
+            assert!(!rows.render().is_empty());
+        }
+    }
+
+    fn structure(cores: usize, speedup: f64) -> StructureRow {
+        StructureRow {
+            name: "Parallel#3".into(),
+            cores,
+            kernels: WIDE_KERNELS,
+            groups: cores,
+            accuracy: 0.9,
+            speedup,
+            comm_speedup: 6.0,
+            comm_energy_reduction: 0.8,
+            total_energy_reduction: 0.5,
+        }
+    }
+
+    fn sparsified(cores: usize, scheme: &str, traffic_rate: f64) -> SparsifiedRow {
+        SparsifiedRow {
+            network: "LeNet".into(),
+            cores,
+            scheme: scheme.into(),
+            accuracy: 0.9,
+            traffic_rate,
+            speedup: 1.0,
+            energy_reduction: 0.0,
+            within_tolerance: true,
+        }
+    }
+
+    #[test]
+    fn structure_predicates_flag_broken_orderings() {
+        let p2 = StructureRow { name: "Parallel#2".into(), ..structure(16, 3.0) };
+        let table3 = |p3| TableRows::Table3(vec![p2.clone(), structure(16, p3)]);
+        assert!(table3(2.9).violations().is_empty());
+        assert_eq!(table3(3.1).violations().len(), 1, "#3 above #2");
+        assert_eq!(table3(0.9).violations().len(), 1, "#3 below 1");
+
+        let table5 = |s: [f64; 3]| {
+            TableRows::Table5(vec![structure(4, s[0]), structure(8, s[1]), structure(16, s[2])])
+        };
+        assert!(table5([2.0, 2.5, 3.0]).violations().is_empty());
+        assert_eq!(table5([2.0, 1.9, 3.0]).violations().len(), 1, "speedup falls");
+        assert_eq!(table5([2.0, 4.5, 5.0]).violations().len(), 1, "superlinear step");
+    }
+
+    #[test]
+    fn sparsified_predicates_flag_broken_orderings() {
+        let table6 = |m8, m32| {
+            TableRows::Table6(vec![
+                sparsified(8, "SS", 0.99),
+                sparsified(8, "SS_Mask", m8),
+                sparsified(32, "SS", 0.99),
+                sparsified(32, "SS_Mask", m32),
+            ])
+        };
+        assert!(table6(0.97, 0.62).violations().is_empty());
+        assert_eq!(table6(1.0, 0.62).violations().len(), 1, "mask not below SS at 8");
+        assert_eq!(table6(0.6, 0.62).violations().len(), 1, "mask rises with cores");
+        assert_eq!(TableRows::Table6(Vec::new()).violations().len(), 3, "missing rows");
+
+        let combined =
+            |t: [f64; 3]| TableRows::Combined(t.iter().map(|&x| sparsified(16, "x", x)).collect());
+        assert!(combined([1.0, 0.09, 0.01]).violations().is_empty());
+        assert_eq!(combined([1.0, 0.09, 0.09]).violations().len(), 1);
+        assert!(TableRows::Table4(vec![sparsified(16, "SS", 2.0)]).violations().is_empty());
+    }
+
+    #[test]
+    fn analytic_and_matrix_predicates_flag_broken_rows() {
+        let TableRows::Motivation(mut report) = run("motivation") else {
+            panic!("motivation rows")
+        };
+        report.comm_cycles = report.total_cycles / 2;
+        assert_eq!(TableRows::Motivation(report).violations().len(), 1, "share 50%");
+
+        let mut volumes = table1_rows(16).unwrap();
+        volumes.reverse();
+        volumes[0].layers.clear();
+        assert_eq!(TableRows::Table1(volumes).violations().len(), 1, "VGG19 without traffic");
+
+        let local = GroupMatrix {
+            network: "MLP".into(),
+            layer: "ip2".into(),
+            cores: 16,
+            norms: {
+                let mut n = vec![0.0; 256];
+                n[1] = 1.0; // core 0 -> core 1, one hop
+                n
+            },
+        };
+        assert!(TableRows::Fig6(local.clone()).violations().is_empty());
+        let mut far = local;
+        far.norms[15] = 1.0; // core 0 -> core 15, six hops
+        far.norms[12] = 1.0; // core 0 -> core 12, three hops
+        assert_eq!(TableRows::Fig6(far).violations().len(), 1, "mean 3.33 hops");
+
+        let mut nets = match run("tradeoff") {
+            TableRows::Tradeoff(nets) => nets,
+            other => panic!("tradeoff rows, got {other:?}"),
+        };
+        nets[0].1[1].imbalance = Some(1.0);
+        nets[1].1.pop();
+        assert_eq!(TableRows::Tradeoff(nets).violations().len(), 2);
     }
 
     #[test]

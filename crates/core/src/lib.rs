@@ -15,8 +15,10 @@
 //!   compute latency ([`lts_accel`]) plus flit-level NoC simulation of the
 //!   layer-transition bursts ([`lts_noc`]), combined under a barrier
 //!   schedule;
-//! * [`experiment`] — one runner per table/figure of the evaluation
-//!   section (Tables I, III–VI; Figs. 6–8; the §III motivation claim);
+//! * [`experiment`] — the evaluation section as one list of named tables
+//!   (Tables I, III–VI; Figs. 6–8; the §III motivation claim; two
+//!   extensions), each with its renderer and its shape claim as a
+//!   predicate over rows;
 //! * [`degradation`] — the three-strategy workload ladder the fault and
 //!   serving harnesses sweep;
 //! * [`fault_matrix`] — the fail-operational extension: one matrix of

@@ -1,6 +1,6 @@
 //! ASCII rendering of experiment results in the paper's table layouts.
 
-use crate::experiment::{GroupMatrix, ScaleRow, SparsifiedRow, StructureRow};
+use crate::experiment::{GroupMatrix, SparsifiedRow, StructureRow};
 use lts_partition::comm::{format_bytes, VolumeRow};
 
 /// Renders a generic table: header row + data rows, columns padded.
@@ -56,13 +56,14 @@ pub fn render_table1(rows: &[VolumeRow]) -> String {
     render_table(&["Network", "Per-layer data moving size", "Total"], &data)
 }
 
-/// Table III layout.
+/// Table III and Table V layout.
 pub fn render_table3(rows: &[StructureRow]) -> String {
     let data: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
             vec![
                 r.name.clone(),
+                r.cores.to_string(),
                 format!("{}-{}-{}", r.kernels[0], r.kernels[1], r.kernels[2]),
                 r.groups.to_string(),
                 format!("{:.3}", r.accuracy),
@@ -77,7 +78,16 @@ pub fn render_table3(rows: &[StructureRow]) -> String {
         })
         .collect();
     render_table(
-        &["ConvNet", "Kernels", "n", "Accu.", "Speedup", "Comm speedup", "Comm energy red."],
+        &[
+            "ConvNet",
+            "Cores",
+            "Kernels",
+            "n",
+            "Accu.",
+            "Speedup",
+            "Comm speedup",
+            "Comm energy red.",
+        ],
         &data,
     )
 }
@@ -110,28 +120,6 @@ pub fn render_table4(rows: &[SparsifiedRow]) -> String {
         );
     }
     table
-}
-
-/// Table V / Fig. 8 layout.
-pub fn render_table5(rows: &[ScaleRow]) -> String {
-    let data: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.cores.to_string(),
-                r.cores.to_string(),
-                format!("{:.3}", r.accuracy),
-                format!("{:.1}x", r.speedup),
-                if r.comm_speedup.is_infinite() {
-                    "inf".to_string()
-                } else {
-                    format!("{:.1}x", r.comm_speedup)
-                },
-                format!("{:.0}%", r.comm_energy_reduction * 100.0),
-            ]
-        })
-        .collect();
-    render_table(&["Cores", "n", "Accu.", "Speedup", "Comm speedup", "Comm energy red."], &data)
 }
 
 /// Fig. 6(b)-style rendering: `#` for surviving groups, `.` for pruned,
@@ -216,6 +204,7 @@ mod tests {
     fn table3_and_table5_render_infinite_comm_speedup() {
         let row = StructureRow {
             name: "Parallel#2".into(),
+            cores: 32,
             kernels: [64, 128, 256],
             groups: 16,
             accuracy: 0.94,
@@ -227,16 +216,7 @@ mod tests {
         let s = render_table3(&[row]);
         assert!(s.contains("inf"));
         assert!(s.contains("3.4x"));
-        let srow = ScaleRow {
-            cores: 32,
-            accuracy: 0.72,
-            speedup: 6.9,
-            comm_energy_reduction: 0.56,
-            comm_speedup: f64::INFINITY,
-        };
-        let s5 = render_table5(&[srow]);
-        assert!(s5.contains("6.9x"));
-        assert!(s5.contains("inf"));
+        assert!(s.contains("| 32    |"), "{s}");
     }
 
     #[test]

@@ -54,7 +54,7 @@ fn mcm() -> Vec<String> {
         .collect()
 }
 
-/// The `extension_throughput_latency` rows on 16 cores: the data and
+/// The `paper_tables tradeoff` rows on 16 cores: the data and
 /// model rows (`layer_pipeline == false`) or the layer-pipeline rows,
 /// which add their load imbalance.
 fn tradeoff(layer_pipeline: bool) -> Vec<String> {

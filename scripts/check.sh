@@ -58,10 +58,13 @@ cargo run --release --offline --example trainer_resume
 echo "==> mcm smoke (1->2 chiplet scaling sweep: monotone throughput, per-hop-class + simcache accounting)"
 LTS_EFFORT=quick cargo run --release --offline -p lts-bench --bin mcm_scaling
 
-echo "==> extension smoke (data, layer-pipeline and intra-layer rows; stdout byte-identical at 1 and 2 threads)"
-EXT_LOG="$(mktemp)"
-LTS_THREADS=1 cargo run --release --offline -p lts-bench --bin extension_throughput_latency | tee "$EXT_LOG"
-LTS_THREADS=2 cargo run --release --offline -q -p lts-bench --bin extension_throughput_latency | cmp - "$EXT_LOG"
+echo "==> paper-table smoke (the analytic tables keep their shape claims; stdout byte-identical at 1 and 2 threads)"
+TABLES_LOG="$(mktemp)"
+LTS_THREADS=1 cargo run --release --offline -p lts-bench --bin paper_tables -- motivation table1 tradeoff | tee "$TABLES_LOG"
+LTS_THREADS=2 cargo run --release --offline -q -p lts-bench --bin paper_tables -- motivation table1 tradeoff | cmp - "$TABLES_LOG"
+
+echo "==> paper-table golden (every row of all nine tables at quick effort, the trained ones included, optimized build)"
+cargo test --release --offline -q -p lts-core --test paper_tables_golden -- --include-ignored
 
 echo "==> quant smoke (i16 fast path: accuracy within tolerance of f32, 2 bytes/value traffic)"
 LTS_EFFORT=quick cargo run --release --offline -p lts-bench --bin quant_sweep
