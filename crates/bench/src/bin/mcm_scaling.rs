@@ -26,9 +26,9 @@ use std::collections::HashMap;
 const CORES_PER_CHIPLET: usize = 16;
 
 fn main() {
-    let preset = effort_from_env();
-    banner("Extension — multi-chip-module throughput scaling", Some(&preset));
-    let counts: &[usize] = if preset == EffortPreset::quick() { &[1, 2] } else { &[1, 2, 4, 8] };
+    let quick = effort_from_env() == EffortPreset::quick();
+    let counts: &[usize] = if quick { &[1, 2] } else { &[1, 2, 4, 8] };
+    banner(&format!("Extension — multi-chip-module throughput scaling, {counts:?} chiplets"), None);
     simcache::reset();
     let mut sim = SimUsage::default();
 

@@ -1,8 +1,8 @@
 //! Elementwise activation layers.
 
 use crate::descriptor::{Dims, LayerKind, LayerSpec};
-use crate::layer::Layer;
-use crate::{NnError, Result};
+use crate::layer::{check_grad, Layer};
+use crate::Result;
 use lts_tensor::Tensor;
 
 /// Rectified linear unit: `y = max(0, x)`.
@@ -15,7 +15,7 @@ use lts_tensor::Tensor;
 /// use lts_tensor::Tensor;
 ///
 /// # fn main() -> Result<(), lts_nn::NnError> {
-/// let mut relu = Relu::new("relu1", (1, 1, 3));
+/// let relu = Relu::new("relu1", (1, 1, 3));
 /// let y = relu.forward(&Tensor::from_slice_1d(&[-1.0, 0.0, 2.0]))?;
 /// assert_eq!(y.as_slice(), &[0.0, 0.0, 2.0]);
 /// # Ok(())
@@ -25,13 +25,12 @@ use lts_tensor::Tensor;
 pub struct Relu {
     name: String,
     dims: Dims,
-    mask: Option<Vec<bool>>,
 }
 
 impl Relu {
     /// Creates a ReLU over activations of the given dims.
     pub fn new(name: &str, dims: Dims) -> Self {
-        Self { name: name.to_string(), dims, mask: None }
+        Self { name: name.to_string(), dims }
     }
 }
 
@@ -49,28 +48,14 @@ impl Layer for Relu {
         }
     }
 
-    fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
-        self.mask = Some(input.as_slice().iter().map(|&x| x > 0.0).collect());
+    fn forward(&self, input: &Tensor) -> Result<Tensor> {
         Ok(input.map(|x| x.max(0.0)))
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        let mask = self
-            .mask
-            .as_ref()
-            .ok_or_else(|| NnError::BackwardBeforeForward { layer: self.name.clone() })?;
-        if mask.len() != grad_out.len() {
-            return Err(NnError::BadInput {
-                layer: self.name.clone(),
-                reason: format!(
-                    "gradient has {} entries but cached forward had {}",
-                    grad_out.len(),
-                    mask.len()
-                ),
-            });
-        }
-        let data =
-            grad_out.as_slice().iter().zip(mask).map(|(&g, &m)| if m { g } else { 0.0 }).collect();
+    fn backward(&self, input: &Tensor, grad_out: &Tensor, _grads: &mut [Tensor]) -> Result<Tensor> {
+        check_grad(&self.name, input.shape().clone(), grad_out)?;
+        let gated = grad_out.as_slice().iter().zip(input.as_slice());
+        let data = gated.map(|(&g, &x)| if x > 0.0 { g } else { 0.0 }).collect();
         Ok(Tensor::from_vec(grad_out.shape().clone(), data)?)
     }
 
@@ -86,33 +71,24 @@ mod tests {
 
     #[test]
     fn forward_clamps_negatives() {
-        let mut r = Relu::new("r", (1, 1, 4));
+        let r = Relu::new("r", (1, 1, 4));
         let y = r.forward(&Tensor::from_slice_1d(&[-2.0, -0.5, 0.0, 3.0])).unwrap();
         assert_eq!(y.as_slice(), &[0.0, 0.0, 0.0, 3.0]);
     }
 
     #[test]
     fn backward_gates_gradient_by_input_sign() {
-        let mut r = Relu::new("r", (1, 1, 4));
-        r.forward(&Tensor::from_slice_1d(&[-2.0, -0.5, 0.0, 3.0])).unwrap();
-        let g = r.backward(&Tensor::from_slice_1d(&[1.0, 1.0, 1.0, 1.0])).unwrap();
+        let r = Relu::new("r", (1, 1, 4));
+        let x = Tensor::from_slice_1d(&[-2.0, -0.5, 0.0, 3.0]);
+        let g = r.backward(&x, &Tensor::from_slice_1d(&[1.0, 1.0, 1.0, 1.0]), &mut []).unwrap();
         assert_eq!(g.as_slice(), &[0.0, 0.0, 0.0, 1.0]);
     }
 
     #[test]
-    fn backward_without_forward_errors() {
-        let mut r = Relu::new("r", (1, 1, 2));
-        assert!(matches!(
-            r.backward(&Tensor::zeros(Shape::d1(2))),
-            Err(NnError::BackwardBeforeForward { .. })
-        ));
-    }
-
-    #[test]
     fn backward_rejects_mismatched_gradient() {
-        let mut r = Relu::new("r", (1, 1, 2));
-        r.forward(&Tensor::zeros(Shape::d1(2))).unwrap();
-        assert!(r.backward(&Tensor::zeros(Shape::d1(3))).is_err());
+        let r = Relu::new("r", (1, 1, 2));
+        let x = Tensor::zeros(Shape::d1(2));
+        assert!(r.backward(&x, &Tensor::zeros(Shape::d1(3)), &mut []).is_err());
     }
 
     #[test]
@@ -123,14 +99,5 @@ mod tests {
         assert_eq!(spec.kind, LayerKind::Activation);
         assert_eq!((spec.in_dims, spec.out_dims), ((3, 4, 5), (3, 4, 5)));
         assert!(!spec.has_weights());
-    }
-
-    #[test]
-    fn backward_uses_the_latest_forward() {
-        let mut r = Relu::new("r", (1, 1, 2));
-        r.forward(&Tensor::from_slice_1d(&[1.0, -1.0])).unwrap();
-        r.forward(&Tensor::from_slice_1d(&[-1.0, 1.0])).unwrap();
-        let g = r.backward(&Tensor::from_slice_1d(&[5.0, 7.0])).unwrap();
-        assert_eq!(g.as_slice(), &[0.0, 7.0]);
     }
 }

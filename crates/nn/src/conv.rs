@@ -7,12 +7,12 @@
 //! core, the layer needs **no inter-core feature-map traffic at all**.
 
 use crate::descriptor::{Dims, LayerKind, LayerSpec};
-use crate::layer::Layer;
+use crate::layer::{check_grad, check_nchw, weight_bias_grads, Layer};
 use crate::param::Param;
 use crate::{NnError, Result};
 use lts_tensor::im2col::{col2im_into, im2col_into, ConvGeometry};
 use lts_tensor::matmul::{matmul_a_bt_into, matmul_at_b_into, matmul_into};
-use lts_tensor::{init, Shape, Tensor, Workspace};
+use lts_tensor::{init, workspace, Shape, Tensor};
 use rand::rngs::StdRng;
 
 /// A grouped 2-D convolution layer.
@@ -21,7 +21,7 @@ use rand::rngs::StdRng;
 /// are NCHW batches. Because both tensors are row-major, the weights and
 /// input channels of one group are *contiguous* — the per-group GEMMs below
 /// operate directly on slices of the stored tensors, with scratch
-/// intermediates drawn from a per-layer [`Workspace`].
+/// intermediates drawn from the calling thread's [`workspace`] pool.
 #[derive(Debug, Clone)]
 pub struct Conv2d {
     name: String,
@@ -33,8 +33,6 @@ pub struct Conv2d {
     groups: usize,
     weight: Param,
     bias: Param,
-    cached_input: Option<Tensor>,
-    scratch: Workspace,
 }
 
 impl Conv2d {
@@ -82,8 +80,6 @@ impl Conv2d {
             groups,
             weight: Param::new(init::he_normal(Shape::d4(out_c, icg, kernel, kernel), fan_in, rng)),
             bias: Param::zeros(Shape::d1(out_c)),
-            cached_input: None,
-            scratch: Workspace::new(),
         })
     }
 
@@ -129,21 +125,6 @@ impl Conv2d {
         let start = g * ocg * row;
         &weight[start..start + ocg * row]
     }
-
-    fn check_input(&self, input: &Tensor) -> Result<()> {
-        let (c, h, w) = self.in_dims;
-        let ok = input.shape().rank() == 4
-            && input.shape().dim(1) == c
-            && input.shape().dim(2) == h
-            && input.shape().dim(3) == w;
-        if !ok {
-            return Err(NnError::BadInput {
-                layer: self.name.clone(),
-                reason: format!("expected [batch, {c}, {h}, {w}], got {}", input.shape()),
-            });
-        }
-        Ok(())
-    }
 }
 
 impl Layer for Conv2d {
@@ -166,17 +147,16 @@ impl Layer for Conv2d {
         }
     }
 
-    fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
-        self.check_input(input)?;
-        let batch = input.shape().dim(0);
+    fn forward(&self, input: &Tensor) -> Result<Tensor> {
+        let batch = check_nchw(&self.name, self.in_dims, input)?;
         let (out_c, oh, ow) = self.out_dims();
         let geom = self.group_geometry();
         let ocg = out_c / self.groups;
         let positions = oh * ow;
         let row = geom.col_rows();
         let mut out = Tensor::zeros(Shape::d4(batch, out_c, oh, ow));
-        let mut cols = self.scratch.take(row * positions);
-        let mut prod = self.scratch.take(ocg * positions);
+        let mut cols = workspace::take(row * positions);
+        let mut prod = workspace::take(ocg * positions);
         {
             let src = input.as_slice();
             let wslice = self.weight.value.as_slice();
@@ -199,27 +179,16 @@ impl Layer for Conv2d {
                 }
             }
         }
-        self.scratch.give(prod);
-        self.scratch.give(cols);
-        self.cached_input = Some(input.clone());
+        workspace::give(prod);
+        workspace::give(cols);
         Ok(out)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        let input = self
-            .cached_input
-            .take()
-            .ok_or_else(|| NnError::BackwardBeforeForward { layer: self.name.clone() })?;
-        let batch = input.shape().dim(0);
+    fn backward(&self, input: &Tensor, grad_out: &Tensor, grads: &mut [Tensor]) -> Result<Tensor> {
+        let batch = check_nchw(&self.name, self.in_dims, input)?;
         let (out_c, oh, ow) = self.out_dims();
-        let expect = Shape::d4(batch, out_c, oh, ow);
-        if grad_out.shape() != &expect {
-            self.cached_input = Some(input);
-            return Err(NnError::BadInput {
-                layer: self.name.clone(),
-                reason: format!("expected gradient {expect}, got {}", grad_out.shape()),
-            });
-        }
+        check_grad(&self.name, Shape::d4(batch, out_c, oh, ow), grad_out)?;
+        let (wgrad, bgrad) = weight_bias_grads(&self.name, &self.weight, &self.bias, grads)?;
         let geom = self.group_geometry();
         let (in_c, in_h, in_w) = self.in_dims;
         let icg = in_c / self.groups;
@@ -228,10 +197,10 @@ impl Layer for Conv2d {
         let row = icg * self.kernel * self.kernel;
         let group_image = icg * in_h * in_w;
         let mut grad_in = Tensor::zeros(input.shape().clone());
-        let mut cols = self.scratch.take(row * positions);
-        let mut gmat = self.scratch.take(ocg * positions);
-        let mut dw = self.scratch.take(ocg * row);
-        let mut dcols = self.scratch.take(row * positions);
+        let mut cols = workspace::take(row * positions);
+        let mut gmat = workspace::take(ocg * positions);
+        let mut dw = workspace::take(ocg * row);
+        let mut dcols = workspace::take(row * positions);
         {
             let src = input.as_slice();
             let go = grad_out.as_slice();
@@ -250,7 +219,7 @@ impl Layer for Conv2d {
                     // dW_g = G · colsᵀ  -> [ocg, R]
                     matmul_a_bt_into(&gmat, &cols, &mut dw, ocg, positions, row);
                     {
-                        let wg = self.weight.grad.as_mut_slice();
+                        let wg = wgrad.as_mut_slice();
                         let start = g * ocg * row;
                         for (i, &v) in dw.iter().enumerate() {
                             wg[start + i] += v;
@@ -258,7 +227,7 @@ impl Layer for Conv2d {
                     }
                     // db
                     {
-                        let bg = self.bias.grad.as_mut_slice();
+                        let bg = bgrad.as_mut_slice();
                         for oc in 0..ocg {
                             let abs_oc = g * ocg + oc;
                             bg[abs_oc] +=
@@ -274,11 +243,10 @@ impl Layer for Conv2d {
                 }
             }
         }
-        self.scratch.give(dcols);
-        self.scratch.give(dw);
-        self.scratch.give(gmat);
-        self.scratch.give(cols);
-        self.cached_input = Some(input);
+        workspace::give(dcols);
+        workspace::give(dw);
+        workspace::give(gmat);
+        workspace::give(cols);
         Ok(grad_in)
     }
 
@@ -306,6 +274,16 @@ impl Layer for Conv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::zeroed_grads;
+
+    /// Backward of `sum(forward(x))`: the input gradient and the
+    /// `[weight, bias]` gradients.
+    fn sum_backward(c: &Conv2d, x: &Tensor) -> (Tensor, Vec<Tensor>) {
+        let y = c.forward(x).unwrap();
+        let mut grads = zeroed_grads(&c.params());
+        let dx = c.backward(x, &Tensor::ones(y.shape().clone()), &mut grads).unwrap();
+        (dx, grads)
+    }
 
     fn tiny_conv(groups: usize) -> Conv2d {
         let mut rng = init::rng(9);
@@ -342,7 +320,7 @@ mod tests {
         // the grouped conv with the same within-group weights.
         let mut rng = init::rng(5);
         let x = init::uniform(Shape::d4(2, 4, 5, 5), 1.0, &mut rng);
-        let mut grouped = Conv2d::new("g", (4, 5, 5), 4, 3, 1, 1, 2, &mut rng).unwrap();
+        let grouped = Conv2d::new("g", (4, 5, 5), 4, 3, 1, 1, 2, &mut rng).unwrap();
         let mut dense = Conv2d::new("d", (4, 5, 5), 4, 3, 1, 1, 1, &mut rng).unwrap();
         // Embed grouped weights [4][2][3][3] into dense [4][4][3][3] block-diagonally.
         dense.weight.value.fill(0.0);
@@ -382,16 +360,14 @@ mod tests {
         let numeric = (p - m) / (2.0 * eps);
 
         c.weight.value.as_mut_slice()[idx] = base;
-        let y = c.forward(&x).unwrap();
-        c.backward(&Tensor::ones(y.shape().clone())).unwrap();
-        let analytic = c.weight.grad.as_slice()[idx];
+        let analytic = sum_backward(&c, &x).1[0].as_slice()[idx];
         assert!((numeric - analytic).abs() < 1e-2, "{numeric} vs {analytic}");
     }
 
     #[test]
     fn backward_input_gradient_passes_numerical_check() {
         let mut rng = init::rng(4);
-        let mut c = tiny_conv(2);
+        let c = tiny_conv(2);
         let mut x = init::uniform(Shape::d4(1, 2, 4, 4), 1.0, &mut rng);
         let eps = 1e-2;
         let idx = 9;
@@ -404,9 +380,7 @@ mod tests {
         let numeric = (p - m) / (2.0 * eps);
 
         x.as_mut_slice()[idx] = base;
-        let y = c.forward(&x).unwrap();
-        let dx = c.backward(&Tensor::ones(y.shape().clone())).unwrap();
-        let analytic = dx.as_slice()[idx];
+        let analytic = sum_backward(&c, &x).0.as_slice()[idx];
         assert!((numeric - analytic).abs() < 1e-2, "{numeric} vs {analytic}");
     }
 
@@ -424,10 +398,7 @@ mod tests {
             let m: f32 = c.forward(&x).unwrap().as_slice().iter().sum();
             let numeric = (p - m) / (2.0 * eps);
             c.weight.value.as_mut_slice()[idx] = base;
-            let y = c.forward(&x).unwrap();
-            c.weight.zero_grad();
-            c.backward(&Tensor::ones(y.shape().clone())).unwrap();
-            let analytic = c.weight.grad.as_slice()[idx];
+            let analytic = sum_backward(&c, &x).1[0].as_slice()[idx];
             assert!((numeric - analytic).abs() < 2e-2, "idx {idx}: {numeric} vs {analytic}");
         }
     }
@@ -436,11 +407,11 @@ mod tests {
     fn one_by_one_spatial_input_works() {
         // Degenerate spatial extent: a conv acting as a per-pixel linear map.
         let mut rng = init::rng(12);
-        let mut c = Conv2d::new("pix", (4, 1, 1), 6, 1, 1, 0, 1, &mut rng).unwrap();
+        let c = Conv2d::new("pix", (4, 1, 1), 6, 1, 1, 0, 1, &mut rng).unwrap();
         let x = init::uniform(Shape::d4(3, 4, 1, 1), 1.0, &mut rng);
         let y = c.forward(&x).unwrap();
         assert_eq!(y.shape().dims(), &[3, 6, 1, 1]);
-        let g = c.backward(&Tensor::ones(y.shape().clone())).unwrap();
+        let (g, _) = sum_backward(&c, &x);
         assert_eq!(g.shape().dims(), &[3, 4, 1, 1]);
     }
 
@@ -455,9 +426,17 @@ mod tests {
 
     #[test]
     fn forward_rejects_wrong_input_shape() {
-        let mut c = tiny_conv(1);
+        let c = tiny_conv(1);
         assert!(c.forward(&Tensor::zeros(Shape::d4(1, 3, 4, 4))).is_err());
         assert!(c.forward(&Tensor::zeros(Shape::d3(2, 4, 4))).is_err());
+        // Backward checks its input, its output gradient and its buffers.
+        let x = Tensor::zeros(Shape::d4(1, 2, 4, 4));
+        let mut grads = zeroed_grads(&c.params());
+        let g = Tensor::zeros(Shape::d4(1, 2, 4, 4));
+        assert!(c.backward(&Tensor::zeros(Shape::d4(1, 3, 4, 4)), &g, &mut grads).is_err());
+        assert!(c.backward(&x, &Tensor::zeros(Shape::d4(2, 2, 4, 4)), &mut grads).is_err());
+        assert!(c.backward(&x, &g, &mut grads[..1]).is_err());
+        assert!(c.backward(&x, &g, &mut grads).is_ok());
     }
 
     #[test]

@@ -18,11 +18,6 @@ pub enum NnError {
     },
     /// An invalid layer or network configuration.
     BadConfig(String),
-    /// `backward` was called before `forward` cached its inputs.
-    BackwardBeforeForward {
-        /// Name of the offending layer.
-        layer: String,
-    },
     /// A network snapshot could not be captured or serialized.
     SaveFailed(String),
     /// A persisted snapshot failed parsing or validation.
@@ -37,9 +32,6 @@ impl fmt::Display for NnError {
                 write!(f, "layer `{layer}` received bad input: {reason}")
             }
             NnError::BadConfig(msg) => write!(f, "bad configuration: {msg}"),
-            NnError::BackwardBeforeForward { layer } => {
-                write!(f, "layer `{layer}`: backward called before forward")
-            }
             NnError::SaveFailed(msg) => write!(f, "could not save network: {msg}"),
             NnError::MalformedSnapshot(msg) => write!(f, "malformed network snapshot: {msg}"),
         }

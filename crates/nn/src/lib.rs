@@ -39,7 +39,6 @@
 pub mod activation;
 pub mod conv;
 pub mod descriptor;
-pub mod dropout;
 pub mod error;
 pub mod grouping;
 pub mod layer;
@@ -60,7 +59,7 @@ pub use descriptor::{LayerKind, LayerSpec, NetworkSpec};
 pub use error::NnError;
 pub use grouping::GroupLayout;
 pub use layer::Layer;
-pub use network::Network;
+pub use network::{Network, Tape};
 pub use param::Param;
 pub use quantized::{quantized_parallel_accuracy, QuantizedNetwork};
 pub use regularizer::{GroupLasso, StrengthMask};

@@ -1,11 +1,11 @@
 //! Fully-connected (inner-product) layer.
 
 use crate::descriptor::{LayerKind, LayerSpec};
-use crate::layer::Layer;
+use crate::layer::{check_grad, weight_bias_grads, Layer};
 use crate::param::Param;
 use crate::{NnError, Result};
 use lts_tensor::matmul::{matmul, matmul_a_bt, matmul_at_b_into};
-use lts_tensor::{init, Shape, Tensor, Workspace};
+use lts_tensor::{init, workspace, Shape, Tensor};
 use rand::rngs::StdRng;
 
 /// A fully-connected layer `y = W·x + b` with weight `[out_f, in_f]`.
@@ -21,8 +21,6 @@ pub struct Linear {
     out_f: usize,
     weight: Param,
     bias: Param,
-    cached_input: Option<Tensor>,
-    scratch: Workspace,
 }
 
 impl Linear {
@@ -43,8 +41,6 @@ impl Linear {
             out_f,
             weight: Param::new(init::he_normal(Shape::d2(out_f, in_f), in_f, rng)),
             bias: Param::zeros(Shape::d1(out_f)),
-            cached_input: None,
-            scratch: Workspace::new(),
         })
     }
 
@@ -56,6 +52,16 @@ impl Linear {
     /// Output feature count.
     pub fn out_features(&self) -> usize {
         self.out_f
+    }
+
+    fn check_input(&self, input: &Tensor) -> Result<()> {
+        if input.shape().rank() == 2 && input.shape().dim(1) == self.in_f {
+            return Ok(());
+        }
+        Err(NnError::BadInput {
+            layer: self.name.clone(),
+            reason: format!("expected [batch, {}], got {}", self.in_f, input.shape()),
+        })
     }
 }
 
@@ -73,13 +79,8 @@ impl Layer for Linear {
         }
     }
 
-    fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
-        if input.shape().rank() != 2 || input.shape().dim(1) != self.in_f {
-            return Err(NnError::BadInput {
-                layer: self.name.clone(),
-                reason: format!("expected [batch, {}], got {}", self.in_f, input.shape()),
-            });
-        }
+    fn forward(&self, input: &Tensor) -> Result<Tensor> {
+        self.check_input(input)?;
         // Y[b, o] = Σ_i X[b, i] * W[o, i] + bias[o]
         let mut out = matmul_a_bt(input, &self.weight.value)?;
         let bias = self.bias.value.as_slice();
@@ -90,29 +91,17 @@ impl Layer for Linear {
                 data[b * self.out_f + o] += bv;
             }
         }
-        self.cached_input = Some(input.clone());
         Ok(out)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        let input = self
-            .cached_input
-            .as_ref()
-            .ok_or_else(|| NnError::BackwardBeforeForward { layer: self.name.clone() })?;
-        if grad_out.shape().rank() != 2 || grad_out.shape().dim(1) != self.out_f {
-            return Err(NnError::BadInput {
-                layer: self.name.clone(),
-                reason: format!(
-                    "expected gradient [batch, {}], got {}",
-                    self.out_f,
-                    grad_out.shape()
-                ),
-            });
-        }
+    fn backward(&self, input: &Tensor, grad_out: &Tensor, grads: &mut [Tensor]) -> Result<Tensor> {
+        self.check_input(input)?;
+        let batch_rows = input.shape().dim(0);
+        check_grad(&self.name, Shape::d2(batch_rows, self.out_f), grad_out)?;
+        let (wgrad, bgrad) = weight_bias_grads(&self.name, &self.weight, &self.bias, grads)?;
         // dW[o, i] += Σ_b dY[b, o] * X[b, i]  == dYᵀ · X, computed into a
         // pooled scratch buffer and accumulated in place.
-        let batch_rows = grad_out.shape().dim(0);
-        let mut dw = self.scratch.take(self.out_f * self.in_f);
+        let mut dw = workspace::take(self.out_f * self.in_f);
         matmul_at_b_into(
             grad_out.as_slice(),
             input.as_slice(),
@@ -121,15 +110,14 @@ impl Layer for Linear {
             batch_rows,
             self.in_f,
         );
-        for (gw, &v) in self.weight.grad.as_mut_slice().iter_mut().zip(&dw) {
+        for (gw, &v) in wgrad.as_mut_slice().iter_mut().zip(&dw) {
             *gw += v;
         }
-        self.scratch.give(dw);
+        workspace::give(dw);
         // db[o] += Σ_b dY[b, o]
-        let batch = grad_out.shape().dim(0);
         let g = grad_out.as_slice();
-        let db = self.bias.grad.as_mut_slice();
-        for b in 0..batch {
+        let db = bgrad.as_mut_slice();
+        for b in 0..batch_rows {
             for (o, dbv) in db.iter_mut().enumerate() {
                 *dbv += g[b * self.out_f + o];
             }
@@ -162,6 +150,7 @@ impl Layer for Linear {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::zeroed_grads;
 
     fn layer_with_weights(w: Vec<f32>, bias: Vec<f32>, in_f: usize, out_f: usize) -> Linear {
         let mut rng = init::rng(0);
@@ -174,23 +163,26 @@ mod tests {
     #[test]
     fn forward_matches_hand_computation() {
         // W = [[1, 2], [3, 4]], b = [0.5, -0.5], x = [1, 1]
-        let mut l = layer_with_weights(vec![1., 2., 3., 4.], vec![0.5, -0.5], 2, 2);
+        let l = layer_with_weights(vec![1., 2., 3., 4.], vec![0.5, -0.5], 2, 2);
         let y = l.forward(&Tensor::from_vec(Shape::d2(1, 2), vec![1., 1.]).unwrap()).unwrap();
         assert_eq!(y.as_slice(), &[3.5, 6.5]);
     }
 
     #[test]
     fn backward_produces_correct_gradients() {
-        let mut l = layer_with_weights(vec![1., 2., 3., 4.], vec![0., 0.], 2, 2);
+        let l = layer_with_weights(vec![1., 2., 3., 4.], vec![0., 0.], 2, 2);
         let x = Tensor::from_vec(Shape::d2(1, 2), vec![5., 7.]).unwrap();
-        l.forward(&x).unwrap();
         let dy = Tensor::from_vec(Shape::d2(1, 2), vec![1., 2.]).unwrap();
-        let dx = l.backward(&dy).unwrap();
+        let mut grads = zeroed_grads(&l.params());
+        let dx = l.backward(&x, &dy, &mut grads).unwrap();
         // dX = dY · W = [1*1+2*3, 1*2+2*4] = [7, 10]
         assert_eq!(dx.as_slice(), &[7., 10.]);
         // dW = dYᵀ · X = [[5,7],[10,14]]
-        assert_eq!(l.weight.grad.as_slice(), &[5., 7., 10., 14.]);
-        assert_eq!(l.bias.grad.as_slice(), &[1., 2.]);
+        assert_eq!(grads[0].as_slice(), &[5., 7., 10., 14.]);
+        assert_eq!(grads[1].as_slice(), &[1., 2.]);
+        // The buffers accumulate: a second pass doubles them.
+        l.backward(&x, &dy, &mut grads).unwrap();
+        assert_eq!(grads[1].as_slice(), &[2., 4.]);
     }
 
     #[test]
@@ -210,24 +202,28 @@ mod tests {
         let numeric = (y_plus - y_minus) / (2.0 * eps);
 
         l.weight.value.as_mut_slice()[idx] = base;
-        l.forward(&x).unwrap();
         let ones = Tensor::ones(Shape::d2(2, 2));
-        l.backward(&ones).unwrap();
-        let analytic = l.weight.grad.as_slice()[idx];
+        let mut grads = zeroed_grads(&l.params());
+        l.backward(&x, &ones, &mut grads).unwrap();
+        let analytic = grads[0].as_slice()[idx];
         assert!((numeric - analytic).abs() < 1e-2, "{numeric} vs {analytic}");
     }
 
     #[test]
     fn rejects_bad_shapes() {
         let mut rng = init::rng(0);
-        let mut l = Linear::new("ip", 3, 2, &mut rng).unwrap();
+        let l = Linear::new("ip", 3, 2, &mut rng).unwrap();
         assert!(l.forward(&Tensor::zeros(Shape::d2(1, 4))).is_err());
         assert!(Linear::new("z", 0, 2, &mut rng).is_err());
+        let mut grads = zeroed_grads(&l.params());
+        let x = Tensor::zeros(Shape::d2(1, 3));
+        assert!(l.backward(&x, &Tensor::zeros(Shape::d2(1, 3)), &mut grads).is_err());
+        assert!(l.backward(&x, &Tensor::zeros(Shape::d2(1, 2)), &mut grads[1..]).is_err());
     }
 
     #[test]
     fn batch_forward_is_per_row() {
-        let mut l = layer_with_weights(vec![1., 0., 0., 1.], vec![0., 0.], 2, 2);
+        let l = layer_with_weights(vec![1., 0., 0., 1.], vec![0., 0.], 2, 2);
         let x = Tensor::from_vec(Shape::d2(2, 2), vec![1., 2., 3., 4.]).unwrap();
         let y = l.forward(&x).unwrap();
         assert_eq!(y.as_slice(), &[1., 2., 3., 4.]);

@@ -147,7 +147,7 @@ mod tests {
 
     #[test]
     fn lenet_forward_produces_class_logits() {
-        let mut net = lenet(10, 1).unwrap();
+        let net = lenet(10, 1).unwrap();
         let x = Tensor::zeros(Shape::d4(2, 1, 28, 28));
         let y = net.forward(&x).unwrap();
         assert_eq!(y.shape().dims(), &[2, 10]);

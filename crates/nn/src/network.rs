@@ -5,21 +5,20 @@ use crate::layer::Layer;
 use crate::param::Param;
 use crate::{activation::Relu, conv::Conv2d, linear::Linear, pool::MaxPool2d};
 use crate::{NnError, Result};
-use lts_tensor::{Shape, Tensor};
+use lts_tensor::{par, Shape, Tensor};
 use rand::rngs::StdRng;
-use rand::Rng;
+use std::borrow::Cow;
 
 /// Structural adapter collapsing NCHW activations to `[batch, features]`.
 #[derive(Debug, Clone)]
 pub struct Flatten {
     in_dims: Dims,
-    last_shape: Option<Shape>,
 }
 
 impl Flatten {
     /// Creates a flatten layer for inputs of the given dims.
     pub fn new(in_dims: Dims) -> Self {
-        Self { in_dims, last_shape: None }
+        Self { in_dims }
     }
 }
 
@@ -37,23 +36,28 @@ impl Layer for Flatten {
         }
     }
 
-    fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
-        self.last_shape = Some(input.shape().clone());
+    fn forward(&self, input: &Tensor) -> Result<Tensor> {
         let batch = input.shape().dim(0);
         Ok(input.reshaped(Shape::d2(batch, input.len() / batch.max(1)))?)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        let shape = self
-            .last_shape
-            .as_ref()
-            .ok_or_else(|| NnError::BackwardBeforeForward { layer: "flatten".into() })?;
-        Ok(grad_out.reshaped(shape.clone())?)
+    fn backward(&self, input: &Tensor, grad_out: &Tensor, _grads: &mut [Tensor]) -> Result<Tensor> {
+        Ok(grad_out.reshaped(input.shape().clone())?)
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
     }
+}
+
+/// The input of every layer of one training forward pass, in layer order.
+///
+/// Only [`Network::forward_train`] makes a tape and only
+/// [`Network::backward`] consumes one, so a backward pass cannot run
+/// without the forward pass it differentiates.
+#[derive(Debug)]
+pub struct Tape {
+    inputs: Vec<Tensor>,
 }
 
 /// A feed-forward network: an ordered chain of layers.
@@ -66,7 +70,7 @@ impl Layer for Flatten {
 ///
 /// # fn main() -> Result<(), lts_nn::NnError> {
 /// let mut rng = init::rng(1);
-/// let mut net = NetworkBuilder::new("tiny", (1, 8, 8))
+/// let net = NetworkBuilder::new("tiny", (1, 8, 8))
 ///     .conv("conv1", 4, 3, 1, 1, 1)
 ///     .relu()
 ///     .pool("pool1", 2, 2)
@@ -130,34 +134,77 @@ impl Network {
         }
     }
 
-    /// Runs a full forward pass over a batch.
+    /// Runs a full forward pass over a batch and keeps no activations.
     ///
     /// # Errors
     ///
     /// Propagates the first layer error (usually a shape mismatch).
-    pub fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
-        let _probe = lts_obs::span("nn.forward");
-        let mut current = input.clone();
-        for layer in &mut self.layers {
-            let _layer_probe = lts_obs::span(layer.name());
-            current = layer.forward(&current)?;
-        }
-        Ok(current)
+    pub fn forward(&self, input: &Tensor) -> Result<Tensor> {
+        self.run(Cow::Borrowed(input), None)
     }
 
-    /// Back-propagates a loss gradient, accumulating parameter gradients.
+    /// Runs the same forward pass as [`Network::forward`] and also returns
+    /// the [`Tape`] of layer inputs that [`Network::backward`] needs.
     ///
     /// # Errors
     ///
-    /// Propagates layer errors (e.g. backward before forward).
-    pub fn backward(&mut self, grad: &Tensor) -> Result<Tensor> {
-        let _probe = lts_obs::span("nn.backward");
-        let mut current = grad.clone();
-        for layer in self.layers.iter_mut().rev() {
+    /// Propagates the first layer error (usually a shape mismatch).
+    pub fn forward_train(&self, input: Tensor) -> Result<(Tensor, Tape)> {
+        let mut inputs = Vec::with_capacity(self.layers.len());
+        let out = self.run(Cow::Owned(input), Some(&mut inputs))?;
+        Ok((out, Tape { inputs }))
+    }
+
+    /// The forward loop shared by evaluation and training: each layer's
+    /// input is moved onto `tape` when there is one and dropped otherwise.
+    fn run(&self, input: Cow<'_, Tensor>, mut tape: Option<&mut Vec<Tensor>>) -> Result<Tensor> {
+        let _probe = lts_obs::span("nn.forward");
+        let mut current = input;
+        for layer in &self.layers {
             let _layer_probe = lts_obs::span(layer.name());
-            current = layer.backward(&current)?;
+            let next = layer.forward(&current)?;
+            if let Some(tape) = tape.as_deref_mut() {
+                tape.push(current.into_owned());
+            }
+            current = Cow::Owned(next);
         }
-        Ok(current)
+        Ok(current.into_owned())
+    }
+
+    /// Back-propagates the loss gradient `grad` of the forward pass that
+    /// recorded `tape`, adding the parameter gradients into `grads` (one
+    /// buffer per [`Network::params`] entry, in order; see
+    /// [`crate::layer::zeroed_grads`]). Returns the input gradient.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::BadInput`] if `grads` does not match the
+    /// parameters or the tape is not this network's, and propagates layer
+    /// errors (shape mismatches).
+    pub fn backward(&self, tape: Tape, grad: &Tensor, grads: &mut [Tensor]) -> Result<Tensor> {
+        let _probe = lts_obs::span("nn.backward");
+        let counts: Vec<usize> = self.layers.iter().map(|l| l.params().len()).collect();
+        if tape.inputs.len() != self.layers.len() || grads.len() != counts.iter().sum::<usize>() {
+            return Err(NnError::BadInput {
+                layer: "backward".into(),
+                reason: format!(
+                    "{} tape entries and {} gradient buffers for {} layers",
+                    tape.inputs.len(),
+                    grads.len(),
+                    self.layers.len()
+                ),
+            });
+        }
+        let mut end = grads.len();
+        let mut current = Cow::Borrowed(grad);
+        let steps = self.layers.iter().zip(counts).zip(tape.inputs).rev();
+        for ((layer, count), input) in steps {
+            let _layer_probe = lts_obs::span(layer.name());
+            let start = end - count;
+            current = Cow::Owned(layer.backward(&input, &current, &mut grads[start..end])?);
+            end = start;
+        }
+        Ok(current.into_owned())
     }
 
     /// All trainable parameters, in layer order.
@@ -174,14 +221,6 @@ impl Network {
     pub fn zero_grads(&mut self) {
         for p in self.params_mut() {
             p.zero_grad();
-        }
-    }
-
-    /// Switches every layer between training and inference behaviour
-    /// (affects [`crate::dropout::Dropout`]; a no-op for other layers).
-    pub fn set_training(&mut self, training: bool) {
-        for layer in &mut self.layers {
-            layer.set_training(training);
         }
     }
 
@@ -230,17 +269,8 @@ impl Network {
     /// # Errors
     ///
     /// Propagates forward errors.
-    pub fn predict(&mut self, batch: &Tensor) -> Result<Vec<usize>> {
-        self.set_training(false);
-        let out = self.forward(batch)?;
-        let classes = out.shape().dim(1);
-        Ok((0..out.shape().dim(0))
-            .map(|b| {
-                lts_tensor::ops::argmax(&out.as_slice()[b * classes..(b + 1) * classes])
-                    .map(|(i, _)| i)
-                    .unwrap_or(0)
-            })
-            .collect())
+    pub fn predict(&self, batch: &Tensor) -> Result<Vec<usize>> {
+        Ok(predictions(&self.forward(batch)?))
     }
 
     /// Classification accuracy on `(inputs, labels)`, evaluated in batches
@@ -250,38 +280,70 @@ impl Network {
     ///
     /// Propagates forward errors; returns [`NnError::BadInput`] if the
     /// label count disagrees with the input batch dimension.
-    pub fn evaluate(
-        &mut self,
-        inputs: &Tensor,
-        labels: &[usize],
-        batch_size: usize,
-    ) -> Result<f32> {
-        let total = inputs.shape().dim(0);
-        if labels.len() != total {
-            return Err(NnError::BadInput {
-                layer: "evaluate".into(),
-                reason: format!("{} labels for {total} inputs", labels.len()),
-            });
-        }
-        if total == 0 {
-            return Ok(0.0);
-        }
-        let sample_len = inputs.len() / total;
-        let mut correct = 0usize;
-        let mut start = 0usize;
-        while start < total {
-            let end = (start + batch_size).min(total);
-            let n = end - start;
-            let mut dims = inputs.shape().dims().to_vec();
-            dims[0] = n;
-            let slice = inputs.as_slice()[start * sample_len..end * sample_len].to_vec();
-            let batch = Tensor::from_vec(Shape::new(dims), slice)?;
-            let preds = self.predict(&batch)?;
-            correct += preds.iter().zip(&labels[start..end]).filter(|(p, l)| p == l).count();
-            start = end;
-        }
-        Ok(correct as f32 / total as f32)
+    pub fn evaluate(&self, inputs: &Tensor, labels: &[usize], batch_size: usize) -> Result<f32> {
+        let forward = || |batch: &Tensor| self.forward(batch);
+        batched_accuracy("evaluate", inputs, labels, batch_size, 1, forward)
     }
+}
+
+/// The arg-max class of every row of a `[batch, classes]` logit matrix.
+pub(crate) fn predictions(logits: &Tensor) -> Vec<usize> {
+    let (rows, classes) = (logits.shape().dim(0), logits.shape().dim(1));
+    let row = |b: usize| &logits.as_slice()[b * classes..(b + 1) * classes];
+    (0..rows).map(|b| lts_tensor::ops::argmax(row(b)).map_or(0, |(i, _)| i)).collect()
+}
+
+/// Classification accuracy of a forward function on `(inputs, labels)`.
+///
+/// The samples are split into `stripes` contiguous ranges that run
+/// data-parallel; each range gets its own forward function from
+/// `forward_for` and runs it in batches of `batch_size`, counting the
+/// samples whose arg-max logit is their label. A sample's logits do not
+/// depend on its batchmates, so the accuracy does not depend on `stripes`,
+/// `batch_size` or the engine's worker count. `caller` names the entry
+/// point in the label-count error.
+pub(crate) fn batched_accuracy<F>(
+    caller: &str,
+    inputs: &Tensor,
+    labels: &[usize],
+    batch_size: usize,
+    stripes: usize,
+    forward_for: impl Fn() -> F + Sync,
+) -> Result<f32>
+where
+    F: FnMut(&Tensor) -> Result<Tensor>,
+{
+    let total = inputs.shape().dim(0);
+    if labels.len() != total {
+        return Err(NnError::BadInput {
+            layer: caller.into(),
+            reason: format!("{} labels for {total} inputs", labels.len()),
+        });
+    }
+    if total == 0 {
+        return Ok(0.0);
+    }
+    let sample_len = inputs.len() / total;
+    let ranges = par::stripe_ranges(total, stripes.clamp(1, total));
+    let counts = par::par_map(&ranges, |_, range| -> Result<usize> {
+        let mut forward = forward_for();
+        let mut correct = 0;
+        for start in range.clone().step_by(batch_size.max(1)) {
+            let end = (start + batch_size.max(1)).min(range.end);
+            let mut dims = inputs.shape().dims().to_vec();
+            dims[0] = end - start;
+            let slice = inputs.as_slice()[start * sample_len..end * sample_len].to_vec();
+            let logits = forward(&Tensor::from_vec(Shape::new(dims), slice)?)?;
+            let hits = predictions(&logits).into_iter().zip(&labels[start..end]);
+            correct += hits.filter(|(p, l)| p == *l).count();
+        }
+        Ok(correct)
+    });
+    let mut correct = 0usize;
+    for count in counts {
+        correct += count?;
+    }
+    Ok(correct as f32 / total as f32)
 }
 
 /// Builds a [`Network`] layer by layer, tracking activation dims.
@@ -319,11 +381,6 @@ enum BuilderOp {
     },
     Relu {
         name: String,
-        dims: Dims,
-    },
-    Dropout {
-        name: String,
-        p: f32,
         dims: Dims,
     },
     Flatten {
@@ -401,12 +458,6 @@ impl NetworkBuilder {
         self
     }
 
-    /// Appends an inverted-dropout layer with drop probability `p`.
-    pub fn dropout(mut self, name: &str, p: f32) -> Self {
-        self.ops.push(BuilderOp::Dropout { name: name.into(), p, dims: self.current });
-        self
-    }
-
     /// Appends a flatten adapter.
     pub fn flatten(mut self) -> Self {
         let in_dims = self.current;
@@ -446,12 +497,6 @@ impl NetworkBuilder {
                     )?));
                 }
                 BuilderOp::Relu { name, dims } => layers.push(Box::new(Relu::new(&name, dims))),
-                BuilderOp::Dropout { name, p, dims } => {
-                    // Per-layer RNG stream derived from the weight RNG so
-                    // builds stay deterministic.
-                    let seed = rng.gen::<u64>();
-                    layers.push(Box::new(crate::dropout::Dropout::new(&name, dims, p, seed)?));
-                }
                 BuilderOp::Flatten { in_dims } => layers.push(Box::new(Flatten::new(in_dims))),
                 BuilderOp::Linear { name, in_f, out_f } => {
                     layers.push(Box::new(Linear::new(&name, in_f, out_f, rng)?));
@@ -465,6 +510,7 @@ impl NetworkBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::zeroed_grads;
     use lts_tensor::init;
 
     fn tiny_net(seed: u64) -> Network {
@@ -481,7 +527,7 @@ mod tests {
 
     #[test]
     fn forward_produces_logits_of_right_shape() {
-        let mut net = tiny_net(1);
+        let net = tiny_net(1);
         let out = net.forward(&Tensor::zeros(Shape::d4(3, 1, 6, 6))).unwrap();
         assert_eq!(out.shape().dims(), &[3, 4]);
     }
@@ -497,18 +543,22 @@ mod tests {
 
     #[test]
     fn backward_runs_after_forward_and_fills_grads() {
-        let mut net = tiny_net(3);
+        let net = tiny_net(3);
         let x = init::uniform(Shape::d4(2, 1, 6, 6), 1.0, &mut init::rng(0));
-        let y = net.forward(&x).unwrap();
-        net.backward(&Tensor::ones(y.shape().clone())).unwrap();
-        let grads_nonzero =
-            net.params_mut().iter().any(|p| p.grad.as_slice().iter().any(|&g| g != 0.0));
-        assert!(grads_nonzero);
+        let (y, tape) = net.forward_train(x.clone()).unwrap();
+        assert_eq!(y, net.forward(&x).unwrap());
+        let mut grads = zeroed_grads(&net.params());
+        let dx = net.backward(tape, &Tensor::ones(y.shape().clone()), &mut grads).unwrap();
+        assert_eq!(dx.shape(), x.shape());
+        assert!(grads.iter().any(|g| g.as_slice().iter().any(|&v| v != 0.0)));
+        // Gradient buffers that do not match the parameters are rejected.
+        let (_, tape) = net.forward_train(x).unwrap();
+        assert!(net.backward(tape, &Tensor::ones(y.shape().clone()), &mut grads[1..]).is_err());
     }
 
     #[test]
     fn clone_is_deep() {
-        let mut a = tiny_net(4);
+        let a = tiny_net(4);
         let mut b = a.clone();
         let x = init::uniform(Shape::d4(1, 1, 6, 6), 1.0, &mut init::rng(0));
         let ya = a.forward(&x).unwrap();
@@ -522,7 +572,7 @@ mod tests {
 
     #[test]
     fn evaluate_counts_accuracy() {
-        let mut net = tiny_net(5);
+        let net = tiny_net(5);
         let x = init::uniform(Shape::d4(4, 1, 6, 6), 1.0, &mut init::rng(1));
         let preds = net.predict(&x).unwrap();
         let acc = net.evaluate(&x, &preds, 2).unwrap();
@@ -534,7 +584,7 @@ mod tests {
 
     #[test]
     fn evaluate_rejects_mismatched_labels() {
-        let mut net = tiny_net(6);
+        let net = tiny_net(6);
         let x = Tensor::zeros(Shape::d4(2, 1, 6, 6));
         assert!(net.evaluate(&x, &[0], 2).is_err());
     }
@@ -554,11 +604,11 @@ mod tests {
 
     #[test]
     fn flatten_backward_restores_shape() {
-        let mut f = Flatten::new((2, 3, 3));
+        let f = Flatten::new((2, 3, 3));
         let x = Tensor::zeros(Shape::d4(2, 2, 3, 3));
         let y = f.forward(&x).unwrap();
         assert_eq!(y.shape().dims(), &[2, 18]);
-        let g = f.backward(&y).unwrap();
+        let g = f.backward(&x, &y, &mut []).unwrap();
         assert_eq!(g.shape().dims(), &[2, 2, 3, 3]);
     }
 }

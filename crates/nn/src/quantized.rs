@@ -20,18 +20,19 @@
 //! activations that the sparsified strategies elide from the NoC remain
 //! genuinely zero.
 //!
-//! Like the f32 layers, each quantized stage owns reusable scratch
-//! buffers (`Vec<i16>`/`Vec<i32>`, grown once, reused every batch), so
-//! steady-state inference allocates only its output tensors.
+//! Each quantized stage owns reusable scratch buffers (`Vec<i16>`/
+//! `Vec<i32>`, grown once, reused every batch), so steady-state inference
+//! allocates only its output tensors; that is why its forward pass takes
+//! `&mut self` where the f32 layers borrow their weights immutably.
 
 use crate::descriptor::{Dims, LayerKind};
-use crate::layer::Layer;
-use crate::network::Network;
+use crate::layer::{check_nchw, Layer};
+use crate::network::{batched_accuracy, predictions, Network};
 use crate::{NnError, Result};
 use lts_tensor::im2col::{im2col_into, ConvGeometry};
 use lts_tensor::qmatmul::matmul_i16_into;
 use lts_tensor::quant::QuantParams;
-use lts_tensor::{ops, par, Shape, Tensor};
+use lts_tensor::{Shape, Tensor};
 
 /// Quantized grouped 2-D convolution: i16 weights + activations, i32
 /// accumulation, f32 output.
@@ -72,18 +73,8 @@ impl QuantConv2d {
     }
 
     fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
+        let batch = check_nchw(&self.name, self.in_dims, input)?;
         let (c, h, w) = self.in_dims;
-        let ok = input.shape().rank() == 4
-            && input.shape().dim(1) == c
-            && input.shape().dim(2) == h
-            && input.shape().dim(3) == w;
-        if !ok {
-            return Err(NnError::BadInput {
-                layer: self.name.clone(),
-                reason: format!("expected [batch, {c}, {h}, {w}], got {}", input.shape()),
-            });
-        }
-        let batch = input.shape().dim(0);
         let (out_c, oh, ow) = self.out_dims();
         let geom = self.group_geometry();
         let icg = c / self.groups;
@@ -165,7 +156,7 @@ impl QuantLinear {
 }
 
 /// One stage of a quantized network: either a quantized weighted layer or
-/// the retained f32 layer (pooling/activation/flatten/dropout — and any
+/// the retained f32 layer (pooling/activation/flatten — and any
 /// weighted layer kind the quantizer does not recognize, kept in f32
 /// rather than silently mis-quantized).
 enum QuantStage {
@@ -247,8 +238,7 @@ impl QuantizedNetwork {
         let _probe = lts_obs::span("nn.quantize_calibrate");
         let mut stages = Vec::with_capacity(network.len());
         let mut current = calibration.clone();
-        for mut layer in network.clone_layers() {
-            layer.set_training(false);
+        for layer in network.clone_layers() {
             let stage = match (layer.weight().is_some(), layer.spec().kind) {
                 (true, LayerKind::Conv { out_c, kernel, stride, pad, groups }) => {
                     let spec = layer.spec();
@@ -358,55 +348,26 @@ impl QuantizedNetwork {
     ///
     /// Propagates forward errors.
     pub fn predict(&mut self, batch: &Tensor) -> Result<Vec<usize>> {
-        let out = self.forward(batch)?;
-        let classes = out.shape().dim(1);
-        Ok((0..out.shape().dim(0))
-            .map(|b| {
-                ops::argmax(&out.as_slice()[b * classes..(b + 1) * classes])
-                    .map(|(i, _)| i)
-                    .unwrap_or(0)
-            })
-            .collect())
+        Ok(predictions(&self.forward(batch)?))
     }
 
     /// Classification accuracy on `(inputs, labels)` in batches of
-    /// `batch_size` — the quantized mirror of [`Network::evaluate`].
+    /// `batch_size` — the quantized mirror of [`Network::evaluate`]. It
+    /// runs on a copy of the network, whose stage buffers it owns.
     ///
     /// # Errors
     ///
     /// Propagates forward errors; returns [`NnError::BadInput`] if the
     /// label count disagrees with the input batch dimension.
-    pub fn evaluate(
-        &mut self,
-        inputs: &Tensor,
-        labels: &[usize],
-        batch_size: usize,
-    ) -> Result<f32> {
-        let total = inputs.shape().dim(0);
-        if labels.len() != total {
-            return Err(NnError::BadInput {
-                layer: "evaluate".into(),
-                reason: format!("{} labels for {total} inputs", labels.len()),
-            });
-        }
-        if total == 0 {
-            return Ok(0.0);
-        }
-        let sample_len = inputs.len() / total;
-        let mut correct = 0usize;
-        let mut start = 0usize;
-        while start < total {
-            let end = (start + batch_size).min(total);
-            let n = end - start;
-            let mut dims = inputs.shape().dims().to_vec();
-            dims[0] = n;
-            let slice = inputs.as_slice()[start * sample_len..end * sample_len].to_vec();
-            let batch = Tensor::from_vec(Shape::new(dims), slice)?;
-            let preds = self.predict(&batch)?;
-            correct += preds.iter().zip(&labels[start..end]).filter(|(p, l)| p == l).count();
-            start = end;
-        }
-        Ok(correct as f32 / total as f32)
+    pub fn evaluate(&self, inputs: &Tensor, labels: &[usize], batch_size: usize) -> Result<f32> {
+        batched_accuracy("evaluate", inputs, labels, batch_size, 1, || self.stripe_forward())
+    }
+
+    /// A forward function over a private copy of the network, for one
+    /// stripe of a batched evaluation.
+    fn stripe_forward(&self) -> impl FnMut(&Tensor) -> Result<Tensor> {
+        let mut local = self.clone();
+        move |batch| local.forward(batch)
     }
 }
 
@@ -414,7 +375,7 @@ impl QuantizedNetwork {
 /// [`crate::trainer::parallel_accuracy`], with the identical contiguous
 /// chunk decomposition, so the result is independent of `threads` and of
 /// the engine worker count (quantized forward passes are integer-exact
-/// per sample).
+/// per sample). Every chunk runs on its own copy of the network.
 ///
 /// # Errors
 ///
@@ -426,34 +387,8 @@ pub fn quantized_parallel_accuracy(
     batch_size: usize,
     threads: usize,
 ) -> Result<f32> {
-    let total = inputs.shape().dim(0);
-    if labels.len() != total {
-        return Err(NnError::BadInput {
-            layer: "quantized_parallel_accuracy".into(),
-            reason: format!("{} labels for {total} inputs", labels.len()),
-        });
-    }
-    if total == 0 {
-        return Ok(0.0);
-    }
-    let threads = threads.clamp(1, total);
-    let sample_len = inputs.len() / total;
-    let ranges = par::stripe_ranges(total, threads);
-    let counts = par::par_map(&ranges, |_, range| -> Result<usize> {
-        let mut local = net.clone();
-        let mut dims = inputs.shape().dims().to_vec();
-        dims[0] = range.len();
-        let in_slice = &inputs.as_slice()[range.start * sample_len..range.end * sample_len];
-        let label_slice = &labels[range.start..range.end];
-        let local_inputs = Tensor::from_vec(Shape::new(dims), in_slice.to_vec())?;
-        let acc = local.evaluate(&local_inputs, label_slice, batch_size)?;
-        Ok((acc * label_slice.len() as f32).round() as usize)
-    });
-    let mut correct = 0usize;
-    for count in counts {
-        correct += count?;
-    }
-    Ok(correct as f32 / total as f32)
+    let forward = || net.stripe_forward();
+    batched_accuracy("quantized_parallel_accuracy", inputs, labels, batch_size, threads, forward)
 }
 
 #[cfg(test)]
@@ -478,11 +413,10 @@ mod tests {
 
     #[test]
     fn quantized_forward_tracks_f32_forward() {
-        let (mut net, calib) = tiny_net(3);
+        let (net, calib) = tiny_net(3);
         let mut qnet = QuantizedNetwork::from_network(&net, &calib).unwrap();
         let mut rng = init::rng(7);
         let x = init::uniform(Shape::d4(4, 1, 8, 8), 1.0, &mut rng);
-        net.set_training(false);
         let f = net.forward(&x).unwrap();
         let q = qnet.forward(&x).unwrap();
         assert_eq!(f.shape(), q.shape());
@@ -541,7 +475,7 @@ mod tests {
     #[test]
     fn evaluate_matches_parallel_accuracy_for_any_thread_count() {
         let (net, calib) = tiny_net(6);
-        let mut qnet = QuantizedNetwork::from_network(&net, &calib).unwrap();
+        let qnet = QuantizedNetwork::from_network(&net, &calib).unwrap();
         let mut rng = init::rng(11);
         let x = init::uniform(Shape::d4(12, 1, 8, 8), 1.0, &mut rng);
         let labels: Vec<usize> = (0..12).map(|i| i % 10).collect();

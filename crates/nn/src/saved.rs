@@ -2,10 +2,9 @@
 //!
 //! `Box<dyn Layer>` cannot derive serde, so persistence goes through
 //! [`SavedNetwork`]: the analytic [`NetworkSpec`] plus every layer's
-//! parameters and freeze masks. Training-only layers (dropout) are
-//! represented by their identity inference behaviour and reloaded as
-//! plain activations, so a saved network is the *deployment* artifact —
-//! exactly what would be burned into the accelerator cores' buffers.
+//! parameters and freeze masks, so a saved network is the *deployment*
+//! artifact — exactly what would be burned into the accelerator cores'
+//! buffers.
 //!
 //! # Examples
 //!
@@ -352,10 +351,10 @@ mod tests {
 
     #[test]
     fn roundtrip_preserves_forward_outputs() {
-        let mut net = models::lenet(10, 4).unwrap();
+        let net = models::lenet(10, 4).unwrap();
         let x = init::uniform(Shape::d4(2, 1, 28, 28), 1.0, &mut init::rng(1));
         let y1 = net.forward(&x).unwrap();
-        let mut restored = SavedNetwork::from_network(&net).unwrap().into_network().unwrap();
+        let restored = SavedNetwork::from_network(&net).unwrap().into_network().unwrap();
         let y2 = restored.forward(&x).unwrap();
         assert_eq!(y1, y2);
     }
@@ -428,7 +427,7 @@ mod tests {
         assert!(err.to_string().contains("freezes weight index"), "{err}");
         // And the same snapshot round-tripped through JSON is rejected
         // at parse time, before any network is built.
-        let mut net2 = models::mlp(16, 4, 9).unwrap();
+        let net2 = models::mlp(16, 4, 9).unwrap();
         let mut saved2 = SavedNetwork::from_network(&net2).unwrap();
         saved2.params[0].frozen_weight_indices.push(usize::MAX);
         let json = saved2.to_json().unwrap();
@@ -501,7 +500,7 @@ mod tests {
     #[test]
     fn avg_pool_roundtrips_as_avg_pool() {
         let mut rng = init::rng(0);
-        let mut net = NetworkBuilder::new("a", (1, 8, 8))
+        let net = NetworkBuilder::new("a", (1, 8, 8))
             .conv("c", 2, 3, 1, 1, 1)
             .avg_pool("ap", 2, 2)
             .flatten()
@@ -510,7 +509,7 @@ mod tests {
             .unwrap();
         let x = init::uniform(Shape::d4(1, 1, 8, 8), 1.0, &mut init::rng(5));
         let y1 = net.forward(&x).unwrap();
-        let mut restored = SavedNetwork::from_network(&net).unwrap().into_network().unwrap();
+        let restored = SavedNetwork::from_network(&net).unwrap().into_network().unwrap();
         let y2 = restored.forward(&x).unwrap();
         assert_eq!(y1, y2);
         // The spec marks the pool as average.

@@ -1,7 +1,8 @@
 //! Mini-batch SGD training loop with optional group-Lasso regularizers.
 
+use crate::layer::zeroed_grads;
 use crate::loss::softmax_cross_entropy;
-use crate::network::Network;
+use crate::network::{batched_accuracy, Network};
 use crate::optim::Sgd;
 use crate::regularizer::GroupLasso;
 use crate::saved::{check_entries, read_snapshot_file, write_snapshot_file, SavedNetwork};
@@ -11,7 +12,6 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::path::Path;
-use std::sync::Mutex;
 
 /// Number of gradient shards each mini-batch is split into.
 ///
@@ -512,13 +512,6 @@ impl Trainer {
             opt = opt.with_lr_scaled(self.config.lr_decay);
         }
         let mut stats = TrainStats { epochs: prior };
-
-        net.set_training(true);
-        // Worker replicas for data-parallel batches, indexed by shard.
-        // Created lazily on the first multi-shard batch and kept across
-        // batches so their buffers (layer workspaces, cached activations)
-        // are reused instead of re-allocated.
-        let mut workers: Vec<Mutex<Network>> = Vec::new();
         for epoch in start_epoch..self.config.epochs {
             let _probe = lts_obs::span("nn.train_epoch");
             order.shuffle(&mut rng);
@@ -526,8 +519,7 @@ impl Trainer {
             let mut epoch_correct = 0usize;
             let mut batches = 0usize;
             for chunk in order.chunks(self.config.batch_size) {
-                let (loss, correct) =
-                    self.train_batch(net, &mut workers, inputs, labels, chunk, sample_len)?;
+                let (loss, correct) = train_batch(net, inputs, labels, chunk, sample_len)?;
                 self.apply_subgradient_regularizers(net)?;
                 let mut params = net.params_mut();
                 clip_global_grad_norm(&mut params, self.config.clip_grad_norm);
@@ -550,80 +542,7 @@ impl Trainer {
                 sink(&cp)?;
             }
         }
-        net.set_training(false);
         Ok(stats)
-    }
-
-    /// Runs forward + backward for one mini-batch, leaving the mean-batch
-    /// gradient in `net`'s parameter grads. Returns `(mean loss, correct)`.
-    ///
-    /// Batches with more than one sample are split into [`TRAIN_SHARDS`]
-    /// fixed shards that run data-parallel on persistent worker replicas of
-    /// the network; shard gradients are reduced onto the master in
-    /// ascending shard order with fixed weights, so the result does not
-    /// depend on the engine's worker count.
-    fn train_batch(
-        &self,
-        net: &mut Network,
-        workers: &mut Vec<Mutex<Network>>,
-        inputs: &Tensor,
-        labels: &[usize],
-        chunk: &[usize],
-        sample_len: usize,
-    ) -> Result<(f32, usize)> {
-        let _probe = lts_obs::span("nn.train_batch");
-        let batch_len = chunk.len();
-        let nshards = TRAIN_SHARDS.min(batch_len);
-        if nshards <= 1 {
-            // Degenerate batch: run directly on the master network.
-            let (batch, batch_labels) = gather_batch(inputs, labels, chunk, sample_len)?;
-            net.zero_grads();
-            let logits = net.forward(&batch)?;
-            let out = softmax_cross_entropy(&logits, &batch_labels)?;
-            net.backward(&out.grad)?;
-            return Ok((out.loss, out.correct));
-        }
-        while workers.len() < nshards {
-            workers.push(Mutex::new(net.clone()));
-        }
-        // Sync replica weights with the master in place (no allocation).
-        for worker in workers[..nshards].iter_mut() {
-            let replica = worker.get_mut().expect("worker lock poisoned");
-            for (wp, mp) in replica.params_mut().into_iter().zip(net.params()) {
-                wp.value.as_mut_slice().copy_from_slice(mp.value.as_slice());
-            }
-        }
-        let ranges = par::stripe_ranges(batch_len, nshards);
-        let shard_pool = &workers[..nshards];
-        let results = par::par_map(&ranges, |s, range| -> Result<(f32, usize, usize)> {
-            let mut replica = shard_pool[s].lock().expect("worker lock poisoned");
-            let idx = &chunk[range.start..range.end];
-            let (batch, batch_labels) = gather_batch(inputs, labels, idx, sample_len)?;
-            replica.zero_grads();
-            let logits = replica.forward(&batch)?;
-            let out = softmax_cross_entropy(&logits, &batch_labels)?;
-            replica.backward(&out.grad)?;
-            Ok((out.loss, out.correct, idx.len()))
-        });
-        // Fixed-order weighted reduction: shard s contributes
-        // `shard_len / batch_len` of the batch-mean gradient and loss.
-        net.zero_grads();
-        let mut loss = 0.0f32;
-        let mut correct = 0usize;
-        let mut mparams = net.params_mut();
-        for (s, result) in results.into_iter().enumerate() {
-            let (shard_loss, shard_correct, shard_len) = result?;
-            let factor = shard_len as f32 / batch_len as f32;
-            loss += factor * shard_loss;
-            correct += shard_correct;
-            let replica = workers[s].get_mut().expect("worker lock poisoned");
-            for (mp, wp) in mparams.iter_mut().zip(replica.params()) {
-                for (gm, &gw) in mp.grad.as_mut_slice().iter_mut().zip(wp.grad.as_slice()) {
-                    *gm += factor * gw;
-                }
-            }
-        }
-        Ok((loss, correct))
     }
 
     /// Sum of all regularizer penalties at the network's current weights.
@@ -667,6 +586,54 @@ impl Trainer {
         }
         Ok(())
     }
+}
+
+/// Runs forward + backward for one mini-batch, leaving the mean-batch
+/// gradient in `net`'s parameter grads. Returns `(mean loss, correct)`.
+///
+/// The batch is split into `min(TRAIN_SHARDS, batch)` fixed shards that run
+/// data-parallel. Every shard borrows `net` and fills its own zeroed
+/// gradient buffers; they are reduced onto the master's grads in ascending
+/// shard order with fixed weights, so the result does not depend on the
+/// engine's worker count.
+fn train_batch(
+    net: &mut Network,
+    inputs: &Tensor,
+    labels: &[usize],
+    chunk: &[usize],
+    sample_len: usize,
+) -> Result<(f32, usize)> {
+    let _probe = lts_obs::span("nn.train_batch");
+    let batch_len = chunk.len();
+    let ranges = par::stripe_ranges(batch_len, TRAIN_SHARDS.min(batch_len));
+    let shared: &Network = net;
+    let results = par::par_map(&ranges, |_, range| -> Result<(f32, usize, usize, Vec<Tensor>)> {
+        let idx = &chunk[range.start..range.end];
+        let (batch, batch_labels) = gather_batch(inputs, labels, idx, sample_len)?;
+        let (logits, tape) = shared.forward_train(batch)?;
+        let out = softmax_cross_entropy(&logits, &batch_labels)?;
+        let mut grads = zeroed_grads(&shared.params());
+        shared.backward(tape, &out.grad, &mut grads)?;
+        Ok((out.loss, out.correct, idx.len(), grads))
+    });
+    // Fixed-order weighted reduction: shard s contributes
+    // `shard_len / batch_len` of the batch-mean gradient and loss.
+    net.zero_grads();
+    let mut loss = 0.0f32;
+    let mut correct = 0usize;
+    let mut params = net.params_mut();
+    for result in results {
+        let (shard_loss, shard_correct, shard_len, grads) = result?;
+        let factor = shard_len as f32 / batch_len as f32;
+        loss += factor * shard_loss;
+        correct += shard_correct;
+        for (p, g) in params.iter_mut().zip(&grads) {
+            for (gm, &gs) in p.grad.as_mut_slice().iter_mut().zip(g.as_slice()) {
+                *gm += factor * gs;
+            }
+        }
+    }
+    Ok((loss, correct))
 }
 
 /// Scales all gradients down so their global L2 norm is at most
@@ -714,7 +681,7 @@ fn gather_batch(
 
 /// Evaluates classification accuracy data-parallel on the execution
 /// engine, splitting the dataset into `threads` contiguous sample chunks
-/// that each run on their own clone of the network.
+/// that all borrow `net`.
 ///
 /// The result is partition-independent: each chunk contributes an integer
 /// correct-count and per-sample forward passes do not depend on batchmates,
@@ -731,34 +698,8 @@ pub fn parallel_accuracy(
     batch_size: usize,
     threads: usize,
 ) -> Result<f32> {
-    let total = inputs.shape().dim(0);
-    if labels.len() != total {
-        return Err(NnError::BadInput {
-            layer: "parallel_accuracy".into(),
-            reason: format!("{} labels for {total} inputs", labels.len()),
-        });
-    }
-    if total == 0 {
-        return Ok(0.0);
-    }
-    let threads = threads.clamp(1, total);
-    let sample_len = inputs.len() / total;
-    let ranges = par::stripe_ranges(total, threads);
-    let counts = par::par_map(&ranges, |_, range| -> Result<usize> {
-        let mut local = net.clone();
-        let mut dims = inputs.shape().dims().to_vec();
-        dims[0] = range.len();
-        let in_slice = &inputs.as_slice()[range.start * sample_len..range.end * sample_len];
-        let label_slice = &labels[range.start..range.end];
-        let local_inputs = Tensor::from_vec(Shape::new(dims), in_slice.to_vec())?;
-        let acc = local.evaluate(&local_inputs, label_slice, batch_size)?;
-        Ok((acc * label_slice.len() as f32).round() as usize)
-    });
-    let mut correct = 0usize;
-    for count in counts {
-        correct += count?;
-    }
-    Ok(correct as f32 / total as f32)
+    let forward = || |batch: &Tensor| net.forward(batch);
+    batched_accuracy("parallel_accuracy", inputs, labels, batch_size, threads, forward)
 }
 
 #[cfg(test)]
@@ -902,7 +843,7 @@ mod tests {
     #[test]
     fn parallel_accuracy_matches_sequential() {
         let (x, y) = toy_data(64, 9);
-        let mut net = toy_net(10);
+        let net = toy_net(10);
         let seq = net.evaluate(&x, &y, 16).unwrap();
         let par = parallel_accuracy(&net, &x, &y, 16, 4).unwrap();
         assert!((seq - par).abs() < 1e-6);

@@ -6,7 +6,7 @@
 //! [`lts_tensor::par::install`] calls never race.
 
 use lts_nn::conv::Conv2d;
-use lts_nn::layer::Layer;
+use lts_nn::layer::{zeroed_grads, Layer};
 use lts_nn::network::{Network, NetworkBuilder};
 use lts_nn::trainer::{parallel_accuracy, TrainConfig, Trainer};
 use lts_tensor::par::{self, ExecConfig};
@@ -14,17 +14,17 @@ use lts_tensor::{init, ops, Shape, Tensor};
 
 fn grouped_conv_pass() -> (Vec<f32>, Vec<f32>, Vec<f32>, Vec<f32>) {
     let mut rng = init::rng(11);
-    let mut conv = Conv2d::new("c", (8, 10, 10), 16, 3, 1, 1, 2, &mut rng).unwrap();
+    let conv = Conv2d::new("c", (8, 10, 10), 16, 3, 1, 1, 2, &mut rng).unwrap();
     let x = init::uniform(Shape::d4(4, 8, 10, 10), 1.0, &mut rng);
     let y = conv.forward(&x).unwrap();
     let grad = init::uniform(y.shape().clone(), 1.0, &mut init::rng(12));
-    let dx = conv.backward(&grad).unwrap();
-    let params = conv.params();
+    let mut grads = zeroed_grads(&conv.params());
+    let dx = conv.backward(&x, &grad, &mut grads).unwrap();
     (
         y.as_slice().to_vec(),
         dx.as_slice().to_vec(),
-        params[0].grad.as_slice().to_vec(),
-        params[1].grad.as_slice().to_vec(),
+        grads[0].as_slice().to_vec(),
+        grads[1].as_slice().to_vec(),
     )
 }
 
@@ -63,7 +63,7 @@ fn nn_stack_bit_identical_across_worker_counts() {
     par::install(ExecConfig::serial());
     let conv_ref = grouped_conv_pass();
     let train_ref = trained_weights(&x, &y);
-    let mut eval_net = {
+    let eval_net = {
         let mut rng = init::rng(33);
         NetworkBuilder::new("toy", (8, 1, 1))
             .linear("ip1", 16)

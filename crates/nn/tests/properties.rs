@@ -4,6 +4,8 @@ use lts_nn::conv::Conv2d;
 use lts_nn::grouping::{even_blocks, GroupLayout};
 use lts_nn::layer::Layer;
 use lts_nn::loss::softmax_cross_entropy;
+use lts_nn::models;
+use lts_nn::network::Network;
 use lts_nn::param::Param;
 use lts_nn::prune::{prune_groups, zero_group_count, PruneCriterion};
 use lts_nn::regularizer::{GroupLasso, StrengthMask};
@@ -92,7 +94,7 @@ proptest! {
     fn grouped_conv_output_channels_ignore_other_groups(seed in 0u64..50) {
         // Changing group 1's input channels must not change group 0's outputs.
         let mut rng = init::rng(seed);
-        let mut conv = Conv2d::new("g", (4, 5, 5), 4, 3, 1, 1, 2, &mut rng).unwrap();
+        let conv = Conv2d::new("g", (4, 5, 5), 4, 3, 1, 1, 2, &mut rng).unwrap();
         let base = init::uniform(Shape::d4(1, 4, 5, 5), 1.0, &mut rng);
         let y1 = conv.forward(&base).unwrap();
         let mut perturbed = base.clone();
@@ -142,5 +144,35 @@ proptest! {
         for &i in &freeze {
             prop_assert_eq!(p.value.as_slice()[i], 0.0);
         }
+    }
+}
+
+/// Model `index` of the zoo (modulo its size), with weights from `seed`.
+fn zoo(index: usize, seed: u64) -> Network {
+    let net = match index % 5 {
+        0 => models::mlp(64, 10, seed),
+        1 => models::lenet(10, seed),
+        2 => models::convnet(10, seed),
+        3 => models::convnet_variant([8, 16, 32], 4, seed),
+        _ => models::caffenet_small(10, seed),
+    };
+    net.unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    #[test]
+    fn training_forward_matches_evaluation_forward_bit_for_bit(
+        model in 0usize..5, seed in 0u64..1000, batch in 1usize..3
+    ) {
+        let net = zoo(model, seed);
+        let (c, h, w) = net.input_dims();
+        let x = init::uniform(Shape::d4(batch, c, h, w), 1.0, &mut init::rng(seed ^ 0x5eed));
+        let eval = net.forward(&x).unwrap();
+        let (train, _tape) = net.forward_train(x).unwrap();
+        prop_assert_eq!(eval.shape(), train.shape());
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&eval), bits(&train), "{}", net.name());
     }
 }

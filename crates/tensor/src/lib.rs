@@ -13,8 +13,8 @@
 //!
 //! It also hosts the deterministic parallel execution engine ([`par`],
 //! configured by [`ExecConfig`] or the `LTS_THREADS` environment variable)
-//! and the reusable scratch arena ([`Workspace`]) that the layer kernels
-//! draw their temporaries from. Everything built on the engine is
+//! and the reusable scratch arena ([`Workspace`], one pool per thread) that
+//! the layer kernels draw their temporaries from. Everything built on the engine is
 //! bit-reproducible: results are identical for any worker count.
 //!
 //! # Examples

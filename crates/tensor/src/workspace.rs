@@ -7,10 +7,32 @@
 //! next `take` of a similar size reuses the allocation instead of hitting
 //! the allocator.
 //!
+//! The layers draw from one pool per thread through the free functions
+//! [`take`] and [`give`], so they borrow their weights immutably and own no
+//! scratch. A serial run (`LTS_THREADS=1`) keeps every parallel region on
+//! the calling thread, so its pool lives across calls.
+//!
 //! A workspace holds *scratch*, never state: its contents carry no meaning
-//! across calls, so cloning one (e.g. when a trainer clones a network per
-//! worker) yields an empty pool, and two networks must not share one
-//! workspace across threads (it is deliberately not `Sync`).
+//! across calls, so cloning one yields an empty pool, and it is
+//! deliberately not `Sync`.
+
+use std::cell::RefCell;
+
+thread_local! {
+    /// The calling thread's pool, shared by every layer that runs on it.
+    static THREAD_POOL: RefCell<Workspace> = RefCell::new(Workspace::new());
+}
+
+/// Hands out a zeroed buffer of exactly `len` elements from the calling
+/// thread's pool (see [`Workspace::take`]).
+pub fn take(len: usize) -> Vec<f32> {
+    THREAD_POOL.with(|pool| pool.borrow_mut().take(len))
+}
+
+/// Returns a buffer to the calling thread's pool (see [`Workspace::give`]).
+pub fn give(buf: Vec<f32>) {
+    THREAD_POOL.with(|pool| pool.borrow_mut().give(buf));
+}
 
 /// A pool of reusable `f32` scratch buffers.
 #[derive(Debug, Default)]
@@ -65,7 +87,7 @@ impl Workspace {
 
 impl Clone for Workspace {
     /// Clones to an *empty* workspace: scratch contents are meaningless, and
-    /// per-worker network clones must not share allocations.
+    /// two pools must not share allocations.
     fn clone(&self) -> Self {
         Workspace::new()
     }
@@ -108,6 +130,15 @@ mod tests {
         assert_eq!(ws.pooled(), 2);
         let buf = ws.take(2048);
         assert_eq!(buf.as_ptr(), large_ptr, "largest buffer should be taken first");
+    }
+
+    #[test]
+    fn the_thread_pool_reuses_given_buffers() {
+        let buf = take(256);
+        let ptr = buf.as_ptr();
+        give(buf);
+        let again = take(128);
+        assert_eq!(again.as_ptr(), ptr);
     }
 
     #[test]

@@ -34,12 +34,10 @@ fn saved_sparsified_network_reproduces_plan_and_predictions() {
         .expect("capture")
         .to_json()
         .expect("serialize");
-    let mut restored =
-        SavedNetwork::from_json(&json).expect("parse").into_network().expect("rebuild");
+    let restored = SavedNetwork::from_json(&json).expect("parse").into_network().expect("rebuild");
 
     // Identical predictions on the test set.
-    let mut original = outcome.network.clone();
-    let p1 = original.predict(&data.test.images).expect("predict");
+    let p1 = outcome.network.predict(&data.test.images).expect("predict");
     let p2 = restored.predict(&data.test.images).expect("predict");
     assert_eq!(p1, p2);
 
