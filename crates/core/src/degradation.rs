@@ -58,8 +58,19 @@ fn grouped_convnet_spec(groups: usize) -> NetworkSpec {
 /// hop-local communication pattern the paper's mask regularizer learns,
 /// reproduced without training.
 fn hop_local_weights(spec: &NetworkSpec, cores: usize) -> Result<HashMap<String, Vec<f32>>> {
-    let cfg = NocConfig::paper_cores(cores)?;
-    let mesh = cfg.topo();
+    let mesh = NocConfig::paper_cores(cores)?.topo();
+    masked_weights(spec, cores, |p, c| mesh.distance(p, c) > 1)
+}
+
+/// Synthetic weights for `spec` on `cores` cores: every weight is one
+/// except in the off-diagonal producer→consumer groups `(p, c)` for which
+/// `zeroed(p, c)` holds, which are zero. The first weighted layer reads
+/// the replicated input and stays dense.
+pub(crate) fn masked_weights(
+    spec: &NetworkSpec,
+    cores: usize,
+    zeroed: impl Fn(usize, usize) -> bool,
+) -> Result<HashMap<String, Vec<f32>>> {
     let plan = Plan::dense(spec, cores, 2)?;
     let mut weights = HashMap::new();
     for lp in &plan.layers {
@@ -69,11 +80,9 @@ fn hop_local_weights(spec: &NetworkSpec, cores: usize) -> Result<HashMap<String,
             continue;
         }
         let mut w = vec![1.0f32; layout.weight_len()];
-        for p in 0..cores {
-            for c in 0..cores {
-                if p != c && mesh.distance(p, c) > 1 {
-                    layout.visit_group(p, c, |idx| w[idx] = 0.0);
-                }
+        for (p, c, segment) in layout.row_segments() {
+            if p != c && zeroed(p, c) {
+                w[segment].fill(0.0);
             }
         }
         weights.insert(lp.spec.name.clone(), w);

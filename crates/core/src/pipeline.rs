@@ -16,13 +16,16 @@ use crate::precision::Precision;
 use crate::strategy::SparsityScheme;
 use crate::{CoreError, Result};
 use lts_datasets::TrainTest;
+use lts_nn::layer::Layer;
 use lts_nn::prune::{prune_groups, PruneCriterion, PruneReport};
 use lts_nn::regularizer::{GroupLasso, StrengthMask};
 use lts_nn::trainer::{parallel_accuracy, TrainConfig, TrainStats, Trainer};
 use lts_nn::{quantized_parallel_accuracy, Network, QuantizedNetwork};
 use lts_noc::{NocConfig, Topo};
 use lts_partition::{hop_power_mask, two_level_mask, Plan};
+use lts_tensor::fixed::quantize_dequantize_in_place;
 use lts_tensor::{par, ExecConfig, Tensor};
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// Shared pipeline knobs.
@@ -306,10 +309,14 @@ pub fn evaluate(network: &Network, data: &TrainTest, config: &PipelineConfig) ->
             config.eval_threads,
         )?);
     }
-    let mut deployed = network.clone();
-    if config.quantize {
-        deployed.quantize_weights();
-    }
+    // The Q7.8 shim rounds a copy; unquantized evaluation borrows.
+    let deployed = if config.quantize {
+        let mut rounded = network.clone();
+        rounded.quantize_weights();
+        Cow::Owned(rounded)
+    } else {
+        Cow::Borrowed(network)
+    };
     Ok(parallel_accuracy(
         &deployed,
         &data.test.images,
@@ -323,17 +330,14 @@ pub fn evaluate(network: &Network, data: &TrainTest, config: &PipelineConfig) ->
 /// Weights are quantized first when `quantize` is set, so traffic
 /// decisions see exactly what the chip would hold.
 pub fn weights_map(network: &Network, quantize: bool) -> HashMap<String, Vec<f32>> {
-    let mut deployed = network.clone();
-    if quantize {
-        deployed.quantize_weights();
-    }
-    deployed
-        .weight_layer_names()
-        .into_iter()
-        .filter_map(|name| {
-            deployed.layer_weight(&name).map(|p| (name.clone(), p.value.as_slice().to_vec()))
-        })
-        .collect()
+    let extract = |layer: &dyn Layer| {
+        let mut w = layer.weight()?.value.as_slice().to_vec();
+        if quantize {
+            quantize_dequantize_in_place(&mut w);
+        }
+        Some((layer.name().to_string(), w))
+    };
+    network.layers().filter_map(extract).collect()
 }
 
 /// Builds the parallelization plan for a trained network: sparsity-aware

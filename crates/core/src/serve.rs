@@ -51,7 +51,7 @@
 //! RNG, a single-threaded event loop, and NoC work memoized through the
 //! cross-sweep cache.
 
-use crate::degradation::{workloads, Workload};
+use crate::degradation::{masked_weights, workloads, Workload};
 use crate::fault_matrix::splitmix;
 use crate::outcome::{Outcome, OutcomeHistogram};
 use crate::recovery::{detection_latency, run_with_recovery, static_replan, InferenceFault};
@@ -61,7 +61,7 @@ use crate::{CoreError, Result};
 use lts_nn::descriptor::NetworkSpec;
 use lts_noc::traffic::{periodic, Message};
 use lts_noc::{FaultModel, MonitorConfig, NocConfig, SimReport, Simulator, Topo, Topology};
-use lts_partition::{group_occupancy, FailureDomain, Plan, StagePipeline, StagePlacement};
+use lts_partition::{group_occupancy, FailureDomain, StagePipeline, StagePlacement};
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
@@ -609,34 +609,13 @@ impl ServiceProfile {
 fn serve_workloads(cores: usize) -> Result<Vec<Workload>> {
     let mut ladder = workloads(cores)?;
     let dense = ladder[0].spec.clone();
-    let weights = uniform_sparse_weights(&dense, cores)?;
+    // Distance-blind synthetic SS weights: half the off-diagonal
+    // producer→consumer weight groups are zeroed by parity, ignoring mesh
+    // placement — the paper's plain size-level sparsity, which cuts
+    // traffic volume but not hop distance.
+    let weights = masked_weights(&dense, cores, |p, c| (p + c) % 2 == 1)?;
     ladder.insert(2, Workload { strategy: "ss", network: "ConvNet", spec: dense, weights });
     Ok(ladder)
-}
-
-/// Distance-blind synthetic SS weights: half the off-diagonal
-/// producer→consumer weight groups are zeroed by parity, ignoring mesh
-/// placement — the paper's plain size-level sparsity, which cuts
-/// traffic volume but not hop distance.
-fn uniform_sparse_weights(spec: &NetworkSpec, cores: usize) -> Result<HashMap<String, Vec<f32>>> {
-    let plan = Plan::dense(spec, cores, 2)?;
-    let mut weights = HashMap::new();
-    for lp in &plan.layers {
-        let Some(layout) = &lp.layout else { continue };
-        if lp.traffic.is_empty() {
-            continue;
-        }
-        let mut w = vec![1.0f32; layout.weight_len()];
-        for p in 0..cores {
-            for c in 0..cores {
-                if p != c && (p + c) % 2 == 1 {
-                    layout.visit_group(p, c, |idx| w[idx] = 0.0);
-                }
-            }
-        }
-        weights.insert(lp.spec.name.clone(), w);
-    }
-    Ok(weights)
 }
 
 /// The modeled platform: one system model shared by every profile.

@@ -8,6 +8,13 @@
 //! contiguous blocks, giving `C × C` weight groups. Group `(p, c)` contains
 //! exactly the weights that force core `p` to send data to core `c` — if
 //! the whole group is zero, that transfer never happens.
+//!
+//! Weights are stored output unit by output unit, so a group is one
+//! contiguous *row segment* per output unit of its consumer block. Every
+//! group operation walks those segments, one group at a time
+//! ([`GroupLayout::segments`]) or all groups in one row-major pass
+//! ([`GroupLayout::row_segments`]); both visit a group in ascending flat
+//! index order, so a per-group sum is the same whichever walk computes it.
 
 use crate::descriptor::{LayerKind, LayerSpec};
 use serde::{Deserialize, Serialize};
@@ -49,8 +56,11 @@ pub fn even_blocks(n: usize, cores: usize) -> Vec<Range<usize>> {
 /// // Producer core 1 owns input neurons 2..4.
 /// assert_eq!(layout.in_block(1), 2..4);
 /// // A weight from input 2 to output 0 lives in group (producer 1, consumer 0).
-/// assert_eq!(layout.producer_of(2), 1);
-/// assert_eq!(layout.consumer_of(0), 0);
+/// assert_eq!(layout.producer_of(2), Some(1));
+/// assert_eq!(layout.consumer_of(0), Some(0));
+/// // Its weights are one row segment per output unit of consumer block 0.
+/// let segments: Vec<_> = layout.segments(1, 0).collect();
+/// assert_eq!(segments, vec![2..4, 10..12]);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct GroupLayout {
@@ -168,35 +178,46 @@ impl GroupLayout {
         self.in_blocks[p].clone()
     }
 
-    /// The producer core that owns input unit `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= in_units`.
-    pub fn producer_of(&self, i: usize) -> usize {
-        assert!(i < self.in_units, "input unit {i} out of range");
-        self.in_blocks.iter().position(|r| r.contains(&i)).expect("blocks cover all units")
+    /// The producer core that owns input unit `i`, or `None` if `i` is
+    /// out of range.
+    pub fn producer_of(&self, i: usize) -> Option<usize> {
+        owner(&self.in_blocks, i)
     }
 
-    /// The consumer core that owns output unit `o`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `o >= out_units`.
-    pub fn consumer_of(&self, o: usize) -> usize {
-        assert!(o < self.out_units, "output unit {o} out of range");
-        self.out_blocks.iter().position(|r| r.contains(&o)).expect("blocks cover all units")
+    /// The consumer core that owns output unit `o`, or `None` if `o` is
+    /// out of range.
+    pub fn consumer_of(&self, o: usize) -> Option<usize> {
+        owner(&self.out_blocks, o)
     }
 
-    /// Visits the flat weight index of every entry in group `(p, c)`.
+    /// The row segments of group `(p, c)`: for each output unit of
+    /// consumer block `c`, in ascending order, the contiguous flat range of
+    /// its taps on producer block `p`'s input units.
+    pub fn segments(&self, p: usize, c: usize) -> impl Iterator<Item = Range<usize>> + '_ {
+        self.out_blocks[c].clone().map(move |o| self.segment(o, p))
+    }
+
+    /// Every group's row segments in one row-major pass: `(p, c, segment)`
+    /// for each output unit in ascending order and, within it, each
+    /// producer in ascending order, so the segments tile the tensor in flat
+    /// index order.
+    pub fn row_segments(&self) -> impl Iterator<Item = (usize, usize, Range<usize>)> + '_ {
+        let rows = self.out_blocks.iter().enumerate();
+        let rows = rows.flat_map(|(c, block)| block.clone().map(move |o| (c, o)));
+        rows.flat_map(move |(c, o)| (0..self.cores).map(move |p| (p, c, self.segment(o, p))))
+    }
+
+    /// The flat range of output unit `o`'s taps on producer block `p`.
+    fn segment(&self, o: usize, p: usize) -> Range<usize> {
+        let (row, inputs) = (o * self.in_units, &self.in_blocks[p]);
+        (row + inputs.start) * self.taps..(row + inputs.end) * self.taps
+    }
+
+    /// Visits the flat weight index of every entry in group `(p, c)`, in
+    /// ascending order.
     pub fn visit_group(&self, p: usize, c: usize, mut f: impl FnMut(usize)) {
-        for o in self.out_blocks[c].clone() {
-            for i in self.in_blocks[p].clone() {
-                let base = (o * self.in_units + i) * self.taps;
-                for t in 0..self.taps {
-                    f(base + t);
-                }
-            }
+        for segment in self.segments(p, c) {
+            segment.for_each(&mut f);
         }
     }
 
@@ -211,50 +232,44 @@ impl GroupLayout {
     ///
     /// Panics if `weights` is shorter than [`GroupLayout::weight_len`].
     pub fn group_norm(&self, p: usize, c: usize, weights: &[f32]) -> f32 {
-        let mut ss = 0.0f64;
-        self.visit_group(p, c, |idx| {
-            let w = weights[idx] as f64;
-            ss += w * w;
-        });
+        let ss = self.segments(p, c).fold(0.0, |ss, s| sum_squares(ss, &weights[s]));
         ss.sqrt() as f32
     }
 
-    /// Whether every weight in group `(p, c)` is exactly zero.
+    /// Whether every weight in group `(p, c)` is exactly zero; stops at the
+    /// first nonzero weight.
     pub fn group_is_zero(&self, p: usize, c: usize, weights: &[f32]) -> bool {
-        let mut zero = true;
-        self.visit_group(p, c, |idx| {
-            if weights[idx] != 0.0 {
-                zero = false;
-            }
-        });
-        zero
+        self.segments(p, c).all(|s| weights[s].iter().all(|&w| w == 0.0))
     }
 
     /// The full `cores × cores` matrix of group norms (row = producer,
-    /// column = consumer).
-    pub fn norm_matrix(&self, weights: &[f32]) -> Vec<f32> {
-        let mut m = vec![0.0; self.cores * self.cores];
-        for p in 0..self.cores {
-            for c in 0..self.cores {
-                m[p * self.cores + c] = self.group_norm(p, c, weights);
-            }
-        }
-        m
-    }
-
-    /// Whether input unit `i` feeds any nonzero weight of consumer core `c`.
+    /// column = consumer), from one row-major pass over `weights`. Each
+    /// entry equals [`GroupLayout::group_norm`] bit for bit: a group's
+    /// squares are added in the same flat index order.
     ///
-    /// This is the fine-grained traffic test: producer `owner(i)` must send
-    /// unit `i`'s activation to core `c` only if this returns `true`.
-    pub fn in_unit_used_by(&self, i: usize, c: usize, weights: &[f32]) -> bool {
-        for o in self.out_blocks[c].clone() {
-            let base = (o * self.in_units + i) * self.taps;
-            if weights[base..base + self.taps].iter().any(|&w| w != 0.0) {
-                return true;
-            }
+    /// # Panics
+    ///
+    /// Panics if `weights` is shorter than [`GroupLayout::weight_len`].
+    pub fn norm_matrix(&self, weights: &[f32]) -> Vec<f32> {
+        let mut ss = vec![0.0; self.cores * self.cores];
+        for (p, c, s) in self.row_segments() {
+            let g = p * self.cores + c;
+            ss[g] = sum_squares(ss[g], &weights[s]);
         }
-        false
+        ss.into_iter().map(|ss: f64| ss.sqrt() as f32).collect()
     }
+}
+
+/// The index of the block of the ascending partition `blocks` that holds
+/// `unit`, or `None` past the last block.
+fn owner(blocks: &[Range<usize>], unit: usize) -> Option<usize> {
+    let b = blocks.partition_point(|r| r.end <= unit);
+    (b < blocks.len()).then_some(b)
+}
+
+/// `ss` plus the squares of `weights` in f64, added in order.
+fn sum_squares(ss: f64, weights: &[f32]) -> f64 {
+    weights.iter().fold(ss, |ss, &w| ss + w as f64 * w as f64)
 }
 
 #[cfg(test)]
@@ -273,9 +288,16 @@ mod tests {
     #[test]
     fn producer_consumer_lookup() {
         let l = GroupLayout::new(8, 8, 1, 4);
-        assert_eq!(l.producer_of(0), 0);
-        assert_eq!(l.producer_of(7), 3);
-        assert_eq!(l.consumer_of(3), 1);
+        assert_eq!(l.producer_of(0), Some(0));
+        assert_eq!(l.producer_of(7), Some(3));
+        assert_eq!(l.consumer_of(3), Some(1));
+        assert_eq!(l.producer_of(8), None);
+        assert_eq!(l.consumer_of(8), None);
+        // Empty blocks own nothing: unit 3 of a 3-core split of 4 units
+        // with one empty middle block belongs to the last core.
+        let l = GroupLayout::with_blocks(1, vec![0..4, 4..4, 4..4], vec![0..3, 3..3, 3..4]);
+        assert_eq!(l.producer_of(3), Some(2));
+        assert_eq!(l.consumer_of(3), Some(0));
     }
 
     #[test]
@@ -320,24 +342,13 @@ mod tests {
     }
 
     #[test]
-    fn in_unit_used_by_detects_nonzero_columns() {
-        let l = GroupLayout::new(2, 2, 2, 2);
-        // taps = 2; weight (o=1, i=0, t=1) nonzero: index (o*in + i)*taps + t.
-        let mut w = vec![0.0; 8];
-        w[2 * 2 + 1] = 0.7;
-        assert!(l.in_unit_used_by(0, 1, &w)); // consumer core 1 owns o=1
-        assert!(!l.in_unit_used_by(0, 0, &w));
-        assert!(!l.in_unit_used_by(1, 1, &w));
-    }
-
-    #[test]
     fn with_blocks_accepts_uneven_ownership() {
         // 3 cores, outputs split 2/2/2 but inputs split 4/1/1.
         let l = GroupLayout::with_blocks(1, vec![0..2, 2..4, 4..6], vec![0..4, 4..5, 5..6]);
         assert_eq!(l.cores(), 3);
         assert_eq!(l.in_units(), 6);
-        assert_eq!(l.producer_of(3), 0);
-        assert_eq!(l.producer_of(4), 1);
+        assert_eq!(l.producer_of(3), Some(0));
+        assert_eq!(l.producer_of(4), Some(1));
         // Still a partition of the weight tensor.
         let mut seen = vec![0u8; l.weight_len()];
         for p in 0..3 {

@@ -244,23 +244,16 @@ impl Network {
         self.layers.iter().find(|l| l.name() == name).and_then(|l| l.weight())
     }
 
-    /// Names of the weight-bearing layers, in order.
-    pub fn weight_layer_names(&self) -> Vec<String> {
-        self.layers.iter().filter(|l| l.weight().is_some()).map(|l| l.name().to_string()).collect()
-    }
-
-    /// Deep copies of the layer chain, in order. Used by the quantized
-    /// inference builder ([`crate::quantized::QuantizedNetwork`]) to
-    /// calibrate against and wrap the trained f32 layers.
-    pub fn clone_layers(&self) -> Vec<Box<dyn Layer>> {
-        self.layers.iter().map(|l| l.clone_box()).collect()
+    /// The layer chain, in order.
+    pub fn layers(&self) -> impl Iterator<Item = &dyn Layer> {
+        self.layers.iter().map(|l| l.as_ref())
     }
 
     /// Quantizes every parameter through the accelerator's 16-bit
     /// fixed-point format (what the simulated chip computes with).
     pub fn quantize_weights(&mut self) {
         for p in self.params_mut() {
-            lts_tensor::fixed::quantize_tensor(&mut p.value);
+            lts_tensor::fixed::quantize_dequantize_in_place(p.value.as_mut_slice());
         }
     }
 
@@ -538,7 +531,9 @@ mod tests {
         let spec = net.spec();
         assert_eq!(spec.layer("conv1").unwrap().out_dims, (2, 6, 6));
         assert_eq!(spec.layer("ip1").unwrap().in_dims, (2 * 3 * 3, 1, 1));
-        assert_eq!(net.weight_layer_names(), vec!["conv1", "ip1"]);
+        let weighted = net.layers().filter(|l| l.weight().is_some()).map(|l| l.name());
+        assert_eq!(weighted.collect::<Vec<_>>(), spec.weight_layer_names());
+        assert_eq!(spec.weight_layer_names(), vec!["conv1", "ip1"]);
     }
 
     #[test]

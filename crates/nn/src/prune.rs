@@ -107,27 +107,24 @@ pub fn prune_groups(
             param.len()
         )));
     }
+    // Gather (p, c, norm, len) for non-empty groups, norms from one
+    // row-major pass.
     let cores = layout.cores();
-    // Gather (p, c, norm, len) for non-empty groups.
+    let norms = layout.norm_matrix(param.value.as_slice());
     let mut groups: Vec<(usize, usize, f32, usize)> = Vec::with_capacity(cores * cores);
-    {
-        let w = param.value.as_slice();
-        for p in 0..cores {
-            for c in 0..cores {
-                let len = layout.group_len(p, c);
-                if len == 0 {
-                    continue;
-                }
-                let norm = layout.group_norm(p, c, w);
-                if !norm.is_finite() {
-                    return Err(NnError::BadInput {
-                        layer: "pruned parameter".into(),
-                        reason: format!("group ({p}, {c}) has non-finite norm {norm}"),
-                    });
-                }
-                groups.push((p, c, norm, len));
-            }
+    for (g, &norm) in norms.iter().enumerate() {
+        let (p, c) = (g / cores, g % cores);
+        let len = layout.group_len(p, c);
+        if len == 0 {
+            continue;
         }
+        if !norm.is_finite() {
+            return Err(NnError::BadInput {
+                layer: "pruned parameter".into(),
+                reason: format!("group ({p}, {c}) has non-finite norm {norm}"),
+            });
+        }
+        groups.push((p, c, norm, len));
     }
     let to_prune: Vec<(usize, usize)> = match criterion {
         PruneCriterion::RmsBelowRelative(r) => {
@@ -153,7 +150,7 @@ pub fn prune_groups(
     };
     let mut indices = Vec::new();
     for &(p, c) in &to_prune {
-        layout.visit_group(p, c, |idx| indices.push(idx));
+        layout.segments(p, c).for_each(|s| indices.extend(s));
     }
     let weights_frozen = indices.len();
     param.freeze_indices(&indices);

@@ -237,8 +237,9 @@ impl QuantizedNetwork {
     pub fn from_network(network: &Network, calibration: &Tensor) -> Result<Self> {
         let _probe = lts_obs::span("nn.quantize_calibrate");
         let mut stages = Vec::with_capacity(network.len());
-        let mut current = calibration.clone();
-        for layer in network.clone_layers() {
+        let mut current: Option<Tensor> = None;
+        for layer in network.layers() {
+            let input = current.as_ref().unwrap_or(calibration);
             let stage = match (layer.weight().is_some(), layer.spec().kind) {
                 (true, LayerKind::Conv { out_c, kernel, stride, pad, groups }) => {
                     let spec = layer.spec();
@@ -246,7 +247,7 @@ impl QuantizedNetwork {
                     // reduction (k = icg·kh·kw receptive-field taps) keeps
                     // the i32 accumulators overflow-free by construction.
                     let head = (((spec.in_dims.0 / groups) * kernel * kernel) as f32).sqrt();
-                    let in_params = QuantParams::from_slice_with_headroom(current.as_slice(), head);
+                    let in_params = QuantParams::from_slice_with_headroom(input.as_slice(), head);
                     let params = layer.params();
                     let (weight, bias) = (params[0].value.as_slice(), params[1].value.as_slice());
                     let w_params = QuantParams::from_slice_with_headroom(weight, head);
@@ -272,7 +273,7 @@ impl QuantizedNetwork {
                 (true, LayerKind::Linear { in_f, out_f }) => {
                     // √k headroom with k = in_f (see the Conv arm).
                     let head = (in_f as f32).sqrt();
-                    let in_params = QuantParams::from_slice_with_headroom(current.as_slice(), head);
+                    let in_params = QuantParams::from_slice_with_headroom(input.as_slice(), head);
                     let params = layer.params();
                     let (weight, bias) = (params[0].value.as_slice(), params[1].value.as_slice());
                     let w_params = QuantParams::from_slice_with_headroom(weight, head);
@@ -293,8 +294,8 @@ impl QuantizedNetwork {
                 }
                 _ => None,
             };
-            current = layer.forward(&current)?;
-            stages.push(stage.unwrap_or(QuantStage::Passthrough(layer)));
+            current = Some(layer.forward(input)?);
+            stages.push(stage.unwrap_or_else(|| QuantStage::Passthrough(layer.clone_box())));
         }
         Ok(QuantizedNetwork { name: format!("{}_i16", network.name()), stages })
     }
@@ -330,16 +331,17 @@ impl QuantizedNetwork {
     /// Propagates the first stage error (usually a shape mismatch).
     pub fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
         let _probe = lts_obs::span("nn.forward_i16");
-        let mut current = input.clone();
+        let mut current: Option<Tensor> = None;
         for stage in &mut self.stages {
             let _stage_probe = lts_obs::span(stage.name());
-            current = match stage {
-                QuantStage::Conv(c) => c.forward(&current)?,
-                QuantStage::Linear(l) => l.forward(&current)?,
-                QuantStage::Passthrough(p) => p.forward(&current)?,
-            };
+            let input = current.as_ref().unwrap_or(input);
+            current = Some(match stage {
+                QuantStage::Conv(c) => c.forward(input)?,
+                QuantStage::Linear(l) => l.forward(input)?,
+                QuantStage::Passthrough(p) => p.forward(input)?,
+            });
         }
-        Ok(current)
+        Ok(current.unwrap_or_else(|| input.clone()))
     }
 
     /// Predicted class per sample of a batch.

@@ -15,11 +15,16 @@
 //! so groups that would cause long-distance traffic feel the strongest pull
 //! toward zero (built by `lts-partition`'s distance model and passed in via
 //! [`StrengthMask::from_factors`]).
+//!
+//! Each step makes two row-major passes over a layer's weights: one for
+//! every group norm ([`GroupLayout::norm_matrix`]), one applying each
+//! group's scale to its row segments.
 
 use crate::grouping::GroupLayout;
 use crate::param::Param;
 use crate::{NnError, Result};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Group norms below this are treated as zero for the subgradient.
 const NORM_EPS: f32 = 1e-8;
@@ -170,14 +175,11 @@ impl GroupLasso {
     ///
     /// Panics if `weights` is shorter than the layout expects.
     pub fn penalty(&self, weights: &[f32]) -> f32 {
-        let cores = self.layout.cores();
+        let norms = self.layout.norm_matrix(weights);
         let mut total = 0.0f64;
-        for p in 0..cores {
-            for c in 0..cores {
-                let f = self.mask.factor(p, c);
-                if f > 0.0 {
-                    total += (f * self.layout.group_norm(p, c, weights)) as f64;
-                }
+        for (&f, &norm) in self.mask.factors().iter().zip(&norms) {
+            if f > 0.0 {
+                total += (f * norm) as f64;
             }
         }
         self.lambda * total as f32
@@ -187,34 +189,17 @@ impl GroupLasso {
     /// soft-thresholds the group norm by `step_size · λ · s_g`, zeroing
     /// groups whose norm falls below the threshold.
     pub fn proximal_shrink(&self, param: &mut Param, step_size: f32) {
-        let cores = self.layout.cores();
-        let mut scales = vec![1.0f32; cores * cores];
-        {
-            let w = param.value.as_slice();
-            for p in 0..cores {
-                for c in 0..cores {
-                    let f = self.mask.factor(p, c);
-                    if f == 0.0 {
-                        continue;
-                    }
-                    let threshold = step_size * self.lambda * f;
-                    let norm = self.layout.group_norm(p, c, w);
-                    scales[p * cores + c] =
-                        if norm <= threshold + NORM_EPS { 0.0 } else { 1.0 - threshold / norm };
-                }
+        let segments = self.scaled_segments(param.value.as_slice(), 1.0, |f, norm| {
+            let threshold = step_size * self.lambda * f;
+            if norm <= threshold + NORM_EPS {
+                0.0
+            } else {
+                1.0 - threshold / norm
             }
-        }
+        });
         let w = param.value.as_mut_slice();
-        for p in 0..cores {
-            for c in 0..cores {
-                let s = scales[p * cores + c];
-                if s == 1.0 {
-                    continue;
-                }
-                self.layout.visit_group(p, c, |idx| {
-                    w[idx] *= s;
-                });
-            }
+        for (segment, s) in segments {
+            w[segment].iter_mut().for_each(|x| *x *= s);
         }
     }
 
@@ -224,38 +209,40 @@ impl GroupLasso {
     /// Groups whose norm is (numerically) zero contribute no gradient — the
     /// standard subgradient choice that keeps already-zero groups at zero.
     pub fn accumulate_grad(&self, param: &mut Param) {
+        let segments = self.scaled_segments(param.value.as_slice(), 0.0, |f, norm| {
+            if norm > NORM_EPS {
+                self.lambda * f / norm
+            } else {
+                0.0
+            }
+        });
+        let (w, grad) = (param.value.as_slice(), param.grad.as_mut_slice());
+        for (segment, s) in segments {
+            for (d, &x) in grad[segment.clone()].iter_mut().zip(&w[segment]) {
+                *d += s * x;
+            }
+        }
+    }
+
+    /// The row segments of every group whose scale is not `identity`, with
+    /// that scale, in one row-major pass. A group's scale is
+    /// `scale(s_g, ‖w_g‖)`, or `identity` where its strength `s_g` is zero;
+    /// the norms come from one row-major pass over `weights`.
+    fn scaled_segments(
+        &self,
+        weights: &[f32],
+        identity: f32,
+        scale: impl Fn(f32, f32) -> f32,
+    ) -> impl Iterator<Item = (Range<usize>, f32)> + '_ {
+        let norms = self.layout.norm_matrix(weights);
+        let factors = self.mask.factors().iter().zip(norms);
+        let scales: Vec<f32> =
+            factors.map(|(&f, norm)| if f == 0.0 { identity } else { scale(f, norm) }).collect();
         let cores = self.layout.cores();
-        // Collect scale factors first so we can split the borrow of
-        // value (read) and grad (write) cleanly.
-        let mut scales = vec![0.0f32; cores * cores];
-        {
-            let w = param.value.as_slice();
-            for p in 0..cores {
-                for c in 0..cores {
-                    let f = self.mask.factor(p, c);
-                    if f == 0.0 {
-                        continue;
-                    }
-                    let norm = self.layout.group_norm(p, c, w);
-                    if norm > NORM_EPS {
-                        scales[p * cores + c] = self.lambda * f / norm;
-                    }
-                }
-            }
-        }
-        let values: Vec<f32> = param.value.as_slice().to_vec();
-        let g = param.grad.as_mut_slice();
-        for p in 0..cores {
-            for c in 0..cores {
-                let s = scales[p * cores + c];
-                if s == 0.0 {
-                    continue;
-                }
-                self.layout.visit_group(p, c, |idx| {
-                    g[idx] += s * values[idx];
-                });
-            }
-        }
+        self.layout.row_segments().filter_map(move |(p, c, segment)| {
+            let s = scales[p * cores + c];
+            (s != identity).then_some((segment, s))
+        })
     }
 }
 

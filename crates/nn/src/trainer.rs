@@ -4,7 +4,7 @@ use crate::layer::zeroed_grads;
 use crate::loss::softmax_cross_entropy;
 use crate::network::{batched_accuracy, Network};
 use crate::optim::Sgd;
-use crate::regularizer::GroupLasso;
+use crate::regularizer::{GroupLasso, LassoMode};
 use crate::saved::{check_entries, read_snapshot_file, write_snapshot_file, SavedNetwork};
 use crate::{NnError, Result};
 use lts_tensor::{par, Shape, Tensor};
@@ -520,11 +520,11 @@ impl Trainer {
             let mut batches = 0usize;
             for chunk in order.chunks(self.config.batch_size) {
                 let (loss, correct) = train_batch(net, inputs, labels, chunk, sample_len)?;
-                self.apply_subgradient_regularizers(net)?;
+                self.apply_regularizers(net, LassoMode::Subgradient, opt.lr)?;
                 let mut params = net.params_mut();
                 clip_global_grad_norm(&mut params, self.config.clip_grad_norm);
                 opt.step(&mut params);
-                self.apply_proximal_regularizers(net, opt.lr)?;
+                self.apply_regularizers(net, LassoMode::Proximal, opt.lr)?;
                 epoch_loss += loss as f64;
                 epoch_correct += correct;
                 batches += 1;
@@ -561,28 +561,17 @@ impl Trainer {
         Ok(total)
     }
 
-    fn apply_subgradient_regularizers(&self, net: &mut Network) -> Result<()> {
-        for reg in &self.regularizers {
-            if reg.mode != crate::regularizer::LassoMode::Subgradient {
-                continue;
-            }
+    /// Applies the regularizers optimized in `mode`: subgradient ones add
+    /// to the gradients, proximal ones shrink the weights by `step_size`.
+    fn apply_regularizers(&self, net: &mut Network, mode: LassoMode, step_size: f32) -> Result<()> {
+        for reg in self.regularizers.iter().filter(|r| r.mode == mode) {
             let param = net.layer_weight_mut(&reg.layer).ok_or_else(|| {
                 NnError::BadConfig(format!("regularizer targets unknown layer `{}`", reg.layer))
             })?;
-            reg.accumulate_grad(param);
-        }
-        Ok(())
-    }
-
-    fn apply_proximal_regularizers(&self, net: &mut Network, step_size: f32) -> Result<()> {
-        for reg in &self.regularizers {
-            if reg.mode != crate::regularizer::LassoMode::Proximal {
-                continue;
+            match mode {
+                LassoMode::Subgradient => reg.accumulate_grad(param),
+                LassoMode::Proximal => reg.proximal_shrink(param, step_size),
             }
-            let param = net.layer_weight_mut(&reg.layer).ok_or_else(|| {
-                NnError::BadConfig(format!("regularizer targets unknown layer `{}`", reg.layer))
-            })?;
-            reg.proximal_shrink(param, step_size);
         }
         Ok(())
     }

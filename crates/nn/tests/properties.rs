@@ -176,3 +176,178 @@ proptest! {
         prop_assert_eq!(bits(&eval), bits(&train), "{}", net.name());
     }
 }
+
+/// A random layout: an even split of `sizes`' totals over `cores`, or the
+/// explicit (possibly empty) blocks of those sizes.
+fn random_layout(even: bool, cores: usize, taps: usize, sizes: &[(usize, usize)]) -> GroupLayout {
+    let sizes = &sizes[..cores];
+    if even {
+        let (out, inp) = sizes.iter().fold((0, 0), |(o, i), &(so, si)| (o + so, i + si));
+        return GroupLayout::new(out, inp, taps, cores);
+    }
+    let blocks = |size: fn(&(usize, usize)) -> usize| {
+        let mut start = 0;
+        let mut blocks = Vec::new();
+        for s in sizes {
+            blocks.push(start..start + size(s));
+            start += size(s);
+        }
+        blocks
+    };
+    GroupLayout::with_blocks(taps, blocks(|s| s.0), blocks(|s| s.1))
+}
+
+/// The flat indices of group `(p, c)` in the order of the per-`(o, i, t)`
+/// loop every group walk must reproduce.
+fn oracle_indices(l: &GroupLayout, p: usize, c: usize) -> Vec<usize> {
+    let mut indices = Vec::new();
+    for o in l.out_block(c) {
+        for i in l.in_block(p) {
+            for t in 0..l.taps() {
+                indices.push((o * l.in_units() + i) * l.taps() + t);
+            }
+        }
+    }
+    indices
+}
+
+/// The per-index group norm: squares added in f64 in oracle order.
+fn oracle_norm(l: &GroupLayout, p: usize, c: usize, w: &[f32]) -> f32 {
+    let mut ss = 0.0f64;
+    for idx in oracle_indices(l, p, c) {
+        let x = w[idx] as f64;
+        ss += x * x;
+    }
+    ss.sqrt() as f32
+}
+
+/// Weights drawn from a palette of ±0.0, subnormals and normal values by
+/// a hash of `seed`, with every group whose bit is set in `zero_groups`
+/// all zero.
+fn oracle_weights(l: &GroupLayout, seed: u64, zero_groups: u64) -> Vec<f32> {
+    // Full-width mantissas at magnitudes far apart, beside ±0.0 and
+    // subnormals, so sums of squares round.
+    const PALETTE: [f32; 16] = [
+        0.0,
+        -0.0,
+        1e-40,
+        -3e-42,
+        0.1,
+        -1000.3,
+        3.333_333_3,
+        -7e-5,
+        1.000_000_1,
+        0.75,
+        -1.5,
+        123.456,
+        -9.765_625e-4,
+        1e-20,
+        65504.0,
+        -0.3,
+    ];
+    let hash = |i: usize| (seed ^ i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 60;
+    let mut w: Vec<f32> = (0..l.weight_len()).map(|i| PALETTE[hash(i) as usize]).collect();
+    for p in 0..l.cores() {
+        for c in 0..l.cores() {
+            if zero_groups >> ((p * l.cores() + c) % 64) & 1 == 1 {
+                for idx in oracle_indices(l, p, c) {
+                    w[idx] = if idx % 2 == 0 { 0.0 } else { -0.0 };
+                }
+            }
+        }
+    }
+    w
+}
+
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn group_walks_match_the_per_index_loop(
+        shape in (0u8..2, 1usize..6, 1usize..26),
+        sizes in proptest::collection::vec((0usize..5, 0usize..5), 5),
+        weights in (0u64..u64::MAX, 0u64..u64::MAX),
+        lasso in (0usize..3, 0usize..3, 0u64..u64::MAX)
+    ) {
+        let (even, cores, taps) = (shape.0 == 1, shape.1, shape.2);
+        let l = random_layout(even, cores, taps, &sizes);
+        let w = oracle_weights(&l, weights.0, weights.1);
+        let groups = || (0..cores).flat_map(|p| (0..cores).map(move |c| (p, c)));
+
+        // Visit order: segments, visit_group and the row-major walk.
+        let mut tiled = Vec::new();
+        for (p, c, s) in l.row_segments() {
+            prop_assert!(s.start <= s.end);
+            tiled.extend(s.clone().map(|idx| (idx, p, c)));
+        }
+        prop_assert_eq!(tiled.iter().map(|t| t.0).collect::<Vec<_>>(), (0..l.weight_len()).collect::<Vec<_>>());
+        for (p, c) in groups() {
+            let oracle = oracle_indices(&l, p, c);
+            let segments: Vec<usize> = l.segments(p, c).flatten().collect();
+            let mut visited = Vec::new();
+            l.visit_group(p, c, |idx| visited.push(idx));
+            let walked: Vec<usize> =
+                tiled.iter().filter(|t| (t.1, t.2) == (p, c)).map(|t| t.0).collect();
+            prop_assert_eq!(&segments, &oracle);
+            prop_assert_eq!(&visited, &oracle);
+            prop_assert_eq!(&walked, &oracle);
+        }
+
+        // Norms and zero groups, bit for bit.
+        let norms = l.norm_matrix(&w);
+        let mut zero = 0;
+        for (p, c) in groups() {
+            let oracle = oracle_norm(&l, p, c, &w);
+            prop_assert_eq!(l.group_norm(p, c, &w).to_bits(), oracle.to_bits());
+            prop_assert_eq!(norms[p * cores + c].to_bits(), oracle.to_bits());
+            let is_zero = oracle_indices(&l, p, c).iter().all(|&i| w[i] == 0.0);
+            prop_assert_eq!(l.group_is_zero(p, c, &w), is_zero);
+            zero += usize::from(l.group_len(p, c) > 0 && is_zero);
+        }
+        prop_assert_eq!(zero_group_count(&l, &w), zero);
+
+        // The group-Lasso step against the per-index form of Eq. (1)-(3).
+        const NORM_EPS: f32 = 1e-8;
+        let lambda = [0.0, 0.3, 1.7][lasso.0];
+        let step = [0.01, 0.5, 2.0][lasso.1];
+        let factors: Vec<f32> =
+            (0..cores * cores).map(|g| [0.0, 0.5, 1.0, 3.5][(lasso.2 >> (2 * (g % 32))) as usize & 3]).collect();
+        let mask = StrengthMask::from_factors(cores, factors.clone()).unwrap();
+        let gl = GroupLasso::new("l", l.clone(), lambda, mask).unwrap();
+        let mut total = 0.0f64;
+        let (mut shrunk, mut grad) = (w.clone(), vec![0.25f32; w.len()]);
+        for (p, c) in groups() {
+            let (f, norm) = (factors[p * cores + c], oracle_norm(&l, p, c, &w));
+            if f > 0.0 {
+                total += (f * norm) as f64;
+            }
+            if f == 0.0 {
+                continue;
+            }
+            let threshold = step * lambda * f;
+            let s = if norm <= threshold + NORM_EPS { 0.0 } else { 1.0 - threshold / norm };
+            let g = if norm > NORM_EPS { lambda * f / norm } else { 0.0 };
+            for idx in oracle_indices(&l, p, c) {
+                if s != 1.0 {
+                    shrunk[idx] *= s;
+                }
+                if g != 0.0 {
+                    grad[idx] += g * w[idx];
+                }
+            }
+        }
+        prop_assert_eq!(gl.penalty(&w).to_bits(), (lambda * total as f32).to_bits());
+        let n = w.len();
+        let mut param = Param::new(Tensor::from_vec(Shape::d1(n), w.clone()).unwrap());
+        gl.proximal_shrink(&mut param, step);
+        prop_assert_eq!(bits(param.value.as_slice()), bits(&shrunk));
+        let mut param = Param::new(Tensor::from_vec(Shape::d1(n), w).unwrap());
+        param.grad.fill(0.25);
+        gl.accumulate_grad(&mut param);
+        prop_assert_eq!(bits(param.grad.as_slice()), bits(&grad));
+    }
+}

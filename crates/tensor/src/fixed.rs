@@ -140,11 +140,6 @@ pub fn quantize_dequantize_in_place(values: &mut [f32]) {
     }
 }
 
-/// Quantizes a whole tensor in place through the Q7.8 format.
-pub fn quantize_tensor(t: &mut crate::tensor::Tensor) {
-    quantize_dequantize_in_place(t.as_mut_slice());
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

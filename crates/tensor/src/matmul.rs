@@ -335,10 +335,24 @@ impl<T: Element> Operands<'_, T> {
         // reads A once more, and a product narrower than one full tile
         // reads A only once itself, so such products walk whole rows.
         let tables = SKIP && self.sa.1 == 1 && n >= NR;
+        // Only A·Bᵀ and a last tile narrower than 8 columns pack B.
+        let packs = self.sb.1 != 1 || !n.is_multiple_of(8);
         let kernel = |first_row: usize, stripe: &mut [T::Acc]| {
             stripe.fill(T::Acc::default());
-            let mut pack = [T::default(); KC * NR];
-            let mut table = [Runs::EMPTY; ROWS];
+            // Each scratch array is built only on the path that reads it.
+            let (mut pack_buf, mut table_buf);
+            let pack: &mut [T] = if packs {
+                pack_buf = [T::default(); KC * NR];
+                &mut pack_buf
+            } else {
+                &mut []
+            };
+            let table: &mut [Runs] = if tables {
+                table_buf = [Runs::EMPTY; ROWS];
+                &mut table_buf
+            } else {
+                &mut []
+            };
             let mut skipped = 0;
             let block_rows = if tables { ROWS } else { (stripe.len() / n).max(1) };
             for (i, block) in stripe.chunks_mut(block_rows * n).enumerate() {
@@ -354,16 +368,16 @@ impl<T: Element> Operands<'_, T> {
                     let p = p0..(p0 + KC).min(k);
                     let mut j0 = 0;
                     while j0 + NR <= n {
-                        self.panel::<NR, SKIP>(&mut pack, &mut rows, p.clone(), j0..j0 + NR);
+                        self.panel::<NR, SKIP>(pack, &mut rows, p.clone(), j0..j0 + NR);
                         j0 += NR;
                     }
                     if j0 + 16 <= n {
-                        self.panel::<16, SKIP>(&mut pack, &mut rows, p.clone(), j0..j0 + 16);
+                        self.panel::<16, SKIP>(pack, &mut rows, p.clone(), j0..j0 + 16);
                         j0 += 16;
                     }
                     while j0 < n {
                         let j1 = (j0 + 8).min(n);
-                        self.panel::<8, SKIP>(&mut pack, &mut rows, p.clone(), j0..j1);
+                        self.panel::<8, SKIP>(pack, &mut rows, p.clone(), j0..j1);
                         j0 = j1;
                     }
                 }
@@ -391,7 +405,7 @@ impl<T: Element> Operands<'_, T> {
     #[inline(always)]
     fn panel<const W: usize, const SKIP: bool>(
         self,
-        pack: &mut [T; KC * NR],
+        pack: &mut [T],
         rows: &mut Block<'_, T::Acc>,
         p: Range<usize>,
         j: Range<usize>,
