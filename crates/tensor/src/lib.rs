@@ -17,6 +17,13 @@
 //! the layer kernels draw their temporaries from. Everything built on the engine is
 //! bit-reproducible: results are identical for any worker count.
 //!
+//! The GEMM picks its compiled form at run time: where the CPU has AVX2
+//! it runs the same kernels in 256-bit lanes, and i16 `A·B` a fused
+//! `pmaddwd` tile, with results bit-identical to the portable build. That
+//! dispatch and its register loads are the crate's only `unsafe` code,
+//! held in one private module (`avx2`); everywhere else `unsafe` is
+//! denied, and every `unsafe` block must state why it is sound.
+//!
 //! # Examples
 //!
 //! ```
@@ -32,11 +39,14 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 #![deny(clippy::print_stdout, clippy::print_stderr)]
 
+#[cfg(target_arch = "x86_64")]
+mod avx2;
 pub mod fixed;
 pub mod im2col;
 pub mod init;

@@ -28,9 +28,10 @@ cargo clippy --offline --workspace --all-targets -- -D warnings -D clippy::perf
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "==> hot-path smoke (stepper-equivalence and kernel bit-identity properties, optimized build)"
+echo "==> hot-path smoke (stepper-equivalence and kernel bit-identity properties, both GEMM arms, optimized build)"
 cargo test --release --offline -q -p lts-noc --test equivalence
 cargo test --release --offline -q -p lts-tensor --test properties
+cargo test --release --offline -q -p lts-tensor --lib
 
 echo "==> obs smoke (<1% disabled-span overhead on a 256x256 GEMM, exact cycle sums on the evaluate and stepper tracks, optimized build)"
 cargo test --release --offline -q -p lts-tensor --test disabled_span_overhead
