@@ -4,7 +4,7 @@
 
 use lts_noc::topology::Direction;
 use lts_noc::traffic::{uniform_random, Message};
-use lts_noc::{FaultModel, NocConfig, NocError, Simulator};
+use lts_noc::{FaultModel, FaultSchedule, MonitorConfig, NocConfig, NocError, Simulator};
 use proptest::prelude::*;
 
 fn trace() -> Vec<Message> {
@@ -192,6 +192,61 @@ proptest! {
                 }
                 Err(e) => prop_assert!(false, "unexpected run error {e:?}"),
             },
+        }
+    }
+
+    /// Flits are conserved: every flit that enters a buffer other than
+    /// over a link (`buffer_writes − link_traversals`: injections, plus
+    /// the poisoned tails that close worms a death severs) leaves by
+    /// ejection, poisoned ones included, or is counted lost. Random
+    /// traces under random drop and corruption rates; two cases in three
+    /// also lose a router or a link while traffic is in flight, routers
+    /// from the four central ones, which most XY routes cross.
+    #[test]
+    fn injected_flits_are_ejected_or_lost(
+        seed in 0u64..1000,
+        drop_milli in 0u64..40,
+        corrupt_milli in 0u64..40,
+        death in (0u8..3, 0usize..16, 0u64..1_200),
+        msgs in proptest::collection::vec(
+            (0usize..16, 0usize..16, 1u64..600, 0u64..1_000).prop_map(|(s, d, bytes, t)| {
+                let dst = if d == s { (d + 1) % 16 } else { d };
+                Message::new(s, dst, bytes, t)
+            }),
+            1..64,
+        ),
+    ) {
+        let mut cfg = NocConfig::paper_16core();
+        cfg.max_cycles = 400_000;
+        let fault = FaultModel::none()
+            .with_seed(seed)
+            .drop_rate(drop_milli as f64 / 1000.0)
+            .corrupt_rate(corrupt_milli as f64 / 1000.0);
+        let mut sim = Simulator::with_faults(cfg, fault).unwrap();
+        let (kind, node, cycle) = death;
+        let schedule = match kind {
+            0 => None,
+            1 => Some(FaultSchedule::new().router_death(cycle, [5, 6, 9, 10][node % 4])),
+            _ => Some(FaultSchedule::new().link_death(cycle, node, Direction::ALL[node % 4])),
+        };
+        let report = match &schedule {
+            None => sim.run(&msgs),
+            Some(schedule) => sim
+                .run_recoverable(&msgs, schedule, &MonitorConfig::default())
+                .map(|rec| rec.report),
+        };
+        match report {
+            Ok(r) => {
+                let entered = r.events.buffer_writes - r.events.link_traversals;
+                prop_assert_eq!(entered, r.events.ejections + r.faults.flits_lost);
+                let flits: u64 = msgs.iter().map(|m| cfg.flits_for_bytes(m.bytes)).sum();
+                if schedule.is_none() {
+                    prop_assert_eq!(r.faults.flits_lost, 0);
+                    prop_assert!(entered >= flits);
+                }
+            }
+            Err(NocError::Unreachable { .. }) | Err(NocError::CycleLimitExceeded { .. }) => {}
+            Err(e) => prop_assert!(false, "unexpected run error {e:?}"),
         }
     }
 

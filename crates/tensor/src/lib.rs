@@ -17,12 +17,14 @@
 //! the layer kernels draw their temporaries from. Everything built on the engine is
 //! bit-reproducible: results are identical for any worker count.
 //!
-//! The GEMM picks its compiled form at run time: where the CPU has AVX2
-//! it runs the same kernels in 256-bit lanes, and i16 `A·B` a fused
-//! `pmaddwd` tile, with results bit-identical to the portable build. That
-//! dispatch and its register loads are the crate's only `unsafe` code,
-//! held in one private module (`avx2`); everywhere else `unsafe` is
-//! denied, and every `unsafe` block must state why it is sound.
+//! The GEMM picks its compiled form at run time: where the CPU has
+//! AVX-512F or AVX2 it runs the same kernels in 512- or 256-bit lanes,
+//! the f32 tile over groups of up to 8 C rows that share each load of B,
+//! and i16 `A·B` a fused `pmaddwd` tile, with results bit-identical to
+//! the portable build. That dispatch and its register loads are the
+//! crate's only `unsafe` code, held in one private module (`x86`);
+//! everywhere else `unsafe` is denied, and every `unsafe` block must
+//! state why it is sound.
 //!
 //! # Examples
 //!
@@ -45,8 +47,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 #![deny(clippy::print_stdout, clippy::print_stderr)]
 
-#[cfg(target_arch = "x86_64")]
-mod avx2;
 pub mod fixed;
 pub mod im2col;
 pub mod init;
@@ -59,6 +59,8 @@ pub mod shape;
 pub mod stats;
 pub mod tensor;
 pub mod workspace;
+#[cfg(target_arch = "x86_64")]
+mod x86;
 
 pub use fixed::Fixed16;
 pub use par::ExecConfig;

@@ -55,6 +55,7 @@ use crate::shape::Shape;
 use crate::tensor::{Tensor, TensorError};
 use std::cell::Cell;
 use std::ops::Range;
+use std::thread::LocalKey;
 
 /// Rows of the shared-dimension panel kept hot in cache per pass by the
 /// [`reference`] kernels.
@@ -69,7 +70,7 @@ pub(crate) const KC: usize = 128;
 /// Width of the widest register tile: eight SSE registers of
 /// accumulators, enough independent chains to hide the add latency
 /// without spilling (four AVX2 registers, which do not hide it).
-const NR: usize = 32;
+pub(crate) const NR: usize = 32;
 
 /// Multiply-adds below which a product runs inline: for tiny operands the
 /// cost of spawning scoped workers exceeds the whole product.
@@ -227,7 +228,7 @@ pub fn matmul_a_bt_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize,
 
 /// An element type of the tile: f32 accumulates in f32, i16 in wrapping
 /// i32 ([`crate::qmatmul`]).
-pub(crate) trait Element: Copy + Default + PartialEq + Sync {
+pub(crate) trait Element: Copy + Default + PartialEq + Sync + 'static {
     /// The accumulator, and the element type of C.
     type Acc: Copy + Default + Send;
     /// Whether the tile tests A's elements inside a run for exact zeros:
@@ -235,9 +236,11 @@ pub(crate) trait Element: Copy + Default + PartialEq + Sync {
     const TEST_ZEROS: bool;
     /// Counter of the multiply-adds the run table elides.
     const SKIPPED: &'static str;
-    /// Whether every panel packs B on the AVX2 arm: i16's pair tile reads
-    /// only pair-interleaved panels.
+    /// Whether every panel packs B on the x86_64 SIMD arms: i16's pair
+    /// tile reads only pair-interleaved panels.
     const PAIRS: bool = false;
+    /// This thread's `KC × NR` pack buffer for the element type.
+    fn pack_buffer() -> &'static LocalKey<Cell<Option<Box<[Self; KC * NR]>>>>;
     /// `acc + x·y`.
     fn mul_add(acc: Self::Acc, x: Self, y: Self) -> Self::Acc;
 
@@ -246,14 +249,14 @@ pub(crate) trait Element: Copy + Default + PartialEq + Sync {
     /// unless the element type has its own tile on that arm.
     #[inline(always)]
     fn panel<const W: usize, const SKIP: bool>(
-        _arm: Arm,
+        arm: Arm,
         ops: Operands<'_, Self>,
         pack: &mut [Self],
         rows: &mut Block<'_, Self::Acc>,
         p: Range<usize>,
         j: Range<usize>,
     ) {
-        ops.panel::<W, SKIP>(pack, rows, p, j);
+        ops.panel::<W, SKIP>(arm, pack, rows, p, j);
     }
 }
 
@@ -261,41 +264,81 @@ impl Element for f32 {
     type Acc = f32;
     const TEST_ZEROS: bool = true;
     const SKIPPED: &'static str = "tensor.macs_f32_skipped";
+    fn pack_buffer() -> &'static LocalKey<Cell<Option<Box<[f32; KC * NR]>>>> {
+        &PACK_F32
+    }
     #[inline(always)]
     fn mul_add(acc: f32, x: f32, y: f32) -> f32 {
         acc + x * y
     }
 }
 
-/// The compiled form a product runs in, chosen once per call. Both arms
-/// give bit-identical results (see the module docs).
+/// The compiled form a product runs in, chosen once per call. Every arm
+/// gives bit-identical results (see the module docs).
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Arm {
     /// The kernel built for the baseline target, on every CPU.
     Portable,
     /// The same stripe compiled for AVX2, with i16 `A·B` on the pair tile
-    /// of [`crate::avx2`]; the token proves the CPU runs AVX2.
+    /// of [`crate::x86`]; the token proves the CPU runs AVX2.
     #[cfg(target_arch = "x86_64")]
-    Avx2(crate::avx2::Avx2),
+    Avx2(crate::x86::Avx2),
+    /// The same stripe compiled for AVX-512F, i16 `A·B` still on the AVX2
+    /// pair tile; the token proves the CPU runs both.
+    #[cfg(target_arch = "x86_64")]
+    Avx512(crate::x86::Avx512),
 }
 
 impl Arm {
     /// The widest arm this CPU runs.
     pub(crate) fn detect() -> Arm {
         #[cfg(target_arch = "x86_64")]
-        if let Some(cpu) = crate::avx2::Avx2::detect() {
+        if let Some(cpu) = crate::x86::Avx512::detect() {
+            return Arm::Avx512(cpu);
+        }
+        #[cfg(target_arch = "x86_64")]
+        if let Some(cpu) = crate::x86::Avx2::detect() {
             return Arm::Avx2(cpu);
         }
         Arm::Portable
     }
 
-    /// The portable arm and the one this CPU dispatches to (the same arm
-    /// twice where the CPU lacks AVX2), for the tests that run both.
+    /// Every arm this CPU runs, portable first, for the tests that run
+    /// them all.
     #[cfg(test)]
-    pub(crate) fn both() -> [Arm; 2] {
-        [Arm::Portable, Arm::detect()]
+    pub(crate) fn all() -> Vec<Arm> {
+        let mut arms = vec![Arm::Portable];
+        #[cfg(target_arch = "x86_64")]
+        {
+            arms.extend(crate::x86::Avx2::detect().map(Arm::Avx2));
+            arms.extend(crate::x86::Avx512::detect().map(Arm::Avx512));
+        }
+        arms
+    }
+
+    /// Rows one group of the f32 broadcast tile spans at width `w`: as
+    /// many as [`ACC_REGISTERS`] registers of accumulators hold, at most
+    /// [`MAX_GROUP`]. The portable arm keeps one row, since its SSE
+    /// registers already give a 32-wide tile eight add chains.
+    fn group_rows(self, w: usize) -> usize {
+        let lanes = match self {
+            Arm::Portable => return 1,
+            #[cfg(target_arch = "x86_64")]
+            Arm::Avx2(_) => 8,
+            #[cfg(target_arch = "x86_64")]
+            Arm::Avx512(_) => 16,
+        };
+        (ACC_REGISTERS * lanes / w).clamp(1, MAX_GROUP)
     }
 }
+
+/// Vector registers of accumulators one f32 row group keeps: enough
+/// independent add chains to hide the add latency, few enough to leave
+/// registers for the B row and the broadcasts.
+const ACC_REGISTERS: usize = 8;
+
+/// Most C rows one f32 row group spans.
+const MAX_GROUP: usize = 8;
 
 /// Shortest zero gap inside an A row that the run table leaves out;
 /// shorter gaps stay inside a run, because restarting the walk costs
@@ -315,6 +358,10 @@ thread_local! {
     /// clears the table, and a block of fewer than `ROWS` rows touches
     /// only their entries.
     static TABLES: Cell<Option<Box<[Runs; ROWS]>>> = const { Cell::new(None) };
+    /// Each thread's f32 pack buffer, taken for the length of a call that
+    /// packs. A panel packs every slot its tiles read before they read
+    /// it, so no call clears the buffer.
+    static PACK_F32: Cell<Option<Box<[f32; KC * NR]>>> = const { Cell::new(None) };
 }
 
 /// The half-open `(start, end)` runs of one A row that the tile walks.
@@ -413,6 +460,8 @@ impl<T: Element> Operands<'_, T> {
                 Arm::Portable => self.stripe::<SKIP>(arm, first_row, stripe, k, n),
                 #[cfg(target_arch = "x86_64")]
                 Arm::Avx2(cpu) => cpu.stripe::<T, SKIP>(self, first_row, stripe, k, n),
+                #[cfg(target_arch = "x86_64")]
+                Arm::Avx512(cpu) => cpu.stripe::<T, SKIP>(self, first_row, stripe, k, n),
             };
             if SKIP {
                 lts_obs::counter_add(T::SKIPPED, skipped as u64);
@@ -448,14 +497,11 @@ impl<T: Element> Operands<'_, T> {
         // A·Bᵀ, a last tile narrower than 8 columns and the pair tile pack B.
         let pairs = T::PAIRS && !matches!(arm, Arm::Portable);
         let packs = pairs || self.sb.1 != 1 || !n.is_multiple_of(8);
-        // The pack is built only on the paths that read it.
-        let mut pack_buf;
-        let pack: &mut [T] = if packs {
-            pack_buf = [T::default(); KC * NR];
-            &mut pack_buf
-        } else {
-            &mut []
-        };
+        // The pack buffer and the run tables are taken only on the paths
+        // that read them.
+        let mut pack_buf = packs
+            .then(|| T::pack_buffer().take().unwrap_or_else(|| Box::new([T::default(); KC * NR])));
+        let pack: &mut [T] = pack_buf.as_deref_mut().map_or(&mut [], |p| p);
         let mut table =
             tables.then(|| TABLES.take().unwrap_or_else(|| Box::new([Runs::EMPTY; ROWS])));
         let block_rows = if tables { ROWS } else { (stripe.len() / n).max(1) };
@@ -490,6 +536,9 @@ impl<T: Element> Operands<'_, T> {
                 }
             }
         }
+        if pack_buf.is_some() {
+            T::pack_buffer().set(pack_buf);
+        }
         if table.is_some() {
             TABLES.set(table);
         }
@@ -497,7 +546,10 @@ impl<T: Element> Operands<'_, T> {
     }
 
     /// The broadcast tile's panel: adds the products over shared indices
-    /// `p` to columns `j` (`j.len() ≤ W`) of every row of a block of C rows.
+    /// `p` to columns `j` (`j.len() ≤ W`) of every row of a block of C rows,
+    /// in row groups of up to [`Arm::group_rows`] rows whose A rows have
+    /// equal run tables. Where fewer such rows remain, the group is the
+    /// largest power of two of them.
     ///
     /// B is read in place when its rows are contiguous and the tile is
     /// full. Otherwise (`A·Bᵀ`, or the last `< 8` columns) the panel is
@@ -508,12 +560,13 @@ impl<T: Element> Operands<'_, T> {
     #[inline(always)]
     pub(crate) fn panel<const W: usize, const SKIP: bool>(
         self,
+        arm: Arm,
         pack: &mut [T],
         rows: &mut Block<'_, T::Acc>,
         p: Range<usize>,
         j: Range<usize>,
     ) {
-        let (sa, sb, kc, w) = (self.sa, self.sb, p.len(), j.len());
+        let (sb, kc, w) = (self.sb, p.len(), j.len());
         let (bt, ldb): (&[T], usize) = if sb.1 == 1 && w == W {
             (&self.b[p.start * sb.0 + j.start..], sb.0)
         } else {
@@ -528,13 +581,50 @@ impl<T: Element> Operands<'_, T> {
             }
             (&pack[..], W)
         };
-        rows.each_row::<W>(
-            j,
-            #[inline(always)]
-            |i, runs, c| {
-                tile::<T, W, SKIP>(&self.a[i * sa.0..], sa.1, runs, p.clone(), bt, ldb, c);
-            },
-        );
+        let most = arm.group_rows(W);
+        let mut r = 0;
+        while r < rows.len() {
+            let g = rows.group_len(r, most);
+            let (p, j) = (p.clone(), j.clone());
+            match g {
+                8 => self.group::<W, 8, SKIP>(rows, r, p, j, bt, ldb),
+                4 => self.group::<W, 4, SKIP>(rows, r, p, j, bt, ldb),
+                2 => self.group::<W, 2, SKIP>(rows, r, p, j, bt, ldb),
+                _ => self.group::<W, 1, SKIP>(rows, r, p, j, bt, ldb),
+            }
+            r += g;
+        }
+    }
+
+    /// Runs the tile on the `G` rows of `rows` from row `r` on, which
+    /// share a run table, over the panel `p` of B as `b` with row stride
+    /// `ldb`, at columns `j`.
+    #[inline(always)]
+    fn group<const W: usize, const G: usize, const SKIP: bool>(
+        self,
+        rows: &mut Block<'_, T::Acc>,
+        r: usize,
+        p: Range<usize>,
+        j: Range<usize>,
+        b: &[T],
+        ldb: usize,
+    ) {
+        let mut acc = rows.load::<W, G>(r, j.clone());
+        let (a, sa, runs) = (&self.a[(rows.first + r) * self.sa.0..], self.sa, rows.runs(r));
+        if sa.1 == 1 {
+            // Contiguous A rows, cut at the panel's end so that no index
+            // inside the panel needs a bounds check.
+            let mut rows: [&[T]; G] = [&[]; G];
+            for (g, row) in rows.iter_mut().enumerate() {
+                *row = &a[g * sa.0..][..p.end];
+            }
+            let x = |q: usize| rows.map(|row| row[q]);
+            tile::<T, W, G, SKIP>(x, runs, p, b, ldb, &mut acc);
+        } else {
+            let x = |q: usize| std::array::from_fn(|g| a[g * sa.0 + q * sa.1]);
+            tile::<T, W, G, SKIP>(x, runs, p, b, ldb, &mut acc);
+        }
+        rows.store(r, j, &acc);
     }
 }
 
@@ -548,47 +638,83 @@ pub(crate) struct Block<'r, Acc> {
 }
 
 impl<Acc: Copy + Default> Block<'_, Acc> {
+    /// The number of rows.
+    fn len(&self) -> usize {
+        self.c.len() / self.n
+    }
+
+    /// The runs of row `r`'s A row: one run over everything without a
+    /// table.
+    fn runs(&self, r: usize) -> &[(usize, usize)] {
+        self.runs.get(r).map_or(&[(0, usize::MAX)][..], Runs::as_slice)
+    }
+
+    /// The rows of the group that starts at row `r`: the largest power of
+    /// two, at most `most`, of the rows from `r` on whose runs all equal
+    /// row `r`'s.
+    fn group_len(&self, r: usize, most: usize) -> usize {
+        let runs = self.runs(r);
+        let equal = (r..self.len().min(r + most)).take_while(|&s| self.runs(s) == runs).count();
+        1 << equal.ilog2()
+    }
+
+    /// Columns `j` (`j.len() ≤ W`) of rows `r..r + G`, zero-padded to `W`.
+    #[inline(always)]
+    fn load<const W: usize, const G: usize>(&self, r: usize, j: Range<usize>) -> [[Acc; W]; G] {
+        let mut acc = [[Acc::default(); W]; G];
+        for (g, acc) in acc.iter_mut().enumerate() {
+            acc[..j.len()].copy_from_slice(&self.c[(r + g) * self.n + j.start..][..j.len()]);
+        }
+        acc
+    }
+
+    /// Stores the first `j.len()` columns of `acc` back to columns `j` of
+    /// rows `r..r + G`.
+    #[inline(always)]
+    fn store<const W: usize, const G: usize>(
+        &mut self,
+        r: usize,
+        j: Range<usize>,
+        acc: &[[Acc; W]; G],
+    ) {
+        for (g, acc) in acc.iter().enumerate() {
+            self.c[(r + g) * self.n + j.start..][..j.len()].copy_from_slice(&acc[..j.len()]);
+        }
+    }
+
     /// Calls `tile(i, runs, c)` for every row of the block: `i` is the row
-    /// index, `runs` its A row's runs (one run over everything without a
-    /// table) and `c` its `W` accumulators at columns `j`. A tile narrower
-    /// than `W` works on a zero-padded copy and stores back `j.len()`.
+    /// index, `runs` its A row's runs and `c` its `W` accumulators at
+    /// columns `j`, zero-padded past `j.len()`.
     #[inline(always)]
     pub(crate) fn each_row<const W: usize>(
         &mut self,
         j: Range<usize>,
         mut tile: impl FnMut(usize, &[(usize, usize)], &mut [Acc; W]),
     ) {
-        for (r, crow) in self.c.chunks_exact_mut(self.n).enumerate() {
-            let runs = self.runs.get(r).map_or(&[(0, usize::MAX)][..], Runs::as_slice);
-            let c = &mut crow[j.clone()];
-            match <&mut [Acc; W]>::try_from(&mut *c) {
-                Ok(full) => tile(self.first + r, runs, full),
-                Err(_) => {
-                    let mut part = [Acc::default(); W];
-                    part[..c.len()].copy_from_slice(c);
-                    tile(self.first + r, runs, &mut part);
-                    c.copy_from_slice(&part[..c.len()]);
-                }
-            }
+        for r in 0..self.len() {
+            let [mut c] = self.load::<W, 1>(r, j.clone());
+            tile(self.first + r, self.runs(r), &mut c);
+            self.store(r, j.clone(), &[c]);
         }
     }
 }
 
-/// The microkernel: `c[jj] += Σ_q a[q·lda] · b[(q − p.start)·ldb + jj]`
-/// for `jj < W`, over the indices `q` of the panel `p` that lie inside
-/// `runs`, terms added in ascending `q`. The `W` accumulators stay in
-/// registers across every run of the panel, so C is loaded and stored
-/// once per panel and each A element read once per tile. With `SKIP`,
-/// an exact-zero f32 A element inside a run skips its whole update.
+/// The microkernel: `c[g][jj] += Σ_q x(q)[g] · b[(q − p.start)·ldb + jj]`
+/// for the `G` rows `g` of a group and `jj < W`, with `x(q)` the group's
+/// A elements at shared index `q`, over the indices `q` of the panel `p`
+/// that lie inside `runs`, which the group's rows share, terms added in
+/// ascending `q`. Each `W`-wide row of B is loaded once for all `G` rows,
+/// and the `G × W` accumulators stay in registers across every run of the
+/// panel, so C is loaded and stored once per panel. With `SKIP`, an
+/// exact-zero f32 A element skips its own row's update, not the others'.
 #[inline(always)]
-fn tile<T: Element, const W: usize, const SKIP: bool>(
-    a: &[T],
-    lda: usize,
+fn tile<T: Element, const W: usize, const G: usize, const SKIP: bool>(
+    x: impl Fn(usize) -> [T; G],
     runs: &[(usize, usize)],
     p: Range<usize>,
     b: &[T],
     ldb: usize,
-    c: &mut [T::Acc; W],
+    c: &mut [[T::Acc; W]; G],
 ) {
     let mut acc = *c;
     for &(s, e) in runs {
@@ -596,14 +722,15 @@ fn tile<T: Element, const W: usize, const SKIP: bool>(
             break;
         }
         for q in s.max(p.start)..e.min(p.end) {
-            let x = a[q * lda];
-            if SKIP && T::TEST_ZEROS && x == T::default() {
-                continue;
-            }
             let o = (q - p.start) * ldb;
             let bq = &b[o..o + W];
-            for jj in 0..W {
-                acc[jj] = T::mul_add(acc[jj], x, bq[jj]);
+            for (acc, x) in acc.iter_mut().zip(x(q)) {
+                if SKIP && T::TEST_ZEROS && x == T::default() {
+                    continue;
+                }
+                for jj in 0..W {
+                    acc[jj] = T::mul_add(acc[jj], x, bq[jj]);
+                }
             }
         }
     }
@@ -876,7 +1003,7 @@ mod tests {
             c.each_ref().map(|c| c.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
         };
         assert_eq!(bits(&public), bits(&want), "{m}x{k}x{n}");
-        for arm in Arm::both() {
+        for arm in Arm::all() {
             let got = products_on(arm, a, at, b, bt, m, k, n);
             assert_eq!(bits(&got), bits(&want), "{m}x{k}x{n} on {arm:?}");
         }
@@ -934,10 +1061,124 @@ mod tests {
                     (0..k).fold(0.0f32, |acc, p| acc + left[i * k + p] * b[p * n + j])
                 };
                 let naive: Vec<f32> = (0..m * n).map(|x| dot(x / n, x % n)).collect();
-                for arm in Arm::both() {
+                for arm in Arm::all() {
                     for (c, name) in products_on(arm, &left, &at, b, &bt, m, k, n).iter().zip(["ab", "at_b", "a_bt"]) {
                         proptest::prop_assert_eq!(c, &naive, "{} n={} on {:?}", name, n, arm);
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_arm_this_cpu_runs_is_tested() {
+        let arms = Arm::all();
+        assert!(matches!(arms[0], Arm::Portable));
+        #[cfg(target_arch = "x86_64")]
+        {
+            let has = |arm: fn(&Arm) -> bool| arms.iter().any(arm);
+            if std::is_x86_feature_detected!("avx2") {
+                assert!(has(|arm| matches!(arm, Arm::Avx2(_))), "{arms:?} lacks AVX2");
+            }
+            if std::is_x86_feature_detected!("avx512f") {
+                assert!(has(|arm| matches!(arm, Arm::Avx512(_))), "{arms:?} lacks AVX-512F");
+            }
+        }
+        assert_eq!(format!("{:?}", arms.last()), format!("{:?}", Some(Arm::detect())));
+    }
+
+    #[test]
+    fn groups_are_the_largest_power_of_two_of_rows_with_equal_runs() {
+        // Runs per row: 5 × r0, 3 × r1, r0, 7 × r1 (table rows 0..16).
+        let table: Vec<Runs> = [(5, 0), (3, 1), (1, 0), (7, 1)]
+            .iter()
+            .flat_map(|&(count, which)| (0..count).map(move |_| which))
+            .map(|which| {
+                let mut runs = Runs::EMPTY;
+                runs.push(0, 10 + which);
+                runs
+            })
+            .collect();
+        let mut c = vec![0.0f32; table.len() * 2];
+        let rows = Block { first: 0, runs: &table, c: &mut c, n: 2 };
+        let groups = |most: usize| {
+            let mut r = 0;
+            std::iter::from_fn(|| {
+                (r < rows.len()).then(|| {
+                    let g = rows.group_len(r, most);
+                    r += g;
+                    g
+                })
+            })
+            .collect::<Vec<_>>()
+        };
+        assert_eq!(groups(8), [4, 1, 2, 1, 1, 4, 2, 1]);
+        assert_eq!(groups(2), [2, 2, 1, 2, 1, 1, 2, 2, 2, 1]);
+        assert_eq!(groups(1), [1; 16]);
+        // Without a table every row walks one run, so only `most` and the
+        // rows left bound a group.
+        let mut c = vec![0.0f32; 13 * 3];
+        let rows = Block { first: 0, runs: &[], c: &mut c, n: 3 };
+        assert_eq!(rows.group_len(0, 8), 8);
+        assert_eq!(rows.group_len(8, 8), 4);
+        assert_eq!(rows.group_len(12, 8), 1);
+    }
+
+    // Row groups on every arm, for all three products.
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn row_groups_match_reference_on_hop_local_masks(
+            m in 1usize..40, rows_per_core in 1usize..6, cores in 3usize..8,
+            taps in 0usize..3, keep in 0u64..u64::MAX, n in 0usize..9,
+            pool in proptest::collection::vec(-8.0f32..8.0, 40 * 7 * 64 + 7 * 64 * 59)
+        ) {
+            // SS_Mask-style rows: `cores` blocks of `taps` weights, the rows
+            // of one core sharing a mask, so row groups break wherever the
+            // mask changes, and m rarely fills its last group. Blocks of 32
+            // and 64 taps end runs on the KC edge. Every third row holds an
+            // exact ±0 inside a run, opposite ±inf or NaN in B for some
+            // columns: that row skips it while its neighbours add it. Each
+            // column holds at most one non-finite B element, so every
+            // non-finite result is the same bits in any summation.
+            let taps = [MIN_GAP, MIN_GAP + 18, 2 * MIN_GAP][taps];
+            let n = [1, 3, 7, 8, 16, 21, 32, 40, 59][n];
+            let k = cores * taps;
+            let mut a = pool[..m * k].to_vec();
+            let mut zero_at = vec![None; m];
+            for (i, row) in a.chunks_exact_mut(k).enumerate() {
+                let core = (i / rows_per_core) % cores;
+                let kept = |blk: usize| (keep >> ((blk + 7 * core) % 64)) & 1 == 1 || blk == core;
+                for (blk, w) in row.chunks_exact_mut(taps).enumerate() {
+                    if !kept(blk) {
+                        w.fill(0.0);
+                    }
+                }
+                if i % 3 == 1 {
+                    let q = core * taps + (i * 5 + taps / 2) % taps;
+                    row[q] = if i % 2 == 0 { 0.0 } else { -0.0 };
+                    zero_at[i] = Some(q);
+                }
+            }
+            let zeros: Vec<usize> = zero_at.iter().flatten().copied().collect();
+            let special = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+            let mut b = pool[40 * 7 * 64..][..k * n].to_vec();
+            let mut special_at = vec![None; n];
+            for (j, at) in special_at.iter_mut().enumerate().filter(|(j, _)| j % 4 != 3) {
+                if let Some(&q) = zeros.get(j % zeros.len().max(1)) {
+                    b[q * n + j] = special[j % 3];
+                    *at = Some(q);
+                }
+            }
+            let at: Vec<f32> = (0..k * m).map(|x| a[(x % m) * k + x / m]).collect();
+            let bt: Vec<f32> = (0..n * k).map(|x| b[(x % k) * n + x / k]).collect();
+            let [ab, ..] = assert_products_match_reference(&a, &at, &b, &bt, m, k, n);
+            // A·B: a row that is zero opposite the column's non-finite B
+            // element skips it, every other row adds it.
+            for (x, c) in ab.iter().enumerate() {
+                if let Some(q) = special_at[x % n] {
+                    proptest::prop_assert_eq!(c.is_finite(), a[x / n * k + q] == 0.0, "C({}, {})", x / n, x % n);
                 }
             }
         }
@@ -1058,7 +1299,7 @@ mod tests {
         let qb: Vec<i16> = b.iter().map(|&x| x as i16).collect();
         let mut want = vec![2i32; n];
         crate::qmatmul::reference::matmul_i16_into_ref(&qrow, &qb, &mut want, 1, k, n);
-        for arm in Arm::both() {
+        for arm in Arm::all() {
             let mut c = vec![1i32; n];
             let ops = Operands { a: &qrow[..], sa: (k, 1), b: &qb[..], sb: (n, 1) };
             ops.gemm_on::<true>(arm, &mut c, 1, k, n);

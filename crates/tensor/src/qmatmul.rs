@@ -42,14 +42,27 @@
 //! that does, 2·(−32768)² = 2³¹, wraps in `pmaddwd` to what two wrapping
 //! adds give.
 
-use crate::matmul::{Arm, Block, Element, Operands};
+use crate::matmul::{Arm, Block, Element, Operands, KC, NR};
+#[cfg(target_arch = "x86_64")]
+use crate::x86::Avx2;
+use std::cell::Cell;
 use std::ops::Range;
+use std::thread::LocalKey;
+
+thread_local! {
+    /// Each thread's i16 pack buffer, taken for the length of a call that
+    /// packs (see the f32 one in [`crate::matmul`]).
+    static PACK_I16: Cell<Option<Box<[i16; KC * NR]>>> = const { Cell::new(None) };
+}
 
 impl Element for i16 {
     type Acc = i32;
     const TEST_ZEROS: bool = false;
     const SKIPPED: &'static str = "tensor.macs_i16_skipped";
     const PAIRS: bool = true;
+    fn pack_buffer() -> &'static LocalKey<Cell<Option<Box<[i16; KC * NR]>>>> {
+        &PACK_I16
+    }
     #[inline(always)]
     fn mul_add(acc: i32, x: i16, y: i16) -> i32 {
         acc.wrapping_add(i32::from(x) * i32::from(y))
@@ -67,21 +80,36 @@ impl Element for i16 {
         j: Range<usize>,
     ) {
         match arm {
-            Arm::Portable => ops.panel::<W, SKIP>(pack, rows, p, j),
+            Arm::Portable => ops.panel::<W, SKIP>(arm, pack, rows, p, j),
             #[cfg(target_arch = "x86_64")]
-            Arm::Avx2(cpu) => {
-                pack_pairs::<W>(ops, pack, p.clone(), j.clone());
-                let (pack, k) = (pack.as_chunks::<16>().0, ops.sa.0);
-                rows.each_row::<W>(
-                    j,
-                    #[inline(always)]
-                    |i, runs, c| {
-                        cpu.tile_pairs::<W>(&ops.a[i * k..][..k], runs, p.clone(), pack, c);
-                    },
-                );
-            }
+            Arm::Avx2(cpu) => pair_panel::<W>(cpu, ops, pack, rows, p, j),
+            #[cfg(target_arch = "x86_64")]
+            Arm::Avx512(cpu) => pair_panel::<W>(cpu.avx2(), ops, pack, rows, p, j),
         }
     }
+}
+
+/// The pair tile's panel: packs the panel `p × j` of B pair-interleaved
+/// and runs [`Avx2::tile_pairs`] on every row of the block.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn pair_panel<const W: usize>(
+    cpu: Avx2,
+    ops: Operands<'_, i16>,
+    pack: &mut [i16],
+    rows: &mut Block<'_, i32>,
+    p: Range<usize>,
+    j: Range<usize>,
+) {
+    pack_pairs::<W>(ops, pack, p.clone(), j.clone());
+    let (pack, k) = (pack.as_chunks::<16>().0, ops.sa.0);
+    rows.each_row::<W>(
+        j,
+        #[inline(always)]
+        |i, runs, c| {
+            cpu.tile_pairs::<W>(&ops.a[i * k..][..k], runs, p.clone(), pack, c);
+        },
+    );
 }
 
 /// Packs the panel `p × j` of B (`j.len() ≤ W`, B rows contiguous) pair
@@ -173,7 +201,7 @@ mod tests {
         reference::matmul_i16_into_ref(a, b, &mut cr, m, k, n);
         matmul_i16_into(a, b, &mut c, m, k, n);
         assert_eq!(c, cr, "i16 {m}x{k}x{n}");
-        for arm in Arm::both() {
+        for arm in Arm::all() {
             let mut c = vec![3i32; m * n];
             Operands { a, sa: (k, 1), b, sb: (n, 1) }.gemm_on::<true>(arm, &mut c, m, k, n);
             assert_eq!(c, cr, "i16 {m}x{k}x{n} on {arm:?}");

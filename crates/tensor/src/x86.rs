@@ -1,17 +1,21 @@
-//! The AVX2 arm of the GEMM, and the crate's only `unsafe` code.
+//! The x86_64 arms of the GEMM, and the crate's only `unsafe` code.
 //!
-//! An [`Avx2`] token exists only where the running CPU has AVX2, so
-//! every call below that needs the feature is sound by construction:
-//! [`Avx2::stripe`] runs the generic stripe of [`crate::matmul`] compiled
-//! for AVX2 (f32 then runs 8-wide; `fma` is not enabled, and Rust never
-//! contracts `a·b + c`, so every f32 sum is unchanged), and
-//! [`Avx2::tile_pairs`] is the i16 `pmaddwd` tile of [`crate::qmatmul`].
-//! The remaining `unsafe` blocks are the unaligned loads and stores of
-//! one 256-bit register, from arrays whose length is in their type.
+//! An [`Avx2`] token exists only where the running CPU has AVX2, and an
+//! [`Avx512`] token only where it has AVX-512F as well, so every call
+//! below that needs a feature is sound by construction.
+//! [`Avx2::stripe`] and [`Avx512::stripe`] run the generic stripe of
+//! [`crate::matmul`] compiled for their feature: the f32 row-group tile
+//! then runs 8 or 16 lanes wide, with as many rows per group as its
+//! register budget allows. Only `avx2` or `avx512f` is enabled; rustc
+//! may imply `fma` from either, but Rust never contracts `a·b + c`, so
+//! every f32 sum is unchanged. [`Avx2::tile_pairs`] is the i16 `pmaddwd`
+//! tile of [`crate::qmatmul`], which both arms run. The remaining
+//! `unsafe` blocks are the unaligned loads and stores of one 256-bit
+//! register, from arrays whose length is in their type.
 
 #![allow(unsafe_code)]
 
-use crate::matmul::{Element, Operands};
+use crate::matmul::{Arm, Element, Operands};
 use std::arch::x86_64::{
     __m256i, _mm256_add_epi32, _mm256_loadu_si256, _mm256_madd_epi16, _mm256_set1_epi32,
     _mm256_setzero_si256, _mm256_storeu_si256,
@@ -84,7 +88,52 @@ fn stripe_avx2<T: Element, const SKIP: bool>(
     k: usize,
     n: usize,
 ) -> usize {
-    ops.stripe::<SKIP>(crate::matmul::Arm::Avx2(cpu), first_row, c, k, n)
+    ops.stripe::<SKIP>(Arm::Avx2(cpu), first_row, c, k, n)
+}
+
+/// Proof that the running CPU has AVX-512F and AVX2: only
+/// [`Avx512::detect`] builds one.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Avx512(Avx2);
+
+impl Avx512 {
+    /// A token if the CPU has AVX-512F and AVX2.
+    pub(crate) fn detect() -> Option<Avx512> {
+        let avx2 = Avx2::detect()?;
+        std::is_x86_feature_detected!("avx512f").then_some(Avx512(avx2))
+    }
+
+    /// The AVX2 token this CPU also holds, for the i16 pair tile.
+    pub(crate) fn avx2(self) -> Avx2 {
+        self.0
+    }
+
+    /// [`Operands::stripe`] compiled for AVX-512F.
+    #[inline(always)]
+    pub(crate) fn stripe<T: Element, const SKIP: bool>(
+        self,
+        ops: Operands<'_, T>,
+        first_row: usize,
+        c: &mut [T::Acc],
+        k: usize,
+        n: usize,
+    ) -> usize {
+        // SAFETY: `stripe_avx512` needs AVX-512F, and `self` exists only
+        // where the CPU has it.
+        unsafe { stripe_avx512::<T, SKIP>(self, ops, first_row, c, k, n) }
+    }
+}
+
+#[target_feature(enable = "avx512f")]
+fn stripe_avx512<T: Element, const SKIP: bool>(
+    cpu: Avx512,
+    ops: Operands<'_, T>,
+    first_row: usize,
+    c: &mut [T::Acc],
+    k: usize,
+    n: usize,
+) -> usize {
+    ops.stripe::<SKIP>(Arm::Avx512(cpu), first_row, c, k, n)
 }
 
 #[target_feature(enable = "avx2")]

@@ -28,7 +28,7 @@ cargo clippy --offline --workspace --all-targets -- -D warnings -D clippy::perf
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "==> hot-path smoke (stepper-equivalence and kernel bit-identity properties, both GEMM arms, optimized build)"
+echo "==> hot-path smoke (stepper-equivalence and kernel bit-identity properties, every GEMM arm this CPU runs, optimized build)"
 cargo test --release --offline -q -p lts-noc --test equivalence
 cargo test --release --offline -q -p lts-tensor --test properties
 cargo test --release --offline -q -p lts-tensor --lib
@@ -70,16 +70,17 @@ cargo test --release --offline -q -p lts-core --test paper_tables_golden -- --in
 echo "==> quant smoke (i16 fast path: accuracy within tolerance of f32, 2 bytes/value traffic)"
 LTS_EFFORT=quick cargo run --release --offline -p lts-bench --bin quant_sweep
 
-echo "==> pairs smoke (HEAD vs the working tree on noc_sweep, serve_fault and infer_sparse: identical deterministic metrics, 0 failed checks)"
+echo "==> pairs smoke (HEAD vs the working tree on noc_sweep, serve_fault, infer_sparse and train_convnet: identical deterministic metrics, 0 failed checks)"
 # Two smoke-size pairs plus the traced pair per workload; the ledger goes
 # to a temporary directory, since a ledger is never overwritten.
 PAIRS_LOG="$(mktemp)"
 LTS_BENCH_DIR="$(mktemp -d)" \
     cargo run --release --offline -q -p lts-bench --bin bench_history -- \
-    pairs HEAD --workload noc_sweep --workload serve_fault --workload infer_sparse --smoke \
+    pairs HEAD --workload noc_sweep --workload serve_fault --workload infer_sparse \
+    --workload train_convnet --smoke \
     | tee "$PAIRS_LOG"
 # Each gate must hold once per workload.
-test "$(grep -c '^exact diff (seed 1, traced): 0 of [1-9][0-9]* deterministic metrics differ$' "$PAIRS_LOG")" -eq 3
-test "$(grep -c '^failed checks: parent 0/[1-9][0-9]*, change 0/[1-9][0-9]*$' "$PAIRS_LOG")" -eq 3
+test "$(grep -c '^exact diff (seed 1, traced): 0 of [1-9][0-9]* deterministic metrics differ$' "$PAIRS_LOG")" -eq 4
+test "$(grep -c '^failed checks: parent 0/[1-9][0-9]*, change 0/[1-9][0-9]*$' "$PAIRS_LOG")" -eq 4
 
 echo "All checks passed."
