@@ -4,25 +4,41 @@
 //! (convolutions are lowered to GEMM via [`crate::im2col`]). All three
 //! f32 products — `A·B`, `Aᵀ·B` and `A·Bᵀ` — and the i16 `A·B` of
 //! [`crate::qmatmul`] run one microkernel, `tile`, generic over the
-//! element type, which keeps a `1 × W` strip of a C row in registers
-//! across a `KC`-deep panel of the shared dimension. Each output row is
-//! covered by 32-wide tiles, then at most one 16-wide and one 8-wide
-//! tile; the last ≤ 7 columns run an 8-wide tile over zero-padded B
-//! columns, so narrow outputs (the 4×4 maps of a third conv layer,
-//! n = 16) never leave registers. `A·Bᵀ` first packs each `KC × W` panel
-//! of Bᵀ into a stack array so the tile reads it row by row like `B`;
-//! output rows are partitioned across the execution engine
-//! ([`crate::par`]).
+//! element type, which keeps a `G × W` block of C — `W` columns of `G`
+//! consecutive rows — in registers across a `KC`-deep panel of the
+//! shared dimension, each `W`-wide row of B loaded once for all `G`
+//! rows. Each output row is covered by 32-wide tiles, then at most one
+//! 16-wide and one 8-wide tile; the last ≤ 7 columns run an 8-wide tile
+//! over zero-padded B columns, so narrow outputs (the 4×4 maps of a
+//! third conv layer, n = 16) never leave registers. `A·Bᵀ` first packs
+//! each `KC × W` panel of Bᵀ into a per-thread buffer so the tile reads
+//! it row by row like `B`; output rows are partitioned across the
+//! execution engine ([`crate::par`]).
+//!
+//! # Row groups
+//!
+//! Consecutive rows whose A rows have equal run tables (below) form a
+//! group; without a table every row is one run, so any rows may. A group
+//! spans as many rows as one fixed budget of eight vector registers of
+//! accumulators holds, at most 8: on AVX2 2, 4 and 8 rows at `W` = 32,
+//! 16 and 8, on AVX-512F 4, 8 and 8. Where fewer equal-run rows remain,
+//! the group is the largest power of two of them, down to one row. Each
+//! row keeps its own exact-zero test, so one row skipping a zero never
+//! skips its neighbours' terms. The portable arm keeps one row per
+//! group: its SSE registers already give a 32-wide tile eight add
+//! chains.
 //!
 //! # Dispatch
 //!
-//! Each call picks its arm once at run time. Where the CPU has AVX2, the
-//! whole stripe is compiled a second time with `avx2` enabled, so the
-//! f32 tile runs the same source in 8-wide lanes, and i16 `A·B` runs the
-//! fused `pmaddwd` tile of [`crate::qmatmul`] over pair-interleaved B
-//! panels. Everywhere else, non-x86_64 targets included, the tile built
-//! for the baseline target runs. Both arms give bit-identical results;
-//! the unit tests run every generator on both.
+//! Each call picks its arm once at run time, the widest the CPU has.
+//! Where it has AVX-512F (and AVX2) or AVX2, the whole stripe is
+//! compiled again with that feature enabled, so the f32 tile runs the
+//! same source in 16- or 8-wide lanes over row groups, and i16 `A·B`
+//! runs the fused AVX2 `pmaddwd` tile of [`crate::qmatmul`] over
+//! pair-interleaved B panels on either. Everywhere else, non-x86_64
+//! targets included, the one-row tile built for the baseline target
+//! runs. Every arm gives bit-identical results; the unit tests run every
+//! generator on every arm the CPU has.
 //!
 //! # Zero runs
 //!
@@ -39,16 +55,18 @@
 //!
 //! Every kernel accumulates each output element's terms from `+0.0` in
 //! ascending order of the shared dimension; the accumulator round-trips
-//! through C in f32 between panels, and row partitioning never splits an
-//! element's accumulation. `A·B` and `Aᵀ·B` skip exact-zero A elements
-//! (whole gaps through the run table, single zeros by the tile's test
-//! inside a run), `A·Bᵀ` does not — the rules of the [`reference`]
-//! kernels, which the results equal bit for bit for every input
-//! (`c + 0.0·x` is not always `c` in IEEE arithmetic: `-0.0` and
-//! non-finite `x`). The AVX2 arm enables no `fma`, Rust never fuses
-//! `a·b + c` on its own, and lanes never mix, so wider lanes round every
-//! product and sum as the baseline build does. Results are therefore
-//! bit-identical on either arm and for any worker count, including 1.
+//! through C in f32 between panels, and neither row groups nor row
+//! partitioning ever split or reorder an element's accumulation. `A·B`
+//! and `Aᵀ·B` skip exact-zero A elements (whole gaps through the run
+//! table, single zeros by the tile's per-row test inside a run), `A·Bᵀ`
+//! does not — the rules of the [`reference`] kernels, which the results
+//! equal bit for bit for every input (`c + 0.0·x` is not always `c` in
+//! IEEE arithmetic: `-0.0` and non-finite `x`). The SIMD arms enable
+//! only `avx2` or `avx512f`; rustc may imply `fma` from them, but Rust
+//! never fuses `a·b + c` on its own, and lanes never mix, so wider lanes
+//! round every product and sum as the baseline build does. Results are
+//! therefore bit-identical on every arm and for any worker count,
+//! including 1.
 
 use crate::par;
 use crate::shape::Shape;
@@ -62,14 +80,17 @@ use std::thread::LocalKey;
 const PANEL: usize = 64;
 
 /// Shared-dimension panel depth of the microkernel. A `KC × NR` tile of B
-/// (16 KB) is the L1 working set and the size of the `A·Bᵀ` pack buffer;
-/// deeper panels amortize the per-panel accumulator load/store further.
+/// (16 KB) is the L1 working set and the size of the per-thread pack
+/// buffer; deeper panels amortize the per-panel accumulator load/store
+/// further.
 /// Panel depth never changes results (see the module docs).
 pub(crate) const KC: usize = 128;
 
-/// Width of the widest register tile: eight SSE registers of
-/// accumulators, enough independent chains to hide the add latency
-/// without spilling (four AVX2 registers, which do not hide it).
+/// Width of the widest register tile. On the portable arm a one-row
+/// 32-wide tile is eight SSE registers of accumulators, enough
+/// independent add chains to hide the add latency without spilling; the
+/// SIMD arms, whose registers hold 8 or 16 lanes, get their chains from
+/// row groups instead (see the module docs).
 pub(crate) const NR: usize = 32;
 
 /// Multiply-adds below which a product runs inline: for tiny operands the
@@ -637,7 +658,7 @@ pub(crate) struct Block<'r, Acc> {
     n: usize,
 }
 
-impl<Acc: Copy + Default> Block<'_, Acc> {
+impl<'r, Acc: Copy + Default> Block<'r, Acc> {
     /// The number of rows.
     fn len(&self) -> usize {
         self.c.len() / self.n
@@ -645,7 +666,7 @@ impl<Acc: Copy + Default> Block<'_, Acc> {
 
     /// The runs of row `r`'s A row: one run over everything without a
     /// table.
-    fn runs(&self, r: usize) -> &[(usize, usize)] {
+    fn runs(&self, r: usize) -> &'r [(usize, usize)] {
         self.runs.get(r).map_or(&[(0, usize::MAX)][..], Runs::as_slice)
     }
 
@@ -692,9 +713,17 @@ impl<Acc: Copy + Default> Block<'_, Acc> {
         mut tile: impl FnMut(usize, &[(usize, usize)], &mut [Acc; W]),
     ) {
         for r in 0..self.len() {
-            let [mut c] = self.load::<W, 1>(r, j.clone());
-            tile(self.first + r, self.runs(r), &mut c);
-            self.store(r, j.clone(), &[c]);
+            let runs = self.runs(r);
+            let c = &mut self.c[r * self.n..][j.clone()];
+            match <&mut [Acc; W]>::try_from(&mut *c) {
+                Ok(full) => tile(self.first + r, runs, full),
+                Err(_) => {
+                    let mut part = [Acc::default(); W];
+                    part[..c.len()].copy_from_slice(c);
+                    tile(self.first + r, runs, &mut part);
+                    c.copy_from_slice(&part[..c.len()]);
+                }
+            }
         }
     }
 }

@@ -19,8 +19,9 @@
 //!
 //! # The pair tile
 //!
-//! Where the CPU has AVX2 (see the dispatch rule in [`crate::matmul`]),
-//! each `KC × W` panel of B is first packed pair-interleaved,
+//! Where the CPU has AVX2, on the AVX2 and the AVX-512F arm alike (see
+//! the dispatch rule in [`crate::matmul`]), each `KC × W` panel of B is
+//! first packed pair-interleaved,
 //! `pack[(q2·W + j)·2 + t] = B(p0 + 2·q2 + t, j0 + j)`, zero past `k` and
 //! past `n`, and the tile broadcasts the A pair `(a[q], a[q + 1])` as one
 //! i32 against it: one `pmaddwd` does 16 multiplies for 8 columns, and an
@@ -68,8 +69,8 @@ impl Element for i16 {
         acc.wrapping_add(i32::from(x) * i32::from(y))
     }
 
-    /// The broadcast tile, or with AVX2 the pair tile over a pair-packed
-    /// panel.
+    /// The one-row broadcast tile on the portable arm, the pair tile over
+    /// a pair-packed panel on both SIMD arms.
     #[inline(always)]
     fn panel<const W: usize, const SKIP: bool>(
         arm: Arm,
