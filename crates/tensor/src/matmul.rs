@@ -478,7 +478,7 @@ impl<T: Element> Operands<'_, T> {
         }
         let kernel = |first_row: usize, stripe: &mut [T::Acc]| {
             let skipped = match arm {
-                Arm::Portable => self.stripe::<SKIP>(arm, first_row, stripe, k, n),
+                Arm::Portable => self.stripe::<SKIP>(Arm::Portable, first_row, stripe, k, n),
                 #[cfg(target_arch = "x86_64")]
                 Arm::Avx2(cpu) => cpu.stripe::<T, SKIP>(self, first_row, stripe, k, n),
                 #[cfg(target_arch = "x86_64")]
@@ -602,24 +602,24 @@ impl<T: Element> Operands<'_, T> {
             }
             (&pack[..], W)
         };
+        // Each stripe is compiled for one arm, so `most` is a constant
+        // there and the guards drop the group sizes that arm never runs.
         let most = arm.group_rows(W);
         let mut r = 0;
         while r < rows.len() {
-            let g = rows.group_len(r, most);
             let (p, j) = (p.clone(), j.clone());
-            match g {
-                8 => self.group::<W, 8, SKIP>(rows, r, p, j, bt, ldb),
-                4 => self.group::<W, 4, SKIP>(rows, r, p, j, bt, ldb),
-                2 => self.group::<W, 2, SKIP>(rows, r, p, j, bt, ldb),
+            r += match rows.group_len(r, most) {
+                8 if most >= 8 => self.group::<W, 8, SKIP>(rows, r, p, j, bt, ldb),
+                4 if most >= 4 => self.group::<W, 4, SKIP>(rows, r, p, j, bt, ldb),
+                2 if most >= 2 => self.group::<W, 2, SKIP>(rows, r, p, j, bt, ldb),
                 _ => self.group::<W, 1, SKIP>(rows, r, p, j, bt, ldb),
-            }
-            r += g;
+            };
         }
     }
 
     /// Runs the tile on the `G` rows of `rows` from row `r` on, which
     /// share a run table, over the panel `p` of B as `b` with row stride
-    /// `ldb`, at columns `j`.
+    /// `ldb`, at columns `j`, and returns `G`.
     #[inline(always)]
     fn group<const W: usize, const G: usize, const SKIP: bool>(
         self,
@@ -629,7 +629,7 @@ impl<T: Element> Operands<'_, T> {
         j: Range<usize>,
         b: &[T],
         ldb: usize,
-    ) {
+    ) -> usize {
         let mut acc = rows.load::<W, G>(r, j.clone());
         let (a, sa, runs) = (&self.a[(rows.first + r) * self.sa.0..], self.sa, rows.runs(r));
         if sa.1 == 1 {
@@ -639,13 +639,14 @@ impl<T: Element> Operands<'_, T> {
             for (g, row) in rows.iter_mut().enumerate() {
                 *row = &a[g * sa.0..][..p.end];
             }
-            let x = |q: usize| rows.map(|row| row[q]);
+            let x = |q: usize| gather::<T, G>(|g| rows[g][q]);
             tile::<T, W, G, SKIP>(x, runs, p, b, ldb, &mut acc);
         } else {
-            let x = |q: usize| std::array::from_fn(|g| a[g * sa.0 + q * sa.1]);
+            let x = |q: usize| gather::<T, G>(|g| a[g * sa.0 + q * sa.1]);
             tile::<T, W, G, SKIP>(x, runs, p, b, ldb, &mut acc);
         }
         rows.store(r, j, &acc);
+        G
     }
 }
 
@@ -726,6 +727,18 @@ impl<'r, Acc: Copy + Default> Block<'r, Acc> {
             }
         }
     }
+}
+
+/// `[at(0), …, at(G − 1)]`. A plain loop, where `array::from_fn` and
+/// `array::map` are not always inlined into the tile's inner loop, which
+/// then spills every accumulator.
+#[inline(always)]
+fn gather<T: Copy + Default, const G: usize>(at: impl Fn(usize) -> T) -> [T; G] {
+    let mut x = [T::default(); G];
+    for (g, x) in x.iter_mut().enumerate() {
+        *x = at(g);
+    }
+    x
 }
 
 /// The microkernel: `c[g][jj] += Σ_q x(q)[g] · b[(q − p.start)·ldb + jj]`
