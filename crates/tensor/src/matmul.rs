@@ -71,6 +71,7 @@
 use crate::par;
 use crate::shape::Shape;
 use crate::tensor::{Tensor, TensorError};
+use std::array;
 use std::cell::Cell;
 use std::ops::Range;
 use std::thread::LocalKey;
@@ -605,6 +606,14 @@ impl<T: Element> Operands<'_, T> {
         // Each stripe is compiled for one arm, so `most` is a constant
         // there and the guards drop the group sizes that arm never runs.
         let most = arm.group_rows(W);
+        if most == 1 {
+            // One row at a time, a full tile's accumulators read and
+            // written in place in C: copying them through a group's local
+            // array cost the portable arm up to a third on small products.
+            return rows.each_row::<W>(j, |i, runs, c| {
+                self.rows_tile::<W, 1, SKIP>(i, runs, p.clone(), bt, ldb, array::from_mut(c));
+            });
+        }
         let mut r = 0;
         while r < rows.len() {
             let (p, j) = (p.clone(), j.clone());
@@ -631,7 +640,25 @@ impl<T: Element> Operands<'_, T> {
         ldb: usize,
     ) -> usize {
         let mut acc = rows.load::<W, G>(r, j.clone());
-        let (a, sa, runs) = (&self.a[(rows.first + r) * self.sa.0..], self.sa, rows.runs(r));
+        self.rows_tile::<W, G, SKIP>(rows.first + r, rows.runs(r), p, b, ldb, &mut acc);
+        rows.store(r, j, &acc);
+        G
+    }
+
+    /// Runs the tile on the `G` A rows from row `i` on, which share
+    /// `runs`, over the panel `p` of B as `b` with row stride `ldb`, adding
+    /// to their accumulators `c`.
+    #[inline(always)]
+    fn rows_tile<const W: usize, const G: usize, const SKIP: bool>(
+        self,
+        i: usize,
+        runs: &[(usize, usize)],
+        p: Range<usize>,
+        b: &[T],
+        ldb: usize,
+        c: &mut [[T::Acc; W]; G],
+    ) {
+        let (a, sa) = (&self.a[i * self.sa.0..], self.sa);
         if sa.1 == 1 {
             // Contiguous A rows, cut at the panel's end so that no index
             // inside the panel needs a bounds check.
@@ -640,13 +667,11 @@ impl<T: Element> Operands<'_, T> {
                 *row = &a[g * sa.0..][..p.end];
             }
             let x = |q: usize| gather::<T, G>(|g| rows[g][q]);
-            tile::<T, W, G, SKIP>(x, runs, p, b, ldb, &mut acc);
+            tile::<T, W, G, SKIP>(x, runs, p, b, ldb, c);
         } else {
             let x = |q: usize| gather::<T, G>(|g| a[g * sa.0 + q * sa.1]);
-            tile::<T, W, G, SKIP>(x, runs, p, b, ldb, &mut acc);
+            tile::<T, W, G, SKIP>(x, runs, p, b, ldb, c);
         }
-        rows.store(r, j, &acc);
-        G
     }
 }
 
