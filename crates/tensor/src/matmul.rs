@@ -1046,7 +1046,7 @@ mod tests {
         assert!(abt.iter().all(|x| x.is_nan()), "A·Bᵀ multiplies the zeros through");
     }
 
-    /// Asserts that the public entries and both arms give the `reference`
+    /// Asserts that the public entries and every arm give the `reference`
     /// kernels' `[A·B, Aᵀ·B, A·Bᵀ]` bit for bit, with `at` and `bt` stored
     /// transposed, and returns them.
     fn assert_products_match_reference(
@@ -1106,7 +1106,7 @@ mod tests {
             .collect()
     }
 
-    // The generator of `tests/properties.rs`, run on both arms, for all
+    // The generator of `tests/properties.rs`, run on every arm, for all
     // three products.
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]

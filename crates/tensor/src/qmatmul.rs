@@ -196,7 +196,7 @@ mod tests {
         (0..len).map(|x| (((x * s + 5) % 13) as i16) - 6).collect()
     }
 
-    /// The public entry and both arms equal the naive oracle bit for bit.
+    /// The public entry and every arm equal the naive oracle bit for bit.
     fn assert_matches_reference(a: &[i16], b: &[i16], m: usize, k: usize, n: usize) {
         let (mut c, mut cr) = (vec![1i32; m * n], vec![2i32; m * n]);
         reference::matmul_i16_into_ref(a, b, &mut cr, m, k, n);
@@ -320,7 +320,7 @@ mod tests {
         proptest::collection::vec(i16::MIN..=i16::MAX, len)
     }
 
-    // The generators of `tests/properties.rs`, run on both arms.
+    // The generators of `tests/properties.rs`, run on every arm.
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
 

@@ -9,7 +9,7 @@
 //! register budget allows. Only `avx2` or `avx512f` is enabled; rustc
 //! may imply `fma` from either, but Rust never contracts `a·b + c`, so
 //! every f32 sum is unchanged. [`Avx2::tile_pairs`] is the i16 `pmaddwd`
-//! tile of [`crate::qmatmul`], which both arms run. The remaining
+//! tile of [`crate::qmatmul`], which both SIMD arms run. The remaining
 //! `unsafe` blocks are the unaligned loads and stores of one 256-bit
 //! register, from arrays whose length is in their type.
 
